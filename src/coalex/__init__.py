@@ -8,26 +8,21 @@ measures both sides of that trade.
 """
 
 from .complexity import (
-    Closure,
     ComplexityReport,
-    ThresholdSearchResult,
     closure,
     complexity_proportion,
     find_threshold,
 )
 from .dataset import (
     AttributeSubset,
-    ClassTarget,
     Dataset,
     class_prior,
     load_csv,
     project,
     subsets_by_size,
 )
-from .errors import CoalexError, ComplexityCapError, ConfigError, DataError
+from .errors import ComplexityCapError, ConfigError, DataError
 from .evaluation import (
-    BenchmarkRecord,
-    ErrorScore,
     MethodConfig,
     error_score,
     group_stats,
@@ -40,7 +35,6 @@ from .evaluation import (
 )
 from .grouping import (
     Coalition,
-    GroupingConfig,
     fidelity,
     group_model_based,
     group_pca,
@@ -54,40 +48,26 @@ from .grouping import (
     vif_all,
 )
 from .influence import (
-    COMPLETE_ATTRIBUTE_CAP,
-    InfluenceRequest,
     InfluenceVector,
     coalition_penalty,
     coalitional_influence,
     complete_influence,
-    compute_influence,
     kdepth_influence,
     kdepth_penalty,
     predicted_class,
     shapley_penalty,
     subset_eval,
 )
-from .model import (
-    ModelSpec,
-    SubsetModelCache,
-    TrainedModelHandle,
-    confidence,
-    get_or_train,
-    train,
-)
+from .model import ModelSpec, SubsetModelCache, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeSubset", "BenchmarkRecord", "Closure", "ClassTarget", "Coalition",
-    "CoalexError", "ComplexityCapError", "ComplexityReport", "ConfigError",
-    "COMPLETE_ATTRIBUTE_CAP", "DataError", "Dataset", "ErrorScore",
-    "GroupingConfig", "InfluenceRequest", "InfluenceVector", "MethodConfig",
-    "ModelSpec", "SubsetModelCache", "ThresholdSearchResult",
-    "TrainedModelHandle", "class_prior", "closure", "coalition_penalty",
+    "AttributeSubset", "Coalition", "ComplexityCapError", "ComplexityReport", "ConfigError",
+    "DataError", "Dataset", "InfluenceVector", "MethodConfig", "ModelSpec",
+    "SubsetModelCache", "class_prior", "closure", "coalition_penalty",
     "coalitional_influence", "complete_influence", "complexity_proportion",
-    "compute_influence", "confidence", "error_score", "fidelity",
-    "find_threshold", "get_or_train", "group_model_based", "group_pca",
+    "error_score", "fidelity", "find_threshold", "group_model_based", "group_pca",
     "group_rev_spearman", "group_rev_vif", "group_spearman", "group_stats",
     "group_vif", "influence_distance", "kdepth_influence", "kdepth_penalty",
     "load_csv", "make_synthetic_dataset", "make_synthetic_suite", "normalize",

@@ -10,6 +10,7 @@ echoed into every output file for provenance.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -20,23 +21,21 @@ from pathlib import Path
 
 import click
 
-from .complexity import ComplexityReport, find_threshold
+from .complexity import ComplexityReport
 from .dataset import Dataset, load_csv
 from .errors import ComplexityCapError, ConfigError, DataError
 from .evaluation import (
     MethodConfig,
+    build_coalition,
     make_synthetic_suite,
+    method_influence,
     normalize_grouping_name,
     run_benchmark,
     write_benchmark_csv,
     write_benchmark_json,
 )
-from .grouping import GROUPING_METHODS, Coalition, group_model_based
-from .influence import (
-    COMPLETE_ATTRIBUTE_CAP,
-    InfluenceRequest,
-    compute_influence,
-)
+from .grouping import GROUPING_METHODS, Coalition
+from .influence import COMPLETE_ATTRIBUTE_CAP
 from .model import ModelSpec, SubsetModelCache
 
 logger = logging.getLogger(__name__)
@@ -73,9 +72,26 @@ class RunConfig:
     output: str | None = None
     output_format: str = "json"
     cap: int = COMPLETE_ATTRIBUTE_CAP
+    synthetic: int | None = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
+
+
+# Flag names that are also config-file keys but name a RunConfig field differently,
+# and the fields whose resolved value is converted to int.
+_FIELD_OF = {"format": "output_format", "methods": "method"}
+_INT_FIELDS = {"repetitions", "seed", "jobs", "cap", "synthetic"}
+
+_METHOD_REQUIRED = (f"--method is required; choose from "
+                    f"{sorted(GROUPING_METHODS) + ['model_based']}")
+# Per command: the options it cannot run without, and the message when one is missing.
+_REQUIRED = {
+    "explain": {"target": "--target is required"},
+    "groups": {"target": "--target is required", "method": _METHOD_REQUIRED},
+    "complexity": {"target": "--target is required", "method": _METHOD_REQUIRED},
+    "benchmark": {"methods": "--methods is required, e.g. complete,kdepth:2"},
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -101,7 +117,8 @@ def _pick(flag, file_cfg: dict, key: str, default):
     return default
 
 
-def _model_spec(name: str, file_cfg: dict, trees, max_depth, min_leaf, seed) -> ModelSpec:
+def _model_spec(model_flags: tuple, file_cfg: dict, seed: int) -> ModelSpec:
+    name, trees, max_depth, min_leaf = model_flags
     model_cfg = file_cfg.get("model", {}) if isinstance(file_cfg.get("model"), dict) else {}
     kind_raw = _pick(name, model_cfg, "kind", "random_forest")
     kind = _MODEL_ALIASES.get(str(kind_raw).lower())
@@ -117,6 +134,33 @@ def _model_spec(name: str, file_cfg: dict, trees, max_depth, min_leaf, seed) -> 
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _resolve(command: str, config_path: str | None, model_flags: tuple, fixed: dict,
+             **flags) -> tuple[RunConfig, ModelSpec]:
+    """The effective configuration of one invocation, and its model.
+
+    Each of ``flags`` (keyed by its config-file name; a flag's value already
+    includes its ``COALEX_*`` variable) resolves as flag > ``--config`` file >
+    default.  ``fixed`` sets fields no flag resolves and the command's own
+    defaults; every other field keeps its ``RunConfig`` default.
+    """
+    file_cfg = _load_config_file(config_path)
+    cfg = RunConfig(command, **fixed)
+    for key, flag in flags.items():
+        name = _FIELD_OF.get(key, key)
+        value = _pick(flag, file_cfg, key, getattr(cfg, name))
+        setattr(cfg, name, int(value) if name in _INT_FIELDS and value is not None else value)
+    for key, message in _REQUIRED[command].items():
+        if getattr(cfg, _FIELD_OF.get(key, key)) is None:
+            raise ConfigError(message)
+    if cfg.threshold is not None and cfg.proportion is not None:
+        raise ConfigError("--t and --proportion are mutually exclusive")
+    if cfg.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {cfg.jobs}")
+    spec = _model_spec(model_flags, file_cfg, cfg.seed)
+    cfg.model = asdict(spec)
+    return cfg, spec
 
 
 def _parse_instances(text: str, m: int) -> list[int]:
@@ -159,14 +203,20 @@ def _fail(exc: BaseException, code: int) -> None:
 
 
 def _guarded(fn):
-    try:
-        fn()
-    except ComplexityCapError as exc:
-        _fail(exc, EXIT_CAP)
-    except DataError as exc:
-        _fail(exc, EXIT_DATA)
-    except (ConfigError, ValueError) as exc:
-        _fail(exc, EXIT_CONFIG)
+    """Run a command body, mapping coalex errors to their exit codes."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except ComplexityCapError as exc:
+            _fail(exc, EXIT_CAP)
+        except DataError as exc:
+            _fail(exc, EXIT_DATA)
+        except (ConfigError, ValueError) as exc:
+            _fail(exc, EXIT_CONFIG)
+
+    return run
 
 
 def common_options(f):
@@ -190,6 +240,23 @@ def model_options(f):
     return f
 
 
+def coalition_options(f):
+    """The options of the two commands that build one coalition: groups and complexity."""
+    f = click.argument("data", type=click.Path())(f)
+    f = click.option("--target", default=None, help="Label column name or index.")(f)
+    f = click.option("--method", default=None,
+                     help=f"One of {sorted(GROUPING_METHODS)} or model_based.")(f)
+    f = click.option("--t", "threshold", type=float, default=None,
+                     help="Grouping threshold in (0, 0.5).")(f)
+    f = click.option("--proportion", type=float, default=None,
+                     help="Target complexity proportion; bisection picks t.")(f)
+    f = click.option("--delta", type=float, default=None, help="model_based fidelity delta.")(f)
+    f = click.option("--repetitions", type=int, default=None,
+                     help="model_based fidelity rounds.")(f)
+    f = click.option("--out", default=None, help="Output file (stdout when omitted).")(f)
+    return common_options(model_options(f))
+
+
 @click.group()
 @click.version_option(package_name="coalex")
 def main():
@@ -200,8 +267,7 @@ def main():
 @main.command("explain")
 @click.argument("data", type=click.Path())
 @click.option("--target", default=None, help="Label column name or index.")
-@click.option("--method", "method_name", default=None,
-              help="complete, kdepth or coalitional:<grouping>.")
+@click.option("--method", default=None, help="complete, kdepth or coalitional:<grouping>.")
 @click.option("--k", type=int, default=None, help="Depth for kdepth.")
 @click.option("--t", "threshold", type=float, default=None, help="Grouping threshold in (0, 0.5).")
 @click.option("--proportion", type=float, default=None,
@@ -212,291 +278,147 @@ def main():
               help="Explain this class instead of each instance's predicted class.")
 @click.option("--instances", default=None, help="'all' or comma-separated indices.")
 @click.option("--out", default=None, help="Output file (stdout when omitted).")
-@click.option("--format", "fmt", default=None, type=click.Choice(["json", "csv"]))
+@click.option("--format", default=None, type=click.Choice(["json", "csv"]))
 @click.option("--cap", type=int, default=None, help="Attribute cap for complete influence.")
 @model_options
 @common_options
-def cmd_explain(data, target, method_name, k, threshold, proportion, delta, repetitions,
-                class_label, instances, out, fmt, cap, model_name, trees, max_depth,
-                min_leaf, config_path, seed, jobs, delimiter):
+@_guarded
+def cmd_explain(data, class_label, out, config_path, model_name, trees, max_depth, min_leaf,
+                **flags):
     """Write one influence vector per selected instance of DATA."""
+    cfg, spec = _resolve("explain", config_path, (model_name, trees, max_depth, min_leaf),
+                         {"dataset": str(data), "output": out, "method": "complete"}, **flags)
+    method_text = cfg.method
+    if method_text == "kdepth" and cfg.k is not None:
+        method_text = f"kdepth:{cfg.k}"
+    mc = MethodConfig.parse(method_text)
+    if mc.kind == "kdepth" and cfg.k is not None:
+        mc = MethodConfig("kdepth", k=cfg.k)
+    if mc.kind == "coalitional":
+        mc = MethodConfig("coalitional", grouping=mc.grouping,
+                          threshold=cfg.threshold if mc.threshold is None else mc.threshold,
+                          proportion=cfg.proportion if mc.proportion is None else mc.proportion,
+                          delta=cfg.delta if mc.delta is None else mc.delta,
+                          repetitions=cfg.repetitions)
 
-    def body():
-        file_cfg = _load_config_file(config_path)
-        cfg = RunConfig(
-            command="explain",
-            dataset=str(data),
-            target=_pick(target, file_cfg, "target", None),
-            method=_pick(method_name, file_cfg, "method", "complete"),
-            k=_pick(k, file_cfg, "k", None),
-            threshold=_pick(threshold, file_cfg, "threshold", None),
-            proportion=_pick(proportion, file_cfg, "proportion", None),
-            delta=_pick(delta, file_cfg, "delta", None),
-            repetitions=int(_pick(repetitions, file_cfg, "repetitions", 10)),
-            seed=int(_pick(seed, file_cfg, "seed", 0)),
-            jobs=int(_pick(jobs, file_cfg, "jobs", 1)),
-            delimiter=_pick(delimiter, file_cfg, "delimiter", ","),
-            instances=_pick(instances, file_cfg, "instances", "all"),
-            output=out,
-            output_format=_pick(fmt, file_cfg, "format", "json"),
-            cap=int(_pick(cap, file_cfg, "cap", COMPLETE_ATTRIBUTE_CAP)),
-        )
-        if cfg.target is None:
-            raise ConfigError("--target is required")
-        if cfg.threshold is not None and cfg.proportion is not None:
-            raise ConfigError("--t and --proportion are mutually exclusive")
-        spec = _model_spec(model_name, file_cfg, trees, max_depth, min_leaf, cfg.seed)
-        cfg.model = asdict(spec)
+    d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
+    picks = _parse_instances(cfg.instances, d.n_instances)
+    fixed_class = _resolve_class(d, class_label)
+    cache = SubsetModelCache()
 
-        method_text = cfg.method
-        if method_text == "kdepth" and cfg.k is not None:
-            method_text = f"kdepth:{cfg.k}"
-        mc = MethodConfig.parse(method_text)
-        if mc.kind == "kdepth" and cfg.k is not None:
-            mc = MethodConfig("kdepth", k=cfg.k)
-        if mc.kind == "coalitional":
-            mc = MethodConfig("coalitional", grouping=mc.grouping,
-                              threshold=cfg.threshold if mc.threshold is None else mc.threshold,
-                              proportion=cfg.proportion if mc.proportion is None else mc.proportion,
-                              delta=cfg.delta if mc.delta is None else mc.delta,
-                              repetitions=cfg.repetitions)
+    coalition = None
+    extra: dict = {}
+    if mc.kind == "coalitional":
+        coalition, extra = build_coalition(d, mc, spec, cfg.seed, cache)
+    explain = lambda i: method_influence(cache, spec, d, i, mc, coalition, fixed_class, cfg.cap)
+    if cfg.jobs > 1:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            vectors = list(pool.map(explain, picks))
+    else:
+        vectors = [explain(i) for i in picks]
 
-        d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
-        picks = _parse_instances(cfg.instances, d.n_instances)
-        fixed_class = _resolve_class(d, class_label)
-        cache = SubsetModelCache()
-
-        coalition = None
-        extra: dict = {}
-        if mc.kind == "coalitional":
-            coalition, extra = _build_coalition(d, mc, spec, cfg.seed, cache)
-        requests = [
-            InfluenceRequest(
-                dataset=d, spec=spec, instance_index=i,
-                method=mc.kind, target=fixed_class, k=mc.k,
-                coalition=coalition, cap=cfg.cap,
-            )
-            for i in picks
-        ]
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                vectors = list(pool.map(lambda r: compute_influence(r, cache), requests))
-        else:
-            vectors = [compute_influence(r, cache) for r in requests]
-
-        payload_cfg = cfg.to_dict() | extra
-        if cfg.output_format == "json":
-            doc = {"config": payload_cfg, "influences": [v.to_json(d) for v in vectors]}
-            _emit(json.dumps(doc, indent=2), out)
-        else:
-            buf = io.StringIO()
-            buf.write("# config: " + json.dumps(payload_cfg, sort_keys=True) + "\n")
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["instance", "class", "method", *d.attribute_names])
-            for v in vectors:
-                writer.writerow([v.instance_index, v.target.class_id,
-                                 v.method_tag, *map(repr, v.values)])
-            _emit(buf.getvalue(), out)
-
-    _guarded(body)
+    payload_cfg = cfg.to_dict() | extra
+    if cfg.output_format == "json":
+        doc = {"config": payload_cfg, "influences": [v.to_json(d) for v in vectors]}
+        _emit(json.dumps(doc, indent=2), out)
+    else:
+        buf = io.StringIO()
+        buf.write("# config: " + json.dumps(payload_cfg, sort_keys=True) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["instance", "class", "method", *d.attribute_names])
+        for v in vectors:
+            writer.writerow([v.instance_index, v.target.class_id,
+                             v.method_tag, *map(repr, v.values)])
+        _emit(buf.getvalue(), out)
 
 
-def _build_coalition(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
-                     cache: SubsetModelCache) -> tuple[Coalition, dict]:
-    """Build the coalition an explain/groups run needs, plus provenance extras."""
-    if mc.grouping == "model_based":
-        if mc.proportion is not None:
-            raise ConfigError("model_based grouping has no threshold; --proportion unsupported")
-        if mc.delta is None:
-            raise ConfigError("model_based grouping requires --delta > 0")
-        G = group_model_based(d, spec, mc.delta, mc.repetitions, seed, cache=cache)
-        return G, {"delta": mc.delta}
-    if mc.proportion is not None:
-        search = find_threshold(mc.grouping, d, mc.proportion)
-        extra = {
-            "threshold": search.threshold,
-            "achieved_proportion": search.achieved,
-            "converged": search.converged,
-        }
-        if not search.converged:
-            extra["note"] = "closest achievable proportion; target not reachable within tolerance"
-        return search.coalition, extra
-    t = mc.threshold if mc.threshold is not None else 0.25
-    return GROUPING_METHODS[mc.grouping](d, t), {"threshold": t}
+def _coalition(command: str, data, out, config_path, model_flags: tuple,
+               flags: dict) -> tuple[RunConfig, Coalition, dict, dict]:
+    """Resolve a groups or complexity run and build its coalition.
+
+    Returns the configuration, the coalition, the coalition's JSON form and
+    the provenance extras of :func:`build_coalition`.  Both commands run in
+    one thread, so ``--jobs`` is not resolved.
+    """
+    cfg, spec = _resolve(command, config_path, model_flags,
+                         {"dataset": str(data), "output": out}, **flags)
+    mc = MethodConfig("coalitional", grouping=normalize_grouping_name(cfg.method),
+                      threshold=cfg.threshold, proportion=cfg.proportion,
+                      delta=cfg.delta, repetitions=cfg.repetitions)
+    d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
+    G, extra = build_coalition(d, mc, spec, cfg.seed, SubsetModelCache())
+    return cfg, G, G.to_json(d, method=mc.grouping), extra
 
 
 @main.command("groups")
-@click.argument("data", type=click.Path())
-@click.option("--target", default=None, help="Label column name or index.")
-@click.option("--method", "method_name", default=None,
-              help=f"One of {sorted(GROUPING_METHODS)} or model_based.")
-@click.option("--t", "threshold", type=float, default=None, help="Grouping threshold in (0, 0.5).")
-@click.option("--proportion", type=float, default=None,
-              help="Target complexity proportion; bisection picks t.")
-@click.option("--delta", type=float, default=None, help="model_based fidelity delta.")
-@click.option("--repetitions", type=int, default=None, help="model_based fidelity rounds.")
-@click.option("--out", default=None, help="Output file (stdout when omitted).")
-@model_options
-@common_options
-def cmd_groups(data, target, method_name, threshold, proportion, delta, repetitions, out,
-               model_name, trees, max_depth, min_leaf, config_path, seed, jobs, delimiter):
+@coalition_options
+@_guarded
+def cmd_groups(data, out, config_path, model_name, trees, max_depth, min_leaf, jobs, **flags):
     """Extract and write an attribute coalition for DATA."""
-
-    def body():
-        file_cfg = _load_config_file(config_path)
-        cfg = RunConfig(
-            command="groups",
-            dataset=str(data),
-            target=_pick(target, file_cfg, "target", None),
-            method=_pick(method_name, file_cfg, "method", None),
-            threshold=_pick(threshold, file_cfg, "threshold", None),
-            proportion=_pick(proportion, file_cfg, "proportion", None),
-            delta=_pick(delta, file_cfg, "delta", None),
-            repetitions=int(_pick(repetitions, file_cfg, "repetitions", 10)),
-            seed=int(_pick(seed, file_cfg, "seed", 0)),
-            delimiter=_pick(delimiter, file_cfg, "delimiter", ","),
-            output=out,
-        )
-        if cfg.target is None:
-            raise ConfigError("--target is required")
-        if cfg.method is None:
-            raise ConfigError(f"--method is required; choose from "
-                              f"{sorted(GROUPING_METHODS) + ['model_based']}")
-        if cfg.threshold is not None and cfg.proportion is not None:
-            raise ConfigError("--t and --proportion are mutually exclusive")
-        mc = MethodConfig("coalitional", grouping=normalize_grouping_name(cfg.method),
-                          threshold=cfg.threshold, proportion=cfg.proportion,
-                          delta=cfg.delta, repetitions=cfg.repetitions)
-        spec = _model_spec(model_name, file_cfg, trees, max_depth, min_leaf, cfg.seed)
-        cfg.model = asdict(spec)
-
-        d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
-        G, extra = _build_coalition(d, mc, spec, cfg.seed, SubsetModelCache())
-        if cfg.proportion is not None:
-            click.echo(f"threshold={extra['threshold']:.6f} "
-                       f"achieved_proportion={extra['achieved_proportion']:.6f} "
-                       f"converged={extra['converged']}", err=True)
-        doc = {"config": cfg.to_dict() | extra} | G.to_json(d, method=mc.grouping) | extra
-        _emit(json.dumps(doc, indent=2), out)
-
-    _guarded(body)
+    cfg, _, groups, extra = _coalition("groups", data, out, config_path,
+                                       (model_name, trees, max_depth, min_leaf), flags)
+    if cfg.proportion is not None:
+        click.echo(f"threshold={extra['threshold']:.6f} "
+                   f"achieved_proportion={extra['achieved_proportion']:.6f} "
+                   f"converged={extra['converged']}", err=True)
+    _emit(json.dumps({"config": cfg.to_dict() | extra} | groups | extra, indent=2), out)
 
 
 @main.command("complexity")
-@click.argument("data", type=click.Path())
-@click.option("--target", default=None, help="Label column name or index.")
-@click.option("--method", "method_name", default=None,
-              help=f"One of {sorted(GROUPING_METHODS)} or model_based.")
-@click.option("--t", "threshold", type=float, default=None, help="Grouping threshold in (0, 0.5).")
-@click.option("--proportion", type=float, default=None, help="Target complexity proportion.")
-@click.option("--delta", type=float, default=None, help="model_based fidelity delta.")
-@click.option("--repetitions", type=int, default=None, help="model_based fidelity rounds.")
-@click.option("--out", default=None, help="Output file (stdout when omitted).")
-@model_options
-@common_options
-def cmd_complexity(data, target, method_name, threshold, proportion, delta, repetitions, out,
-                   model_name, trees, max_depth, min_leaf, config_path, seed, jobs, delimiter):
+@coalition_options
+@_guarded
+def cmd_complexity(data, out, config_path, model_name, trees, max_depth, min_leaf, jobs,
+                   **flags):
     """Report the evaluation cost of a coalition for DATA."""
-
-    def body():
-        file_cfg = _load_config_file(config_path)
-        cfg = RunConfig(
-            command="complexity",
-            dataset=str(data),
-            target=_pick(target, file_cfg, "target", None),
-            method=_pick(method_name, file_cfg, "method", None),
-            threshold=_pick(threshold, file_cfg, "threshold", None),
-            proportion=_pick(proportion, file_cfg, "proportion", None),
-            delta=_pick(delta, file_cfg, "delta", None),
-            repetitions=int(_pick(repetitions, file_cfg, "repetitions", 10)),
-            seed=int(_pick(seed, file_cfg, "seed", 0)),
-            delimiter=_pick(delimiter, file_cfg, "delimiter", ","),
-            output=out,
-        )
-        if cfg.target is None or cfg.method is None:
-            raise ConfigError("--target and --method are required")
-        if cfg.threshold is not None and cfg.proportion is not None:
-            raise ConfigError("--t and --proportion are mutually exclusive")
-        mc = MethodConfig("coalitional", grouping=normalize_grouping_name(cfg.method),
-                          threshold=cfg.threshold, proportion=cfg.proportion,
-                          delta=cfg.delta, repetitions=cfg.repetitions)
-        spec = _model_spec(model_name, file_cfg, trees, max_depth, min_leaf, cfg.seed)
-        cfg.model = asdict(spec)
-        d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
-        G, extra = _build_coalition(d, mc, spec, cfg.seed, SubsetModelCache())
-        report = ComplexityReport.from_coalition(G)
-        doc = {"config": cfg.to_dict() | extra} | report.to_dict() | G.to_json(d, method=mc.grouping)
-        _emit(json.dumps(doc, indent=2), out)
-
-    _guarded(body)
+    cfg, G, groups, extra = _coalition("complexity", data, out, config_path,
+                                       (model_name, trees, max_depth, min_leaf), flags)
+    report = ComplexityReport.from_coalition(G).to_dict()
+    _emit(json.dumps({"config": cfg.to_dict() | extra} | report | groups, indent=2), out)
 
 
 @main.command("benchmark")
 @click.argument("data", type=click.Path(), nargs=-1)
 @click.option("--target", default=None, help="Label column name or index (CSV datasets).")
-@click.option("--synthetic", "synthetic_count", type=int, default=None,
+@click.option("--synthetic", type=int, default=None,
               help="Use N generated datasets instead of CSV files.")
-@click.option("--methods", "methods_text", default=None,
+@click.option("--methods", default=None,
               help="Comma-separated, e.g. complete,kdepth:2,coalitional:spearman:0.25")
 @click.option("--out", default=None, help="CSV output path (a .json mirror is written too).")
 @click.option("--cap", type=int, default=None, help="Attribute cap for the exact baseline.")
 @model_options
 @common_options
-def cmd_benchmark(data, target, synthetic_count, methods_text, out, cap,
-                  model_name, trees, max_depth, min_leaf, config_path, seed, jobs, delimiter):
+@_guarded
+def cmd_benchmark(data, out, config_path, model_name, trees, max_depth, min_leaf, **flags):
     """Score methods against the exact influence over a dataset grid."""
+    cfg, spec = _resolve("benchmark", config_path, (model_name, trees, max_depth, min_leaf),
+                         {"dataset": [str(p) for p in data] or None, "output": out}, **flags)
+    methods = [MethodConfig.parse(tok) for tok in cfg.method.split(",") if tok.strip()]
+    if not methods:
+        raise ConfigError("no methods given")
+    for mc in methods:
+        if mc.kind == "coalitional" and mc.grouping == "model_based" and mc.delta is None:
+            raise ConfigError("coalitional:model_based needs a delta, "
+                              "e.g. coalitional:model_based:0.1")
 
-    def body():
-        file_cfg = _load_config_file(config_path)
-        cfg = RunConfig(
-            command="benchmark",
-            dataset=[str(p) for p in data] or None,
-            target=_pick(target, file_cfg, "target", None),
-            method=_pick(methods_text, file_cfg, "methods", None),
-            seed=int(_pick(seed, file_cfg, "seed", 0)),
-            jobs=int(_pick(jobs, file_cfg, "jobs", 1)),
-            delimiter=_pick(delimiter, file_cfg, "delimiter", ","),
-            output=out,
-            cap=int(_pick(cap, file_cfg, "cap", COMPLETE_ATTRIBUTE_CAP)),
-        )
-        synth = _pick(synthetic_count, file_cfg, "synthetic", None)
-        if cfg.method is None:
-            raise ConfigError("--methods is required, e.g. complete,kdepth:2")
-        methods = [MethodConfig.parse(tok) for tok in cfg.method.split(",") if tok.strip()]
-        if not methods:
-            raise ConfigError("no methods given")
-        for mc in methods:
-            if mc.kind == "coalitional" and mc.grouping == "model_based" and mc.delta is None:
-                raise ConfigError("coalitional:model_based needs a delta, "
-                                  "e.g. coalitional:model_based:0.1")
-        spec = _model_spec(model_name, file_cfg, trees, max_depth, min_leaf, cfg.seed)
-        cfg.model = asdict(spec)
+    if cfg.synthetic is not None:
+        datasets = make_synthetic_suite(cfg.synthetic, cfg.seed)
+    elif data:
+        if cfg.target is None:
+            raise ConfigError("--target is required for CSV datasets")
+        datasets = [load_csv(p, cfg.target, delimiter=cfg.delimiter) for p in data]
+    else:
+        raise ConfigError("give dataset files or --synthetic N")
 
-        if synth is not None:
-            datasets = make_synthetic_suite(int(synth), cfg.seed)
-        elif data:
-            if cfg.target is None:
-                raise ConfigError("--target is required for CSV datasets")
-            datasets = [load_csv(p, cfg.target, delimiter=cfg.delimiter) for p in data]
-        else:
-            raise ConfigError("give dataset files or --synthetic N")
-
-        records = run_benchmark(datasets, methods, spec, seed=cfg.seed,
-                                jobs=cfg.jobs, cap=cfg.cap)
-        payload_cfg = cfg.to_dict()
-        if synth is not None:
-            payload_cfg["synthetic"] = int(synth)
-        if out:
-            csv_path = Path(out)
-            write_benchmark_csv(records, csv_path, config=payload_cfg)
-            write_benchmark_json(records, csv_path.with_suffix(".json"), config=payload_cfg)
-            click.echo(f"wrote {len(records)} records to {csv_path} "
-                       f"and {csv_path.with_suffix('.json')}", err=True)
-        else:
-            for r in records:
-                click.echo(json.dumps(r.to_dict()))
-
-    _guarded(body)
+    records = run_benchmark(datasets, methods, spec, seed=cfg.seed, jobs=cfg.jobs, cap=cfg.cap)
+    if out:
+        csv_path = Path(out)
+        write_benchmark_csv(records, csv_path, config=cfg.to_dict())
+        write_benchmark_json(records, csv_path.with_suffix(".json"), config=cfg.to_dict())
+        click.echo(f"wrote {len(records)} records to {csv_path} "
+                   f"and {csv_path.with_suffix('.json')}", err=True)
+    else:
+        for r in records:
+            click.echo(json.dumps(r.to_dict()))
 
 
 if __name__ == "__main__":

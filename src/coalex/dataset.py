@@ -238,12 +238,12 @@ def load_csv(
     ``target_column`` is a header name or a 0-based column index.  Every
     non-target cell must parse as a finite number ('.' decimal separator);
     the offending row and column are named otherwise.  Row order is
-    preserved.
+    preserved; a leading UTF-8 byte order mark is skipped.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexity import complexity_proportion, find_threshold
-from .dataset import Dataset
+from .dataset import ClassTarget, Dataset
 from .errors import ConfigError
 from .grouping import GROUPING_METHODS, Coalition, group_model_based
 from .influence import (
@@ -287,34 +287,68 @@ def _spec_id(spec: ModelSpec) -> str:
             f"min_leaf={spec.min_leaf},seed={spec.seed})")
 
 
+def build_coalition(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
+                    cache: SubsetModelCache) -> tuple[Coalition, dict]:
+    """The coalition a coalitional method explains with, plus provenance extras.
+
+    ``model_based`` grows it from the model in ``cache``; a proportion
+    bisects the grouping threshold; otherwise the grouping runs at the given
+    threshold (default 0.25).
+    """
+    if mc.grouping == "model_based":
+        if mc.proportion is not None:
+            raise ConfigError("model_based grouping has no threshold; --proportion unsupported")
+        if mc.delta is None:
+            raise ConfigError("model_based grouping requires --delta > 0")
+        G = group_model_based(d, spec, mc.delta, mc.repetitions, seed, cache=cache)
+        return G, {"delta": mc.delta}
+    if mc.proportion is not None:
+        search = find_threshold(mc.grouping, d, mc.proportion)
+        extra = {
+            "threshold": search.threshold,
+            "achieved_proportion": search.achieved,
+            "converged": search.converged,
+        }
+        if not search.converged:
+            extra["note"] = "closest achievable proportion; target not reachable within tolerance"
+        return search.coalition, extra
+    t = mc.threshold if mc.threshold is not None else 0.25
+    return GROUPING_METHODS[mc.grouping](d, t), {"threshold": t}
+
+
+def method_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset, i: int,
+                     mc: MethodConfig, coalition: Coalition | None,
+                     target: ClassTarget | None,
+                     cap: int = COMPLETE_ATTRIBUTE_CAP) -> InfluenceVector:
+    """Influence vector of instance ``i`` under ``mc``.
+
+    ``coalition`` is the one :func:`build_coalition` made for a coalitional
+    method and is ignored otherwise; ``cap`` bounds complete influence.
+    """
+    if mc.kind == "complete":
+        return complete_influence(cache, spec, d, i, target, cap=cap)
+    if mc.kind == "kdepth":
+        return kdepth_influence(cache, spec, d, i, mc.k, target)
+    return coalitional_influence(cache, spec, d, i, coalition, target)
+
+
 def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
-              targets, oracle_vectors, cap: int) -> BenchmarkRecord:
+              targets, oracle_vectors) -> BenchmarkRecord:
     """Time one (dataset, method) cell against precomputed oracle vectors."""
     m = d.n_instances
     cache = SubsetModelCache()
-    prop = None
-    stats: tuple[float, float] | None = None
+    G = None
     started = time.perf_counter()
-    if mc.kind == "kdepth":
-        vectors = [kdepth_influence(cache, spec, d, i, mc.k, targets[i]) for i in range(m)]
-        prop = _kdepth_proportion(d.n_attributes, mc.k)
+    if mc.kind == "coalitional":
+        G, extra = build_coalition(d, mc, spec, seed, cache)
+        if extra.get("converged") is False:
+            logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
+                        d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
+    vectors = [method_influence(cache, spec, d, i, mc, G, targets[i]) for i in range(m)]
+    if G is None:
+        prop, stats = _kdepth_proportion(d.n_attributes, mc.k), None
     else:
-        if mc.grouping == "model_based":
-            if mc.delta is None:
-                raise ConfigError("model_based grouping needs delta > 0")
-            G = group_model_based(d, spec, mc.delta, mc.repetitions, seed, cache=cache)
-        elif mc.proportion is not None:
-            search = find_threshold(mc.grouping, d, mc.proportion)
-            if not search.converged:
-                logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
-                            d.name, mc.grouping, search.achieved, mc.proportion)
-            G = search.coalition
-        else:
-            t = mc.threshold if mc.threshold is not None else 0.25
-            G = GROUPING_METHODS[mc.grouping](d, t)
-        vectors = [coalitional_influence(cache, spec, d, i, G, targets[i]) for i in range(m)]
-        prop = complexity_proportion(G)
-        stats = group_stats(G)
+        prop, stats = complexity_proportion(G), group_stats(G)
     elapsed = time.perf_counter() - started
     mean_err = float(np.mean([error_score(v, o).value for v, o in zip(vectors, oracle_vectors)]))
     return BenchmarkRecord(
@@ -340,9 +374,10 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
     Per dataset the exact vectors are computed once (this also fixes each
     instance's target class, taken from the full model's prediction); each
     method then runs on a fresh cache so its span covers everything it
-    needs.  Datasets beyond the attribute cap are skipped with a logged
-    reason.  ``jobs`` > 1 runs method cells concurrently; their wall-clock
-    shares the machine, so records are marked parallel-timed.
+    needs.  Datasets beyond the attribute cap, and ``kdepth:k`` on a dataset
+    with fewer than k attributes, are skipped with a logged reason.
+    ``jobs`` > 1 runs method cells concurrently; their wall-clock shares the
+    machine, so records are marked parallel-timed.
     """
     records: list[BenchmarkRecord] = []
     for d in datasets:
@@ -350,6 +385,13 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
             logger.warning("skipping %s: %d attributes exceed the cap of %d",
                            d.name, d.n_attributes, cap)
             continue
+        runnable = []
+        for mc in methods:
+            if mc.kind == "kdepth" and mc.k > d.n_attributes:
+                logger.warning("skipping kdepth:%d on %s: it has only %d attributes",
+                               mc.k, d.name, d.n_attributes)
+            else:
+                runnable.append(mc)
         m = d.n_instances
         started = time.perf_counter()
         oracle_cache = SubsetModelCache()
@@ -370,19 +412,18 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
             model=_spec_id(spec),
         )
 
-        pending = [mc for mc in methods if mc.kind != "complete"]
+        pending = [mc for mc in runnable if mc.kind != "complete"]
         if jobs > 1 and len(pending) > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 cells = list(pool.map(
-                    lambda mc: _run_cell(d, mc, spec, seed, targets, oracle_vectors, cap),
+                    lambda mc: _run_cell(d, mc, spec, seed, targets, oracle_vectors),
                     pending))
             cells = [replace(c, parallel_timed=True) for c in cells]
         else:
-            cells = [_run_cell(d, mc, spec, seed, targets, oracle_vectors, cap)
-                     for mc in pending]
+            cells = [_run_cell(d, mc, spec, seed, targets, oracle_vectors) for mc in pending]
 
         by_config = iter(cells)
-        for mc in methods:
+        for mc in runnable:
             if mc.kind == "complete":
                 records.append(complete_record)
             else:

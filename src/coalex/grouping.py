@@ -32,23 +32,6 @@ REV_SPEARMAN_SINGLETON_MIN = 0.5
 
 
 @dataclass(frozen=True)
-class GroupingConfig:
-    """Shared knobs for the grouping methods."""
-
-    threshold: float = 0.25
-    delta: float = 0.1
-    repetitions: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_threshold(self.threshold)
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-
-
-@dataclass(frozen=True)
 class Coalition:
     """A covering family of attribute groups."""
 
@@ -254,29 +237,31 @@ def groups_from_loadings(loadings: np.ndarray, t: float) -> list[set[int]]:
     return groups
 
 
+def _groups_by_row(corr: np.ndarray, singleton, partners) -> list[set[int]]:
+    """Per attribute a, over its row of correlations with the other attributes:
+    a singleton group when ``singleton(row)`` holds, else a plus the partners
+    the boolean mask ``partners(row)`` selects."""
+    corr = np.asarray(corr, dtype=np.float64)
+    n = corr.shape[0]
+    groups = []
+    for a in range(n):
+        others = np.array([b for b in range(n) if b != a], dtype=np.intp)
+        row = corr[a, others]
+        if others.size == 0 or singleton(row):
+            groups.append({a})
+        else:
+            groups.append({a, *others[partners(row)].tolist()})
+    return groups
+
+
 def groups_from_correlation(corr: np.ndarray, t: float) -> list[set[int]]:
     """Per attribute: itself plus the partners nearly as correlated as its best.
 
     An attribute whose strongest partner stays at or below
     ``SPEARMAN_SINGLETON_MAX`` keeps a singleton group.
     """
-    corr = np.asarray(corr, dtype=np.float64)
-    n = corr.shape[0]
-    groups = []
-    for a in range(n):
-        others = [b for b in range(n) if b != a]
-        if not others:
-            groups.append({a})
-            continue
-        row = corr[a, others]
-        rowmax = row.max()
-        if rowmax <= SPEARMAN_SINGLETON_MAX:
-            groups.append({a})
-            continue
-        members = {a}
-        members.update(b for b, v in zip(others, row) if v > rowmax * (1.0 - t))
-        groups.append(members)
-    return groups
+    return _groups_by_row(corr, lambda row: row.max() <= SPEARMAN_SINGLETON_MAX,
+                          lambda row: row > row.max() * (1.0 - t))
 
 
 def groups_from_correlation_reversed(corr: np.ndarray, t: float) -> list[set[int]]:
@@ -285,23 +270,8 @@ def groups_from_correlation_reversed(corr: np.ndarray, t: float) -> list[set[int
     An attribute whose weakest partner is still above
     ``REV_SPEARMAN_SINGLETON_MIN`` keeps a singleton group.
     """
-    corr = np.asarray(corr, dtype=np.float64)
-    n = corr.shape[0]
-    groups = []
-    for a in range(n):
-        others = [b for b in range(n) if b != a]
-        if not others:
-            groups.append({a})
-            continue
-        row = corr[a, others]
-        rowmin, rowmax = row.min(), row.max()
-        if rowmin > REV_SPEARMAN_SINGLETON_MIN:
-            groups.append({a})
-            continue
-        members = {a}
-        members.update(b for b, v in zip(others, row) if v < rowmin + rowmax * t)
-        groups.append(members)
-    return groups
+    return _groups_by_row(corr, lambda row: row.min() > REV_SPEARMAN_SINGLETON_MIN,
+                          lambda row: row < row.min() + row.max() * t)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +293,9 @@ def group_rev_spearman(d: Dataset, t: float) -> Coalition:
     return normalize(groups_from_correlation_reversed(spearman_matrix(d), t), d.n_attributes)
 
 
-def group_vif(d: Dataset, t: float) -> Coalition:
-    """Group each attribute with those whose VIF collapses when it is removed."""
+def _group_by_vif(d: Dataset, t: float, member) -> Coalition:
+    """Group each attribute a with every b for which ``member(new, old)`` holds,
+    where old is b's VIF and new is b's VIF once a is removed."""
     _check_threshold(t)
     n = d.n_attributes
     if n == 1:
@@ -333,32 +304,20 @@ def group_vif(d: Dataset, t: float) -> Coalition:
     groups = []
     for a in range(n):
         rest = AttributeSubset.full(n).without_index(a)
-        rest_idx = rest.indices()
         new = vif_all(d, rest)
-        members = {a}
-        members.update(b for pos, b in enumerate(rest_idx)
-                       if new[pos] < old[b] * (VIF_MEMBERSHIP_OFFSET + t))
-        groups.append(members)
+        groups.append({a} | {b for pos, b in enumerate(rest.indices())
+                             if member(new[pos], old[b])})
     return normalize(groups, n)
+
+
+def group_vif(d: Dataset, t: float) -> Coalition:
+    """Group each attribute with those whose VIF collapses when it is removed."""
+    return _group_by_vif(d, t, lambda new, old: new < old * (VIF_MEMBERSHIP_OFFSET + t))
 
 
 def group_rev_vif(d: Dataset, t: float) -> Coalition:
     """Group each attribute with those whose VIF it barely supports."""
-    _check_threshold(t)
-    n = d.n_attributes
-    if n == 1:
-        return normalize([], 1)
-    old = vif_all(d)
-    groups = []
-    for a in range(n):
-        rest = AttributeSubset.full(n).without_index(a)
-        rest_idx = rest.indices()
-        new = vif_all(d, rest)
-        members = {a}
-        members.update(b for pos, b in enumerate(rest_idx)
-                       if new[pos] > old[b] * (1.0 - t * REV_VIF_DAMPING))
-        groups.append(members)
-    return normalize(groups, n)
+    return _group_by_vif(d, t, lambda new, old: new > old * (1.0 - t * REV_VIF_DAMPING))
 
 
 GROUPING_METHODS = {

@@ -114,8 +114,20 @@ def predicted_class(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
     return ClassTarget(d.class_set[idx], idx)
 
 
-def _make_evaluator(cache, spec, d, x, target, memo: MutableMapping | None):
-    table: MutableMapping = {} if memo is None else memo
+def _influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset, instance_index: int,
+               target: ClassTarget | None, terms, method_tag: str,
+               eval_memo: MutableMapping | None) -> InfluenceVector:
+    """The weighted sum shared by the three methods.
+
+    ``terms[i]`` lists (others, weights) pairs for attribute i: every subset
+    of ``others`` with fewer than ``len(weights)`` members contributes
+    ``weights[size] * (v(subset + i) - v(subset))``, in size-then-lexicographic
+    order.
+    """
+    if target is None:
+        target = predicted_class(cache, spec, d, instance_index)
+    x = d.instance(instance_index)
+    table: MutableMapping = {} if eval_memo is None else eval_memo
 
     def ev(subset: AttributeSubset) -> float:
         value = table.get(subset.mask)
@@ -124,7 +136,14 @@ def _make_evaluator(cache, spec, d, x, target, memo: MutableMapping | None):
             table[subset.mask] = value
         return value
 
-    return ev
+    values = []
+    for i, pairs in enumerate(terms):
+        total = 0.0
+        for others, weights in pairs:
+            for sub in subsets_by_size(others, d.n_attributes, max_size=len(weights) - 1):
+                total += weights[sub.size] * (ev(sub.with_index(i)) - ev(sub))
+        values.append(total)
+    return InfluenceVector(tuple(values), instance_index, target, method_tag)
 
 
 def complete_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
@@ -141,19 +160,9 @@ def complete_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
     n = d.n_attributes
     if n > cap:
         raise ComplexityCapError(n, cap)
-    if target is None:
-        target = predicted_class(cache, spec, d, instance_index)
-    x = d.instance(instance_index)
-    ev = _make_evaluator(cache, spec, d, x, target, eval_memo)
     weights = [shapley_penalty(s, n) for s in range(n)]
-    values = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        total = 0.0
-        for sub in subsets_by_size(others, n):
-            total += weights[sub.size] * (ev(sub.with_index(i)) - ev(sub))
-        values.append(total)
-    return InfluenceVector(tuple(values), instance_index, target, "complete")
+    terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
+    return _influence(cache, spec, d, instance_index, target, terms, "complete", eval_memo)
 
 
 def kdepth_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
@@ -163,19 +172,9 @@ def kdepth_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
     n = d.n_attributes
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if target is None:
-        target = predicted_class(cache, spec, d, instance_index)
-    x = d.instance(instance_index)
-    ev = _make_evaluator(cache, spec, d, x, target, eval_memo)
     weights = [kdepth_penalty(s, n, k) for s in range(k)]
-    values = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        total = 0.0
-        for sub in subsets_by_size(others, n, max_size=k - 1):
-            total += weights[sub.size] * (ev(sub.with_index(i)) - ev(sub))
-        values.append(total)
-    return InfluenceVector(tuple(values), instance_index, target, f"kdepth:{k}")
+    terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
+    return _influence(cache, spec, d, instance_index, target, terms, f"kdepth:{k}", eval_memo)
 
 
 def coalitional_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
@@ -197,54 +196,11 @@ def coalitional_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
     if covered != set(range(n)):
         missing = sorted(set(range(n)) - covered)
         raise ValueError(f"coalition does not cover attributes {missing}")
-    if target is None:
-        target = predicted_class(cache, spec, d, instance_index)
-    x = d.instance(instance_index)
-    ev = _make_evaluator(cache, spec, d, x, target, eval_memo)
-    values = []
+    terms = []
     for i in range(n):
         groups_i = [g for g in coalition.groups if i in g]
         sizes = [g.size for g in groups_i]
-        total = 0.0
-        for g in groups_i:
-            weights = [coalition_penalty(s, g.size, sizes) for s in range(g.size)]
-            others = [j for j in g.indices() if j != i]
-            for sub in subsets_by_size(others, n):
-                total += weights[sub.size] * (ev(sub.with_index(i)) - ev(sub))
-        values.append(total)
-    return InfluenceVector(tuple(values), instance_index, target, "coalitional")
-
-
-@dataclass(frozen=True)
-class InfluenceRequest:
-    """One explanation job: which instance, which class, which method."""
-
-    dataset: Dataset
-    spec: ModelSpec
-    instance_index: int
-    method: str  # complete | kdepth | coalitional
-    target: ClassTarget | None = None  # None -> class predicted by the full model
-    k: int | None = None
-    coalition: Coalition | None = None
-    cap: int = COMPLETE_ATTRIBUTE_CAP
-
-    def __post_init__(self):
-        if self.method not in ("complete", "kdepth", "coalitional"):
-            raise ValueError(f"unknown influence method {self.method!r}")
-        if self.method == "kdepth" and self.k is None:
-            raise ValueError("kdepth influence requires k")
-        if self.method == "coalitional" and self.coalition is None:
-            raise ValueError("coalitional influence requires a coalition")
-
-
-def compute_influence(req: InfluenceRequest, cache: SubsetModelCache | None = None,
-                      eval_memo: MutableMapping | None = None) -> InfluenceVector:
-    cache = cache if cache is not None else SubsetModelCache()
-    if req.method == "complete":
-        return complete_influence(cache, req.spec, req.dataset, req.instance_index,
-                                  req.target, cap=req.cap, eval_memo=eval_memo)
-    if req.method == "kdepth":
-        return kdepth_influence(cache, req.spec, req.dataset, req.instance_index,
-                                req.k, req.target, eval_memo=eval_memo)
-    return coalitional_influence(cache, req.spec, req.dataset, req.instance_index,
-                                 req.coalition, req.target, eval_memo=eval_memo)
+        terms.append([([j for j in g.indices() if j != i],
+                       [coalition_penalty(s, g.size, sizes) for s in range(g.size)])
+                      for g in groups_i])
+    return _influence(cache, spec, d, instance_index, target, terms, "coalitional", eval_memo)

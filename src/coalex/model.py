@@ -207,10 +207,6 @@ class TrainedModelHandle:
                         dtype=np.intp)
 
 
-def confidence(h: TrainedModelHandle, x, c: ClassTarget) -> float:
-    return h.confidence(x, c)
-
-
 def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle:
     """Fit ``spec`` on ``project(d, s)``.
 
@@ -247,17 +243,20 @@ class SubsetModelCache:
     """At-most-once model training per distinct attribute subset.
 
     Thread-safe: concurrent ``get_or_train`` calls for the same subset block
-    on a single in-flight fit; distinct subsets train in parallel.  A cache
-    must not be reused across datasets or model specs.
+    on a single in-flight fit; distinct subsets train in parallel.  The first
+    call binds the cache to its dataset object and an equal model spec; a
+    cache must not be reused across datasets or model specs.  A fit that
+    raises an ``Exception`` is remembered and re-raised for that subset; an
+    interrupted fit is not, and the next call for the subset trains again.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._handles: dict[AttributeSubset, TrainedModelHandle] = {}
         self._inflight: dict[AttributeSubset, threading.Event] = {}
-        self._failures: dict[AttributeSubset, BaseException] = {}
+        self._failures: dict[AttributeSubset, Exception] = {}
         self._trained = 0
-        self._bound: tuple[int, int] | None = None  # id(spec), id(dataset)
+        self._bound: tuple[ModelSpec, Dataset] | None = None
 
     @property
     def training_count(self) -> int:
@@ -270,34 +269,28 @@ class SubsetModelCache:
             return s in self._handles
 
     def get_or_train(self, spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle:
-        with self._lock:
-            if self._bound is None:
-                self._bound = (id(spec), id(d))
-            elif self._bound != (id(spec), id(d)):
-                raise ValueError("SubsetModelCache reused with a different spec or dataset")
-            handle = self._handles.get(s)
-            if handle is not None:
-                return handle
-            if s in self._failures:
-                raise self._failures[s]
-            event = self._inflight.get(s)
-            if event is None:
-                event = threading.Event()
-                self._inflight[s] = event
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            event.wait()
+        while True:
             with self._lock:
+                if self._bound is None:
+                    self._bound = (spec, d)
+                elif self._bound[0] != spec or self._bound[1] is not d:
+                    raise ValueError("SubsetModelCache reused with a different spec or dataset")
+                handle = self._handles.get(s)
+                if handle is not None:
+                    return handle
                 if s in self._failures:
                     raise self._failures[s]
-                return self._handles[s]
+                event = self._inflight.get(s)
+                if event is None:
+                    event = self._inflight[s] = threading.Event()
+                    break
+            event.wait()  # then look again: trained, failed, or interrupted
         try:
             handle = train(spec, d, s)
         except BaseException as exc:
             with self._lock:
-                self._failures[s] = exc
+                if isinstance(exc, Exception):
+                    self._failures[s] = exc
                 del self._inflight[s]
             event.set()
             raise
@@ -307,8 +300,3 @@ class SubsetModelCache:
             del self._inflight[s]
         event.set()
         return handle
-
-
-def get_or_train(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
-                 s: AttributeSubset) -> TrainedModelHandle:
-    return cache.get_or_train(spec, d, s)

@@ -146,6 +146,13 @@ class TestExplain:
                                       "--method", "complete", "--instances", "0,99"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, runner, small_csv, jobs):
+        result = runner.invoke(main, ["explain", str(small_csv), "--target", "y",
+                                      "--model", "dt", "--instances", "0", "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs must be >= 1" in result.output
+
     def test_jobs_parallel_same_output(self, runner, small_csv):
         args = ["explain", str(small_csv), "--target", "y", "--model", "dt",
                 "--method", "complete", "--instances", "0,1,2"]
@@ -211,6 +218,12 @@ class TestComplexityCommand:
         assert doc["groups"]
 
 
+    def test_requires_method(self, runner, small_csv):
+        result = runner.invoke(main, ["complexity", str(small_csv), "--target", "y"])
+        assert result.exit_code == 2
+        assert "--method is required; choose from" in result.output
+
+
 class TestBenchmark:
     def test_synthetic_grid(self, runner, tmp_path):
         out = tmp_path / "bench.csv"
@@ -252,6 +265,23 @@ class TestBenchmark:
         rec = json.loads(result.output.splitlines()[-1])
         assert rec["time_per_instance_s"] > 0
         assert rec["param"] == "delta=0.1"
+
+    def test_kdepth_deeper_than_a_dataset_skips_that_cell(self, runner):
+        result = runner.invoke(main, ["benchmark", "--synthetic", "2",
+                                      "--methods", "complete,kdepth:3",
+                                      "--model", "dt", "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(l) for l in result.stdout.splitlines()]
+        complete = [r["dataset"] for r in records if r["method"] == "complete"]
+        kdepth = [r["dataset"] for r in records if r["method"] == "kdepth"]
+        assert len(complete) == 2 and len(kdepth) == 1 and kdepth[0] in complete
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, runner, jobs):
+        result = runner.invoke(main, ["benchmark", "--synthetic", "1", "--methods", "complete",
+                                      "--model", "dt", "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs must be >= 1" in result.output
 
     def test_requires_methods(self, runner):
         result = runner.invoke(main, ["benchmark", "--synthetic", "1"])

@@ -109,6 +109,13 @@ class TestLoadCsv:
         assert d1.labels == d2.labels
         np.testing.assert_array_equal(d1.features, d2.features)
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfy,a,b\np,1,2\nq,3,4\n")
+        d = load_csv(p, "y")
+        assert d.attribute_names == ("a", "b")
+        assert d.labels == ("p", "q")
+
     def test_single_class_loads(self, tmp_path):
         p = write(tmp_path, "a,y\n1,p\n2,p\n")
         d = load_csv(p, "y")

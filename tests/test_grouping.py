@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from coalex import (
     AttributeSubset,
     Coalition,
-    GroupingConfig,
     ModelSpec,
     closure,
     fidelity,
@@ -487,17 +486,6 @@ class TestModelBasedGrouping:
                           cache=cache)
         assert cache.training_count == 1
         assert AttributeSubset.full(3) in cache
-
-
-class TestGroupingConfig:
-    def test_validation(self):
-        GroupingConfig(threshold=0.3, delta=0.1, repetitions=5, seed=1)
-        with pytest.raises(ValueError):
-            GroupingConfig(threshold=0.6)
-        with pytest.raises(ValueError):
-            GroupingConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            GroupingConfig(repetitions=0)
 
 
 class TestCoalitionType:

@@ -10,21 +10,21 @@ from coalex import (
     AttributeSubset,
     Coalition,
     ComplexityCapError,
-    InfluenceRequest,
     InfluenceVector,
+    MethodConfig,
     ModelSpec,
     SubsetModelCache,
     class_prior,
     coalition_penalty,
     coalitional_influence,
     complete_influence,
-    compute_influence,
     kdepth_influence,
     kdepth_penalty,
     predicted_class,
     shapley_penalty,
     subset_eval,
 )
+from coalex.evaluation import method_influence
 
 from conftest import dataset_from
 
@@ -352,28 +352,14 @@ class TestRequests:
         target = predicted_class(cache, SPEC, d, 0)
         full = cache.get_or_train(SPEC, d, AttributeSubset.full(3))
         assert target.index == int(np.argmax(full.confidences(d.instance(0))))
-        req = InfluenceRequest(dataset=d, spec=SPEC, instance_index=0, method="complete")
-        v = compute_influence(req, cache)
+        v = complete_influence(cache, SPEC, d, 0)
         assert v.target == target
-
-    def test_request_validation(self, blob_dataset):
-        with pytest.raises(ValueError, match="requires k"):
-            InfluenceRequest(dataset=blob_dataset, spec=SPEC, instance_index=0,
-                             method="kdepth")
-        with pytest.raises(ValueError, match="coalition"):
-            InfluenceRequest(dataset=blob_dataset, spec=SPEC, instance_index=0,
-                             method="coalitional")
-        with pytest.raises(ValueError, match="unknown"):
-            InfluenceRequest(dataset=blob_dataset, spec=SPEC, instance_index=0,
-                             method="sampling")
 
     def test_dispatch(self, blob_dataset):
         d = blob_dataset
         cache = SubsetModelCache()
         target = d.class_target("hi")
-        req = InfluenceRequest(dataset=d, spec=SPEC, instance_index=1, method="kdepth",
-                               k=1, target=target)
-        v = compute_influence(req, cache)
+        v = method_influence(cache, SPEC, d, 1, MethodConfig("kdepth", k=1), None, target)
         assert v.method_tag == "kdepth:1"
         assert v.instance_index == 1
 

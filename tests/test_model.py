@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from coalex import (
     ModelSpec,
     SubsetModelCache,
     class_prior,
-    get_or_train,
     train,
 )
 
@@ -175,11 +175,11 @@ class TestSubsetModelCache:
         spec = ModelSpec(kind="decision_tree")
         cache = SubsetModelCache()
         s = AttributeSubset.from_indices([0], 3)
-        h1 = get_or_train(cache, spec, d, s)
-        h2 = get_or_train(cache, spec, d, AttributeSubset.from_indices([0], 3))
+        h1 = cache.get_or_train(spec, d, s)
+        h2 = cache.get_or_train(spec, d, AttributeSubset.from_indices([0], 3))
         assert h1 is h2
         assert cache.training_count == 1
-        get_or_train(cache, spec, d, AttributeSubset.from_indices([1], 3))
+        cache.get_or_train(spec, d, AttributeSubset.from_indices([1], 3))
         assert cache.training_count == 2
 
     def test_counts_all_subsets_for_complete(self, xor4):
@@ -200,7 +200,7 @@ class TestSubsetModelCache:
 
         def worker():
             barrier.wait()
-            handles.append(get_or_train(cache, spec, d, s))
+            handles.append(cache.get_or_train(spec, d, s))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -213,6 +213,110 @@ class TestSubsetModelCache:
     def test_rejects_cross_dataset_reuse(self, blob_dataset, xor4):
         spec = ModelSpec(kind="decision_tree")
         cache = SubsetModelCache()
-        get_or_train(cache, spec, blob_dataset, AttributeSubset.full(3))
+        cache.get_or_train(spec, blob_dataset, AttributeSubset.full(3))
         with pytest.raises(ValueError, match="reused"):
-            get_or_train(cache, spec, xor4, AttributeSubset.full(2))
+            cache.get_or_train(spec, xor4, AttributeSubset.full(2))
+
+    def test_accepts_equal_spec(self, blob_dataset):
+        cache = SubsetModelCache()
+        h = cache.get_or_train(ModelSpec(kind="decision_tree"), blob_dataset,
+                               AttributeSubset.full(3))
+        again = cache.get_or_train(ModelSpec(kind="decision_tree"), blob_dataset,
+                                   AttributeSubset.full(3))
+        assert again is h
+        with pytest.raises(ValueError, match="reused"):
+            cache.get_or_train(ModelSpec(kind="decision_tree", seed=1), blob_dataset,
+                               AttributeSubset.full(3))
+
+    def test_binding_holds_the_dataset_object(self):
+        # The bound dataset has no other reference: a new dataset object must
+        # still be rejected, even one that reuses the freed object's address.
+        spec = ModelSpec(kind="decision_tree")
+        make = lambda: dataset_from([[0.0], [1.0], [2.0]], ["p", "q", "q"])
+        cache = SubsetModelCache()
+        cache.get_or_train(spec, make(), AttributeSubset.full(1))
+        for _ in range(20):
+            with pytest.raises(ValueError, match="reused"):
+                cache.get_or_train(spec, make(), AttributeSubset.full(1))
+
+    def test_interrupted_fit_is_not_cached(self, blob_dataset, monkeypatch):
+        import coalex.model
+
+        spec = ModelSpec(kind="decision_tree")
+        s = AttributeSubset.full(3)
+        cache = SubsetModelCache()
+        real_train = coalex.model.train
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(coalex.model, "train", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cache.get_or_train(spec, blob_dataset, s)
+        monkeypatch.setattr(coalex.model, "train", real_train)
+        assert s not in cache
+        try:
+            cache.get_or_train(spec, blob_dataset, s)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt was cached as a training failure")
+        assert s in cache and cache.training_count == 1
+
+    def test_waiter_trains_after_an_interrupted_fit(self, blob_dataset, monkeypatch):
+        import coalex.model
+
+        spec = ModelSpec(kind="decision_tree")
+        s = AttributeSubset.full(3)
+        cache = SubsetModelCache()
+        real_train = coalex.model.train
+        started, release = threading.Event(), threading.Event()
+        calls, outcomes = [], []
+
+        def first_fit_interrupted(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                started.set()
+                release.wait(timeout=10)
+                raise KeyboardInterrupt
+            return real_train(*args)
+
+        def owner():
+            try:
+                cache.get_or_train(spec, blob_dataset, s)
+            except KeyboardInterrupt:
+                outcomes.append("interrupted")
+
+        def waiter():
+            outcomes.append(cache.get_or_train(spec, blob_dataset, s))
+
+        monkeypatch.setattr(coalex.model, "train", first_fit_interrupted)
+        threads = [threading.Thread(target=owner), threading.Thread(target=waiter)]
+        threads[0].start()
+        assert started.wait(timeout=10)
+        threads[1].start()
+        time.sleep(0.1)  # let the waiter block on the in-flight fit
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 2 and cache.training_count == 1
+        handles = [o for o in outcomes if o != "interrupted"]
+        assert "interrupted" in outcomes and len(handles) == 1
+        assert handles[0] is cache.get_or_train(spec, blob_dataset, s)
+
+    def test_failed_fit_is_cached(self, blob_dataset, monkeypatch):
+        import coalex.model
+
+        spec = ModelSpec(kind="decision_tree")
+        s = AttributeSubset.full(3)
+        cache = SubsetModelCache()
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(coalex.model, "train", failing)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="fit failed"):
+                cache.get_or_train(spec, blob_dataset, s)
+        assert len(calls) == 1
