@@ -242,19 +242,20 @@ def model_options(f):
 
 def coalition_options(f):
     """The options of the two commands that build one coalition: groups and complexity."""
-    f = click.argument("data", type=click.Path())(f)
-    f = click.option("--target", default=None, help="Label column name or index.")(f)
-    f = click.option("--method", default=None,
-                     help=f"One of {sorted(GROUPING_METHODS)} or model_based.")(f)
-    f = click.option("--t", "threshold", type=float, default=None,
-                     help="Grouping threshold in (0, 0.5).")(f)
-    f = click.option("--proportion", type=float, default=None,
-                     help="Target complexity proportion; bisection picks t.")(f)
-    f = click.option("--delta", type=float, default=None, help="model_based fidelity delta.")(f)
+    # Applied innermost first: --help lists the last one applied first.
+    f = model_options(common_options(f))
+    f = click.option("--out", default=None, help="Output file (stdout when omitted).")(f)
     f = click.option("--repetitions", type=int, default=None,
                      help="model_based fidelity rounds.")(f)
-    f = click.option("--out", default=None, help="Output file (stdout when omitted).")(f)
-    return common_options(model_options(f))
+    f = click.option("--delta", type=float, default=None, help="model_based fidelity delta.")(f)
+    f = click.option("--proportion", type=float, default=None,
+                     help="Target complexity proportion; bisection picks t.")(f)
+    f = click.option("--t", "threshold", type=float, default=None,
+                     help="Grouping threshold in (0, 0.5).")(f)
+    f = click.option("--method", default=None,
+                     help=f"One of {sorted(GROUPING_METHODS)} or model_based.")(f)
+    f = click.option("--target", default=None, help="Label column name or index.")(f)
+    return click.argument("data", type=click.Path())(f)
 
 
 @click.group()
