@@ -79,9 +79,10 @@ class RunConfig:
 
 
 # Flag names that are also config-file keys but name a RunConfig field differently,
-# and the fields whose resolved value is converted to int.
+# and the type each numeric field's resolved value is converted to.
 _FIELD_OF = {"format": "output_format", "methods": "method"}
-_INT_FIELDS = {"repetitions", "seed", "jobs", "cap", "synthetic"}
+_FIELD_TYPES = {"k": int, "repetitions": int, "seed": int, "jobs": int, "cap": int,
+                "synthetic": int, "threshold": float, "proportion": float, "delta": float}
 
 _METHOD_REQUIRED = (f"--method is required; choose from "
                     f"{sorted(GROUPING_METHODS) + ['model_based']}")
@@ -124,11 +125,12 @@ def _model_spec(model_flags: tuple, file_cfg: dict, seed: int) -> ModelSpec:
     kind = _MODEL_ALIASES.get(str(kind_raw).lower())
     if kind is None:
         raise ConfigError(f"unknown model {kind_raw!r}; choose from {sorted(set(_MODEL_ALIASES))}")
+    max_depth = _pick(max_depth, model_cfg, "max_depth", None)
     try:
         return ModelSpec(
             kind=kind,
             tree_count=int(_pick(trees, model_cfg, "tree_count", 100)),
-            max_depth=_pick(max_depth, model_cfg, "max_depth", None),
+            max_depth=None if max_depth is None else int(max_depth),
             min_leaf=int(_pick(min_leaf, model_cfg, "min_leaf", 1)),
             seed=seed,
         )
@@ -150,7 +152,12 @@ def _resolve(command: str, config_path: str | None, model_flags: tuple, fixed: d
     for key, flag in flags.items():
         name = _FIELD_OF.get(key, key)
         value = _pick(flag, file_cfg, key, getattr(cfg, name))
-        setattr(cfg, name, int(value) if name in _INT_FIELDS and value is not None else value)
+        if name in _FIELD_TYPES and value is not None:
+            try:
+                value = _FIELD_TYPES[name](value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        setattr(cfg, name, value)
     for key, message in _REQUIRED[command].items():
         if getattr(cfg, _FIELD_OF.get(key, key)) is None:
             raise ConfigError(message)
@@ -219,13 +226,14 @@ def _guarded(fn):
     return run
 
 
-def common_options(f):
+def common_options(f, jobs: bool = True):
     f = click.option("--config", "config_path", default=None, envvar="COALEX_CONFIG",
                      help="JSON config file; flags override its values.")(f)
     f = click.option("--seed", type=int, default=None, envvar="COALEX_SEED",
                      help="Master seed; fully determines all numeric output.")(f)
-    f = click.option("--jobs", type=int, default=None, envvar="COALEX_JOBS",
-                     help="Worker threads (default 1 for timing fidelity).")(f)
+    if jobs:
+        f = click.option("--jobs", type=int, default=None, envvar="COALEX_JOBS",
+                         help="Worker threads (default 1 for timing fidelity).")(f)
     f = click.option("--delimiter", default=None, envvar="COALEX_DELIMITER",
                      help="CSV field delimiter (default ',').")(f)
     return f
@@ -243,7 +251,7 @@ def model_options(f):
 def coalition_options(f):
     """The options of the two commands that build one coalition: groups and complexity."""
     # Applied innermost first: --help lists the last one applied first.
-    f = model_options(common_options(f))
+    f = model_options(common_options(f, jobs=False))
     f = click.option("--out", default=None, help="Output file (stdout when omitted).")(f)
     f = click.option("--repetitions", type=int, default=None,
                      help="model_based fidelity rounds.")(f)
@@ -305,13 +313,13 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
     d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
     picks = _parse_instances(cfg.instances, d.n_instances)
     fixed_class = _resolve_class(d, class_label)
-    cache = SubsetModelCache()
+    cache = SubsetModelCache(spec, d)
 
     coalition = None
     extra: dict = {}
     if mc.kind == "coalitional":
-        coalition, extra = build_coalition(d, mc, spec, cfg.seed, cache)
-    explain = lambda i: method_influence(cache, spec, d, i, mc, coalition, fixed_class, cfg.cap)
+        coalition, extra = build_coalition(cache, mc, cfg.seed)
+    explain = lambda i: method_influence(cache, i, mc, coalition, fixed_class, cfg.cap)
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             vectors = list(pool.map(explain, picks))
@@ -339,7 +347,7 @@ def _coalition(command: str, data, out, config_path, model_flags: tuple,
 
     Returns the configuration, the coalition, the coalition's JSON form and
     the provenance extras of :func:`build_coalition`.  Both commands run in
-    one thread, so ``--jobs`` is not resolved.
+    one thread and take no ``--jobs``.
     """
     cfg, spec = _resolve(command, config_path, model_flags,
                          {"dataset": str(data), "output": out}, **flags)
@@ -347,14 +355,14 @@ def _coalition(command: str, data, out, config_path, model_flags: tuple,
                       threshold=cfg.threshold, proportion=cfg.proportion,
                       delta=cfg.delta, repetitions=cfg.repetitions)
     d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
-    G, extra = build_coalition(d, mc, spec, cfg.seed, SubsetModelCache())
+    G, extra = build_coalition(SubsetModelCache(spec, d), mc, cfg.seed)
     return cfg, G, G.to_json(d, method=mc.grouping), extra
 
 
 @main.command("groups")
 @coalition_options
 @_guarded
-def cmd_groups(data, out, config_path, model_name, trees, max_depth, min_leaf, jobs, **flags):
+def cmd_groups(data, out, config_path, model_name, trees, max_depth, min_leaf, **flags):
     """Extract and write an attribute coalition for DATA."""
     cfg, _, groups, extra = _coalition("groups", data, out, config_path,
                                        (model_name, trees, max_depth, min_leaf), flags)
@@ -368,8 +376,7 @@ def cmd_groups(data, out, config_path, model_name, trees, max_depth, min_leaf, j
 @main.command("complexity")
 @coalition_options
 @_guarded
-def cmd_complexity(data, out, config_path, model_name, trees, max_depth, min_leaf, jobs,
-                   **flags):
+def cmd_complexity(data, out, config_path, model_name, trees, max_depth, min_leaf, **flags):
     """Report the evaluation cost of a coalition for DATA."""
     cfg, G, groups, extra = _coalition("complexity", data, out, config_path,
                                        (model_name, trees, max_depth, min_leaf), flags)

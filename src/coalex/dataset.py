@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 ClassId = Union[str, int]
 
@@ -240,47 +240,52 @@ def load_csv(
     the offending row and column are named otherwise.  Row order is
     preserved; a leading UTF-8 byte order mark is skipped.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        target_idx = _resolve_target(header, target_column, path)
-        feature_names = [h for k, h in enumerate(header) if k != target_idx]
-        if len(set(feature_names)) != len(feature_names):
-            raise DataError(f"{path}: duplicate column names in header")
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            records = list(csv.reader(fh, delimiter=delimiter))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not records:
+        raise DataError(f"{path}: file is empty")
+    header = [h.strip() for h in records[0]]
+    target_idx = _resolve_target(header, target_column, path)
+    feature_names = [h for k, h in enumerate(header) if k != target_idx]
+    if len(set(feature_names)) != len(feature_names):
+        raise DataError(f"{path}: duplicate column names in header")
 
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and record[0].strip() == ""):
-                continue  # blank line
-            if len(record) != len(header):
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    for line_no, record in enumerate(records[1:], start=2):
+        if not record or (len(record) == 1 and record[0].strip() == ""):
+            continue  # blank line
+        if len(record) != len(header):
+            raise DataError(
+                f"{path}: line {line_no} has {len(record)} fields, expected {len(header)}"
+            )
+        values = []
+        for k, cell in enumerate(record):
+            if k == target_idx:
+                continue
+            text = cell.strip()
+            try:
+                v = float(text)
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
                 raise DataError(
-                    f"{path}: line {line_no} has {len(record)} fields, expected {len(header)}"
+                    f"{path}: line {line_no}, column '{header[k]}': "
+                    f"cannot parse {cell!r} as a finite number"
                 )
-            values = []
-            for k, cell in enumerate(record):
-                if k == target_idx:
-                    continue
-                text = cell.strip()
-                try:
-                    v = float(text)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: line {line_no}, column '{header[k]}': "
-                        f"cannot parse {cell!r} as a finite number"
-                    )
-                values.append(v)
-            rows.append(values)
-            labels.append(record[target_idx].strip())
+            values.append(v)
+        rows.append(values)
+        labels.append(record[target_idx].strip())
 
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
@@ -301,6 +306,6 @@ def _resolve_target(header: list[str], target: str | int, path: Path) -> int:
         return target
     if target in header:
         return header.index(target)
-    if target.isdigit() and int(target) < len(header):
+    if target.isdecimal() and int(target) < len(header):
         return int(target)
     raise DataError(f"{path}: target column {target!r} not found in header {header}")

@@ -160,6 +160,8 @@ class MethodConfig:
             raise ConfigError(f"unknown method kind {self.kind!r}")
         if self.kind == "kdepth" and (self.k is None or self.k < 1):
             raise ConfigError("kdepth needs k >= 1")
+        if self.repetitions < 1:
+            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.kind == "coalitional":
             known = set(GROUPING_METHODS) | {"model_based"}
             if self.grouping not in known:
@@ -287,23 +289,23 @@ def _spec_id(spec: ModelSpec) -> str:
             f"min_leaf={spec.min_leaf},seed={spec.seed})")
 
 
-def build_coalition(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
-                    cache: SubsetModelCache) -> tuple[Coalition, dict]:
+def build_coalition(cache: SubsetModelCache, mc: MethodConfig,
+                    seed: int) -> tuple[Coalition, dict]:
     """The coalition a coalitional method explains with, plus provenance extras.
 
-    ``model_based`` grows it from the model in ``cache``; a proportion
-    bisects the grouping threshold; otherwise the grouping runs at the given
-    threshold (default 0.25).
+    ``model_based`` grows it from the cache's full model; a proportion
+    bisects the grouping threshold on the cache's dataset; otherwise the
+    grouping runs at the given threshold (default 0.25).
     """
     if mc.grouping == "model_based":
         if mc.proportion is not None:
             raise ConfigError("model_based grouping has no threshold; --proportion unsupported")
         if mc.delta is None:
             raise ConfigError("model_based grouping requires --delta > 0")
-        G = group_model_based(d, spec, mc.delta, mc.repetitions, seed, cache=cache)
+        G = group_model_based(cache, mc.delta, mc.repetitions, seed)
         return G, {"delta": mc.delta}
     if mc.proportion is not None:
-        search = find_threshold(mc.grouping, d, mc.proportion)
+        search = find_threshold(mc.grouping, cache.dataset, mc.proportion)
         extra = {
             "threshold": search.threshold,
             "achieved_proportion": search.achieved,
@@ -313,12 +315,11 @@ def build_coalition(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
             extra["note"] = "closest achievable proportion; target not reachable within tolerance"
         return search.coalition, extra
     t = mc.threshold if mc.threshold is not None else 0.25
-    return GROUPING_METHODS[mc.grouping](d, t), {"threshold": t}
+    return GROUPING_METHODS[mc.grouping](cache.dataset, t), {"threshold": t}
 
 
-def method_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset, i: int,
-                     mc: MethodConfig, coalition: Coalition | None,
-                     target: ClassTarget | None,
+def method_influence(cache: SubsetModelCache, i: int, mc: MethodConfig,
+                     coalition: Coalition | None, target: ClassTarget | None,
                      cap: int = COMPLETE_ATTRIBUTE_CAP) -> InfluenceVector:
     """Influence vector of instance ``i`` under ``mc``.
 
@@ -326,25 +327,25 @@ def method_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset, i: in
     method and is ignored otherwise; ``cap`` bounds complete influence.
     """
     if mc.kind == "complete":
-        return complete_influence(cache, spec, d, i, target, cap=cap)
+        return complete_influence(cache, i, target, cap=cap)
     if mc.kind == "kdepth":
-        return kdepth_influence(cache, spec, d, i, mc.k, target)
-    return coalitional_influence(cache, spec, d, i, coalition, target)
+        return kdepth_influence(cache, i, mc.k, target)
+    return coalitional_influence(cache, i, coalition, target)
 
 
 def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
               targets, oracle_vectors) -> BenchmarkRecord:
     """Time one (dataset, method) cell against precomputed oracle vectors."""
     m = d.n_instances
-    cache = SubsetModelCache()
+    cache = SubsetModelCache(spec, d)
     G = None
     started = time.perf_counter()
     if mc.kind == "coalitional":
-        G, extra = build_coalition(d, mc, spec, seed, cache)
+        G, extra = build_coalition(cache, mc, seed)
         if extra.get("converged") is False:
             logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
                         d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
-    vectors = [method_influence(cache, spec, d, i, mc, G, targets[i]) for i in range(m)]
+    vectors = [method_influence(cache, i, mc, G, targets[i]) for i in range(m)]
     if G is None:
         prop, stats = _kdepth_proportion(d.n_attributes, mc.k), None
     else:
@@ -394,14 +395,10 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
                 runnable.append(mc)
         m = d.n_instances
         started = time.perf_counter()
-        oracle_cache = SubsetModelCache()
-        targets = [predicted_class(oracle_cache, spec, d, i) for i in range(m)]
-        oracle_vectors = []
-        for i in range(m):
-            memo: dict = {}
-            oracle_vectors.append(
-                complete_influence(oracle_cache, spec, d, i, targets[i], cap=cap,
-                                   eval_memo=memo))
+        oracle_cache = SubsetModelCache(spec, d)
+        targets = [predicted_class(oracle_cache, i) for i in range(m)]
+        oracle_vectors = [complete_influence(oracle_cache, i, targets[i], cap=cap)
+                          for i in range(m)]
         oracle_tpi = (time.perf_counter() - started) / m
 
         complete_record = BenchmarkRecord(

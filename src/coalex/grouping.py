@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import AttributeSubset, Dataset
-from .model import ModelSpec, SubsetModelCache, TrainedModelHandle, train
+from .model import SubsetModelCache, TrainedModelHandle
 
 VIF_CAP = 1e6
 
@@ -363,6 +363,8 @@ def _randomized_fidelity(d: Dataset, model: TrainedModelHandle,
     instance.  Returns the fraction of unchanged predicted classes, averaged
     over seeded rounds.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     X = d.features
     m = X.shape[0]
     pred = model.predict_classes(X)
@@ -400,10 +402,9 @@ def fidelity(d: Dataset, model: TrainedModelHandle, grouping,
     return _randomized_fidelity(d, model, class_groups, uniform_attrs, repetitions, seed)
 
 
-def group_model_based(d: Dataset, spec: ModelSpec, delta: float,
-                      repetitions: int = 10, seed: int = 0,
-                      cache: SubsetModelCache | None = None) -> Coalition:
-    """Greedy fidelity-driven grouping against the trained full model.
+def group_model_based(cache: SubsetModelCache, delta: float,
+                      repetitions: int = 10, seed: int = 0) -> Coalition:
+    """Greedy fidelity-driven grouping against the cache's full model.
 
     Starting from all attributes as one candidate group, repeatedly move out
     the attribute whose removal hurts fidelity least, as long as fidelity
@@ -413,12 +414,9 @@ def group_model_based(d: Dataset, spec: ModelSpec, delta: float,
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
+    d = cache.dataset
     n = d.n_attributes
-    full = AttributeSubset.full(n)
-    if cache is not None:
-        handle = cache.get_or_train(spec, d, full)
-    else:
-        handle = train(spec, d, full)
+    handle = cache.get_or_train(AttributeSubset.full(n))
 
     fid_memo: dict[frozenset[int], float] = {}
 

@@ -27,7 +27,7 @@ from typing import MutableMapping, Sequence
 from .dataset import AttributeSubset, ClassTarget, Dataset, subsets_by_size
 from .errors import ComplexityCapError
 from .grouping import Coalition
-from .model import ModelSpec, SubsetModelCache
+from .model import SubsetModelCache
 
 COMPLETE_ATTRIBUTE_CAP = 20
 
@@ -97,26 +97,24 @@ def coalition_penalty(sub_size: int, group_size: int, groups_of_attr: Sequence[i
     return math.exp(lgamma(sub_size + 1) + lgamma(group_size - sub_size) - log_denom)
 
 
-def subset_eval(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
-                s: AttributeSubset, x, c: ClassTarget) -> float:
+def subset_eval(cache: SubsetModelCache, s: AttributeSubset, x, c: ClassTarget) -> float:
     """Confidence for class c of the model trained on subset s, evaluated at x.
 
     The empty subset evaluates to the class prior.
     """
-    return cache.get_or_train(spec, d, s).confidence(x, c)
+    return cache.get_or_train(s).confidence(x, c)
 
 
-def predicted_class(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
-                    instance_index: int) -> ClassTarget:
+def predicted_class(cache: SubsetModelCache, instance_index: int) -> ClassTarget:
     """Class predicted for the instance by the model trained on all attributes."""
+    d = cache.dataset
     full = AttributeSubset.full(d.n_attributes)
-    idx = cache.get_or_train(spec, d, full).predict_class(d.instance(instance_index))
+    idx = cache.get_or_train(full).predict_class(d.instance(instance_index))
     return ClassTarget(d.class_set[idx], idx)
 
 
-def _influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset, instance_index: int,
-               target: ClassTarget | None, terms, method_tag: str,
-               eval_memo: MutableMapping | None) -> InfluenceVector:
+def _influence(cache: SubsetModelCache, instance_index: int, target: ClassTarget | None,
+               terms, method_tag: str, eval_memo: MutableMapping | None) -> InfluenceVector:
     """The weighted sum shared by the three methods.
 
     ``terms[i]`` lists (others, weights) pairs for attribute i: every subset
@@ -125,14 +123,15 @@ def _influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset, instance_in
     order.
     """
     if target is None:
-        target = predicted_class(cache, spec, d, instance_index)
+        target = predicted_class(cache, instance_index)
+    d = cache.dataset
     x = d.instance(instance_index)
     table: MutableMapping = {} if eval_memo is None else eval_memo
 
     def ev(subset: AttributeSubset) -> float:
         value = table.get(subset.mask)
         if value is None:
-            value = subset_eval(cache, spec, d, subset, x, target)
+            value = subset_eval(cache, subset, x, target)
             table[subset.mask] = value
         return value
 
@@ -146,9 +145,8 @@ def _influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset, instance_in
     return InfluenceVector(tuple(values), instance_index, target, method_tag)
 
 
-def complete_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
-                       instance_index: int, target: ClassTarget | None = None,
-                       cap: int = COMPLETE_ATTRIBUTE_CAP,
+def complete_influence(cache: SubsetModelCache, instance_index: int,
+                       target: ClassTarget | None = None, cap: int = COMPLETE_ATTRIBUTE_CAP,
                        eval_memo: MutableMapping | None = None) -> InfluenceVector:
     """Exact Shapley influence over all attribute subsets.
 
@@ -157,28 +155,27 @@ def complete_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
     instance and class against the same cache, so that equivalent methods
     reuse identical subset evaluations.
     """
-    n = d.n_attributes
+    n = cache.dataset.n_attributes
     if n > cap:
         raise ComplexityCapError(n, cap)
     weights = [shapley_penalty(s, n) for s in range(n)]
     terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
-    return _influence(cache, spec, d, instance_index, target, terms, "complete", eval_memo)
+    return _influence(cache, instance_index, target, terms, "complete", eval_memo)
 
 
-def kdepth_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
-                     instance_index: int, k: int, target: ClassTarget | None = None,
+def kdepth_influence(cache: SubsetModelCache, instance_index: int, k: int,
+                     target: ClassTarget | None = None,
                      eval_memo: MutableMapping | None = None) -> InfluenceVector:
     """Shapley sum truncated to subsets of fewer than k other attributes."""
-    n = d.n_attributes
+    n = cache.dataset.n_attributes
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     weights = [kdepth_penalty(s, n, k) for s in range(k)]
     terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
-    return _influence(cache, spec, d, instance_index, target, terms, f"kdepth:{k}", eval_memo)
+    return _influence(cache, instance_index, target, terms, f"kdepth:{k}", eval_memo)
 
 
-def coalitional_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
-                          instance_index: int, coalition: Coalition,
+def coalitional_influence(cache: SubsetModelCache, instance_index: int, coalition: Coalition,
                           target: ClassTarget | None = None,
                           eval_memo: MutableMapping | None = None) -> InfluenceVector:
     """Influence restricted to the coalition's groups.
@@ -187,20 +184,17 @@ def coalitional_influence(cache: SubsetModelCache, spec: ModelSpec, d: Dataset,
     overlapping groups contributes once per group (the cache makes the
     duplicate evaluation free).
     """
-    n = d.n_attributes
+    n = cache.dataset.n_attributes
     if coalition.n != n:
         raise ValueError(f"coalition over {coalition.n} attributes for a dataset with {n}")
-    covered = set()
-    for g in coalition.groups:
-        covered.update(g.indices())
-    if covered != set(range(n)):
-        missing = sorted(set(range(n)) - covered)
+    groups_of = [coalition.groups_containing(i) for i in range(n)]
+    missing = [i for i, groups_i in enumerate(groups_of) if not groups_i]
+    if missing:
         raise ValueError(f"coalition does not cover attributes {missing}")
     terms = []
-    for i in range(n):
-        groups_i = [g for g in coalition.groups if i in g]
+    for i, groups_i in enumerate(groups_of):
         sizes = [g.size for g in groups_i]
         terms.append([([j for j in g.indices() if j != i],
                        [coalition_penalty(s, g.size, sizes) for s in range(g.size)])
                       for g in groups_i])
-    return _influence(cache, spec, d, instance_index, target, terms, "coalitional", eval_memo)
+    return _influence(cache, instance_index, target, terms, "coalitional", eval_memo)

@@ -242,21 +242,22 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
 class SubsetModelCache:
     """At-most-once model training per distinct attribute subset.
 
-    Thread-safe: concurrent ``get_or_train`` calls for the same subset block
-    on a single in-flight fit; distinct subsets train in parallel.  The first
-    call binds the cache to its dataset object and an equal model spec; a
-    cache must not be reused across datasets or model specs.  A fit that
-    raises an ``Exception`` is remembered and re-raised for that subset; an
-    interrupted fit is not, and the next call for the subset trains again.
+    The cache owns its model spec and dataset: ``get_or_train(s)`` returns
+    ``train(cache.spec, cache.dataset, s)``.  Thread-safe: concurrent calls
+    for the same subset block on a single in-flight fit; distinct subsets
+    train in parallel.  A fit that raises an ``Exception`` is remembered and
+    re-raised for that subset; an interrupted fit is not, and the next call
+    for the subset trains again.
     """
 
-    def __init__(self):
+    def __init__(self, spec: ModelSpec, dataset: Dataset):
+        self.spec = spec
+        self.dataset = dataset
         self._lock = threading.Lock()
         self._handles: dict[AttributeSubset, TrainedModelHandle] = {}
         self._inflight: dict[AttributeSubset, threading.Event] = {}
         self._failures: dict[AttributeSubset, Exception] = {}
         self._trained = 0
-        self._bound: tuple[ModelSpec, Dataset] | None = None
 
     @property
     def training_count(self) -> int:
@@ -268,13 +269,9 @@ class SubsetModelCache:
         with self._lock:
             return s in self._handles
 
-    def get_or_train(self, spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle:
+    def get_or_train(self, s: AttributeSubset) -> TrainedModelHandle:
         while True:
             with self._lock:
-                if self._bound is None:
-                    self._bound = (spec, d)
-                elif self._bound[0] != spec or self._bound[1] is not d:
-                    raise ValueError("SubsetModelCache reused with a different spec or dataset")
                 handle = self._handles.get(s)
                 if handle is not None:
                     return handle
@@ -286,7 +283,7 @@ class SubsetModelCache:
                     break
             event.wait()  # then look again: trained, failed, or interrupted
         try:
-            handle = train(spec, d, s)
+            handle = train(self.spec, self.dataset, s)
         except BaseException as exc:
             with self._lock:
                 if isinstance(exc, Exception):

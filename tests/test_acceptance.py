@@ -56,23 +56,23 @@ def equivalence_suite():
     results = []
     for k, (n, m) in enumerate(shapes):
         d = make_synthetic_dataset(n, m, seed=9000 + k)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         max_kn = max_full = max_sing = 0.0
         efficiency_residual = 0.0
         for i in range(d.n_instances):
-            target = predicted_class(cache, SPEC, d, i)
+            target = predicted_class(cache, i)
             memo: dict = {}
-            vc = complete_influence(cache, SPEC, d, i, target, eval_memo=memo)
-            vkn = kdepth_influence(cache, SPEC, d, i, n, target, eval_memo=memo)
-            vfull = coalitional_influence(cache, SPEC, d, i, Coalition.full_group(n),
+            vc = complete_influence(cache, i, target, eval_memo=memo)
+            vkn = kdepth_influence(cache, i, n, target, eval_memo=memo)
+            vfull = coalitional_influence(cache, i, Coalition.full_group(n),
                                           target, eval_memo=memo)
-            v1 = kdepth_influence(cache, SPEC, d, i, 1, target, eval_memo=memo)
-            vsing = coalitional_influence(cache, SPEC, d, i, Coalition.singletons(n),
+            v1 = kdepth_influence(cache, i, 1, target, eval_memo=memo)
+            vsing = coalitional_influence(cache, i, Coalition.singletons(n),
                                           target, eval_memo=memo)
             max_kn = max(max_kn, max(abs(a - b) for a, b in zip(vc.values, vkn.values)))
             max_full = max(max_full, max(abs(a - b) for a, b in zip(vc.values, vfull.values)))
             max_sing = max(max_sing, max(abs(a - b) for a, b in zip(v1.values, vsing.values)))
-            full_conf = subset_eval(cache, SPEC, d, AttributeSubset.full(n),
+            full_conf = subset_eval(cache, AttributeSubset.full(n),
                                     d.instance(i), target)
             prior = class_prior(d, target)
             efficiency_residual = max(efficiency_residual,
@@ -158,18 +158,18 @@ def test_criterion_5_training_economy_and_wallclock():
         d = make_synthetic_dataset(9, 100, seed=seed)
         m = d.n_instances
         t0 = time.perf_counter()
-        oracle_cache = SubsetModelCache()
-        targets = [predicted_class(oracle_cache, SPEC, d, i) for i in range(m)]
+        oracle_cache = SubsetModelCache(SPEC, d)
+        targets = [predicted_class(oracle_cache, i) for i in range(m)]
         for i in range(m):
-            complete_influence(oracle_cache, SPEC, d, i, targets[i], eval_memo={})
+            complete_influence(oracle_cache, i, targets[i], eval_memo={})
         t_complete = time.perf_counter() - t0
         for p in proportions:
             total_runs += 1
-            cache = SubsetModelCache()
+            cache = SubsetModelCache(SPEC, d)
             t0 = time.perf_counter()
             search = find_threshold("spearman", d, p)
             for i in range(m):
-                coalitional_influence(cache, SPEC, d, i, search.coalition, targets[i],
+                coalitional_influence(cache, i, search.coalition, targets[i],
                                       eval_memo={})
             span = time.perf_counter() - t0
             trainings = cache.training_count
@@ -198,14 +198,14 @@ def test_criterion_6_error_trend():
         n = int(rng.integers(3, 7))
         m = int(rng.integers(60, 101))
         d = make_synthetic_dataset(n, m, seed=100 + k)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         errs = {depth: [] for depth in range(1, n + 1)}
         for i in range(d.n_instances):
-            target = predicted_class(cache, SPEC, d, i)
+            target = predicted_class(cache, i)
             memo: dict = {}
-            oracle = complete_influence(cache, SPEC, d, i, target, eval_memo=memo)
+            oracle = complete_influence(cache, i, target, eval_memo=memo)
             for depth in range(1, n + 1):
-                v = kdepth_influence(cache, SPEC, d, i, depth, target, eval_memo=memo)
+                v = kdepth_influence(cache, i, depth, target, eval_memo=memo)
                 errs[depth].append(error_score(v, oracle).value)
         means = [float(np.mean(errs[depth])) for depth in range(1, n + 1)]
         for a, b in zip(means, means[1:]):

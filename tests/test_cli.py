@@ -63,13 +63,13 @@ class TestExplain:
 
         d = load_csv(small_csv, "y")
         spec = ModelSpec(kind="decision_tree", seed=3)
-        cache = SubsetModelCache()
-        full = cache.get_or_train(spec, d, AttributeSubset.full(3))
+        cache = SubsetModelCache(spec, d)
+        full = cache.get_or_train(AttributeSubset.full(3))
         target_idx = full.predict_class(d.instance(0))
         target = d.class_target(d.class_set[target_idx])
         prior = sum(1 for l in d.labels if l == target.class_id) / d.n_instances
         for j, name in enumerate(d.attribute_names):
-            single = subset_eval(cache, spec, d, AttributeSubset.from_indices([j], 3),
+            single = subset_eval(cache, AttributeSubset.from_indices([j], 3),
                                  d.instance(0), target)
             assert got[name] == pytest.approx(single - prior, abs=1e-12)
 
@@ -200,6 +200,20 @@ class TestGroups:
         doc = json.loads(result.output)
         assert doc["method"] == "model_based"
 
+    def test_zero_repetitions_exits_2(self, runner, small_csv):
+        result = runner.invoke(main, ["groups", str(small_csv), "--target", "y",
+                                      "--method", "model_based", "--delta", "0.1",
+                                      "--repetitions", "0", "--model", "dt"])
+        assert result.exit_code == 2
+        assert "repetitions must be >= 1, got 0" in result.output
+
+    @pytest.mark.parametrize("command", ["groups", "complexity"])
+    def test_jobs_is_not_an_option(self, runner, small_csv, command):
+        result = runner.invoke(main, [command, str(small_csv), "--target", "y",
+                                      "--method", "pca", "--jobs", "0"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--jobs" in result.output
+
     def test_model_based_rejects_proportion(self, runner, small_csv):
         result = runner.invoke(main, ["groups", str(small_csv), "--target", "y",
                                       "--method", "model_based", "--delta", "0.1",
@@ -320,6 +334,47 @@ class TestConfigPrecedence:
                                env={"COALEX_SEED": "33"})
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["config"]["seed"] == 33
+
+    @pytest.mark.parametrize("values, path, expected", [
+        ({"method": "kdepth", "k": "2"}, ["k"], 2),
+        ({"method": "complete", "model": {"kind": "dt", "max_depth": "3"}},
+         ["model", "max_depth"], 3),
+        ({"method": "coalitional:spearman", "threshold": "0.3"}, ["threshold"], 0.3),
+    ])
+    def test_config_file_strings_are_converted(self, runner, small_csv, tmp_path, values,
+                                               path, expected):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y", "model": {"kind": "dt"}} | values))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg),
+                                      "--instances", "0"])
+        assert result.exit_code == 0, result.output
+        echoed = json.loads(result.output)["config"]
+        for key in path:
+            echoed = echoed[key]
+        assert echoed == expected
+
+    def test_config_file_value_that_does_not_convert_exits_2(self, runner, small_csv, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y", "method": "kdepth", "k": "x"}))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg),
+                                      "--instances", "0"])
+        assert result.exit_code == 2
+        assert "k must be a number, got 'x'" in result.output
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_bad_delimiter_exits_2(self, runner, small_csv, delimiter):
+        result = runner.invoke(main, ["explain", str(small_csv), "--target", "y",
+                                      "--model", "dt", "--instances", "0",
+                                      "--delimiter", delimiter])
+        assert result.exit_code == 2
+        assert "delimiter must be a single character" in result.output
+
+    def test_non_utf8_data_exits_3(self, runner, tmp_path):
+        data = tmp_path / "utf16.csv"
+        data.write_bytes("a,b,y\n1,2,p\n3,4,q\n".encode("utf-16"))
+        result = runner.invoke(main, ["explain", str(data), "--target", "y", "--model", "dt"])
+        assert result.exit_code == 3
+        assert "utf16.csv: not UTF-8 text" in result.output
 
     def test_bad_config_file_exits_2(self, runner, small_csv, tmp_path):
         cfg = tmp_path / "broken.json"

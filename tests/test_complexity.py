@@ -179,8 +179,8 @@ class TestTrainingEconomy:
         d = make_synthetic_dataset(6, 50, seed=2)
         spec = ModelSpec(kind="decision_tree", max_depth=3, seed=0)
         G = group_spearman(d, 0.3)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, d)
         target = d.class_target(d.labels[0])
         for i in range(5):
-            coalitional_influence(cache, spec, d, i, G, target)
+            coalitional_influence(cache, i, G, target)
         assert cache.training_count == len(closure(G)) + 1

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from coalex import AttributeSubset, DataError, Dataset, class_prior, load_csv, project, subsets_by_size
+from coalex import (
+    AttributeSubset,
+    ConfigError,
+    DataError,
+    Dataset,
+    class_prior,
+    load_csv,
+    project,
+    subsets_by_size,
+)
 
 from conftest import dataset_from
 
@@ -50,6 +59,12 @@ class TestLoadCsv:
         p = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="target column 'y' not found"):
             load_csv(p, "y")
+
+    def test_digit_like_target_name_not_found(self, tmp_path):
+        # '²' is a digit to str.isdigit but not a column index
+        p = write(tmp_path, "a,b\n1,2\n")
+        with pytest.raises(DataError, match="not found"):
+            load_csv(p, "\u00b2")
 
     def test_target_by_index(self, tmp_path):
         p = write(tmp_path, "y,a\np,1\nq,2\n")
@@ -120,6 +135,38 @@ class TestLoadCsv:
         p = write(tmp_path, "a,y\n1,p\n2,p\n")
         d = load_csv(p, "y")
         assert d.class_set == ("p",)
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        p = write(tmp_path, "a,b,y\n1,2,p\n")
+        with pytest.raises(ConfigError, match="delimiter must be a single character"):
+            load_csv(p, "y", delimiter=delimiter)
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        p = tmp_path / "utf16.csv"
+        p.write_bytes("a,y\n1,p\n".encode("utf-16"))  # starts with FF FE
+        with pytest.raises(DataError, match="utf16.csv: not UTF-8 text"):
+            load_csv(p, "y")
+
+    def test_oversized_field_is_a_data_error(self, tmp_path):
+        p = write(tmp_path, "a,y\n" + "1" * 200_000 + ",p\n")
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(p, "y")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from([b"y", b"a", b"1", b"2.5", b"-", b"nan", b",", b";", b'"',
+                                  b"\n", b"\r\n", b" ", b"\xef\xbb\xbf", b"\xff\xfe",
+                                  b"\x00"]), max_size=40).map(b"".join)))
+    def test_arbitrary_bytes_load_or_raise_data_error(self, tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("fuzz") / "f.csv"
+        p.write_bytes(raw)
+        try:
+            d = load_csv(p, "y")
+        except DataError:
+            return
+        assert d.n_instances >= 1 and d.n_attributes >= 1
 
 
 class TestDatasetInvariants:

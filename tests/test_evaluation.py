@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from coalex import (
     Coalition,
@@ -76,20 +77,20 @@ class TestErrorScore:
 
     def test_full_group_coalitional_matches_complete(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
         memo = {}
-        oracle = complete_influence(cache, SPEC, d, 0, target, eval_memo=memo)
-        approx = coalitional_influence(cache, SPEC, d, 0, Coalition.full_group(3),
+        oracle = complete_influence(cache, 0, target, eval_memo=memo)
+        approx = coalitional_influence(cache, 0, Coalition.full_group(3),
                                        target, eval_memo=memo)
         assert error_score(approx, oracle).value <= 1e-12
 
     def test_linear_strictly_positive_on_interactions(self, xor4):
         spec = ModelSpec(kind="decision_tree", seed=0)  # must fit the 4-point XOR
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, xor4)
         target = xor4.class_target("p")
-        oracle = complete_influence(cache, spec, xor4, 0, target)
-        linear = kdepth_influence(cache, spec, xor4, 0, 1, target)
+        oracle = complete_influence(cache, 0, target)
+        linear = kdepth_influence(cache, 0, 1, target)
         assert error_score(linear, oracle).value > 0.0
 
     def test_provenance_checked(self):
@@ -178,6 +179,22 @@ class TestMethodConfigParse:
                     "coalitional:kmeans:0.2", "sampling", "coalitional:vif:a:b"):
             with pytest.raises(ConfigError):
                 MethodConfig.parse(bad)
+
+    def test_repetitions_below_one(self):
+        with pytest.raises(ConfigError, match="repetitions must be >= 1"):
+            MethodConfig("coalitional", grouping="model_based", delta=0.1, repetitions=0)
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(["complete", "kdepth", "coalitional", "spearman", "vif",
+                                  "model_based", "rev-vif", "t=", "p=", "0.3", "-1", "x",
+                                  "nan", "1e999", "", " "]), max_size=5).map(":".join)))
+    def test_parse_fuzz_raises_only_config_error(self, text):
+        try:
+            mc = MethodConfig.parse(text)
+        except ConfigError:
+            return
+        assert mc.kind in ("complete", "kdepth", "coalitional")
 
 
 class TestRunBenchmark:

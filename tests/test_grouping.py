@@ -7,6 +7,7 @@ from coalex import (
     AttributeSubset,
     Coalition,
     ModelSpec,
+    SubsetModelCache,
     closure,
     fidelity,
     group_model_based,
@@ -451,39 +452,52 @@ class TestFidelity:
         with pytest.raises(ValueError, match="cover"):
             fidelity(d, h, [(0, 1)], repetitions=1, seed=0)
 
+    def test_rejects_zero_repetitions(self, blob_dataset):
+        d = blob_dataset
+        h = train(ModelSpec(kind="decision_tree"), d, AttributeSubset.full(3))
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            fidelity(d, h, [(0, 1), (2,)], repetitions=0, seed=0)
+
 
 class TestModelBasedGrouping:
     def test_stump_isolates_its_attribute(self, blob_dataset):
         # the model only reads a0: within-class swaps of a0 preserve every
         # prediction, so a0 survives alone and the noise attributes fall out
         spec = ModelSpec(kind="decision_tree", max_depth=1, seed=0)
-        G = group_model_based(blob_dataset, spec, delta=0.1, repetitions=5, seed=1)
+        G = group_model_based(SubsetModelCache(spec, blob_dataset), delta=0.1, repetitions=5,
+                              seed=1)
         assert (0,) in G.index_sets()
 
     def test_prior_baseline_all_singletons(self, blob_dataset):
         # constant predictor: the all-singletons baseline fidelity is already
         # 1.0, the bar 1.0 + delta is unreachable, the first branch fires
         spec = ModelSpec(kind="prior_baseline", seed=0)
-        G = group_model_based(blob_dataset, spec, delta=0.05, repetitions=3, seed=0)
+        G = group_model_based(SubsetModelCache(spec, blob_dataset), delta=0.05, repetitions=3,
+                              seed=0)
         assert G.index_sets() == [(0,), (1,), (2,)]
 
     def test_deterministic(self, blob_dataset):
         spec = ModelSpec(kind="decision_tree", max_depth=2, seed=3)
-        a = group_model_based(blob_dataset, spec, delta=0.1, repetitions=4, seed=6)
-        b = group_model_based(blob_dataset, spec, delta=0.1, repetitions=4, seed=6)
+        a = group_model_based(SubsetModelCache(spec, blob_dataset), delta=0.1, repetitions=4,
+                              seed=6)
+        b = group_model_based(SubsetModelCache(spec, blob_dataset), delta=0.1, repetitions=4,
+                              seed=6)
         assert a.groups == b.groups
 
     def test_delta_validated(self, blob_dataset):
         with pytest.raises(ValueError, match="delta"):
-            group_model_based(blob_dataset, ModelSpec(kind="decision_tree"), delta=0.0)
+            group_model_based(SubsetModelCache(ModelSpec(kind="decision_tree"), blob_dataset),
+                              delta=0.0)
+
+    def test_repetitions_validated(self, blob_dataset):
+        cache = SubsetModelCache(ModelSpec(kind="decision_tree"), blob_dataset)
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            group_model_based(cache, delta=0.1, repetitions=0)
 
     def test_uses_cache_for_full_model(self, blob_dataset):
-        from coalex import SubsetModelCache
-
-        cache = SubsetModelCache()
         spec = ModelSpec(kind="decision_tree", max_depth=1, seed=0)
-        group_model_based(blob_dataset, spec, delta=0.1, repetitions=2, seed=0,
-                          cache=cache)
+        cache = SubsetModelCache(spec, blob_dataset)
+        group_model_based(cache, delta=0.1, repetitions=2, seed=0)
         assert cache.training_count == 1
         assert AttributeSubset.full(3) in cache
 

@@ -111,7 +111,7 @@ def brute_force_permutation_shapley(cache, spec, d, i, target):
         key = frozenset(mask_indices)
         if key not in evals:
             s = AttributeSubset.from_indices(key, n)
-            evals[key] = subset_eval(cache, spec, d, s, x, target)
+            evals[key] = subset_eval(cache, s, x, target)
         return evals[key]
 
     perms = list(permutations(range(n)))
@@ -130,35 +130,34 @@ class TestSubsetEval:
         from coalex import class_prior
 
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        got = subset_eval(cache, SPEC, d, AttributeSubset.empty(3), d.instance(0), target)
+        got = subset_eval(cache, AttributeSubset.empty(3), d.instance(0), target)
         assert got == class_prior(d, target)
 
     def test_full_subset_on_separable_data(self, separable2):
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(ModelSpec(kind="decision_tree"), separable2)
         target = separable2.class_target("p")
-        got = subset_eval(cache, ModelSpec(kind="decision_tree"), separable2,
-                          AttributeSubset.full(1), separable2.instance(0), target)
+        got = subset_eval(cache, AttributeSubset.full(1), separable2.instance(0), target)
         assert got == 1.0
 
     def test_repeat_calls_hit_cache(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
         s = AttributeSubset.from_indices([0, 1], 3)
-        a = subset_eval(cache, SPEC, d, s, d.instance(2), target)
-        b = subset_eval(cache, SPEC, d, s, d.instance(2), target)
+        a = subset_eval(cache, s, d.instance(2), target)
+        b = subset_eval(cache, s, d.instance(2), target)
         assert a == b
         assert cache.training_count == 1
 
 
 class TestCompleteInfluence:
     def test_single_attribute(self, separable2):
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, separable2)
         target = separable2.class_target("p")
-        v = complete_influence(cache, SPEC, separable2, 0, target)
-        expected = subset_eval(cache, SPEC, separable2, AttributeSubset.full(1),
+        v = complete_influence(cache, 0, target)
+        expected = subset_eval(cache, AttributeSubset.full(1),
                                separable2.instance(0), target) - class_prior(separable2, target)
         assert v.values == (expected,)
 
@@ -168,18 +167,18 @@ class TestCompleteInfluence:
             X = rng.normal(size=(30, n))
             labels = (X[:, 0] + X[:, -1] > 0).astype(int).tolist()
             d = dataset_from(X, labels, name=f"perm{n}")
-            cache = SubsetModelCache()
+            cache = SubsetModelCache(SPEC, d)
             target = d.class_target(1)
-            got = complete_influence(cache, SPEC, d, 3, target)
+            got = complete_influence(cache, 3, target)
             oracle = brute_force_permutation_shapley(cache, SPEC, d, 3, target)
             np.testing.assert_allclose(got.values, oracle, atol=1e-12)
 
     def test_efficiency_identity(self, xor4):
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, xor4)
         target = xor4.class_target("p")
         for i in range(4):
-            v = complete_influence(cache, SPEC, xor4, i, target)
-            full = subset_eval(cache, SPEC, xor4, AttributeSubset.full(2),
+            v = complete_influence(cache, i, target)
+            full = subset_eval(cache, AttributeSubset.full(2),
                                xor4.instance(i), target)
             assert sum(v.values) == pytest.approx(full - class_prior(xor4, target), abs=1e-9)
 
@@ -188,8 +187,8 @@ class TestCompleteInfluence:
         X = np.column_stack([rng.normal(size=40), np.full(40, 3.25), rng.normal(size=40)])
         labels = (X[:, 0] > 0).astype(int).tolist()
         d = dataset_from(X, labels, name="const-col")
-        cache = SubsetModelCache()
-        v = complete_influence(cache, SPEC, d, 0, d.class_target(1))
+        cache = SubsetModelCache(SPEC, d)
+        v = complete_influence(cache, 0, d.class_target(1))
         assert abs(v.values[1]) < 1e-9
 
     def test_duplicate_columns_get_equal_influence(self):
@@ -202,46 +201,46 @@ class TestCompleteInfluence:
         diffs = []
         for seed in range(3):
             spec = ModelSpec(kind="random_forest", tree_count=15, seed=seed)
-            cache = SubsetModelCache()
-            v = complete_influence(cache, spec, d, 1, d.class_target(1))
+            cache = SubsetModelCache(spec, d)
+            v = complete_influence(cache, 1, d.class_target(1))
             diffs.append(v.values[0] - v.values[1])
         assert abs(np.mean(diffs)) <= 1e-6
 
     def test_cap_enforced(self):
         d = dataset_from(np.zeros((2, 21)) + np.arange(21), [0, 1])
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         with pytest.raises(ComplexityCapError, match="cap is 20"):
-            complete_influence(cache, SPEC, d, 0, d.class_target(0))
+            complete_influence(cache, 0, d.class_target(0))
         assert cache.training_count == 0
 
     def test_deterministic_across_runs(self, blob_dataset):
         spec = ModelSpec(kind="random_forest", tree_count=10, seed=4)
         vs = []
         for _ in range(2):
-            cache = SubsetModelCache()
-            vs.append(complete_influence(cache, spec, blob_dataset, 2).values)
+            cache = SubsetModelCache(spec, blob_dataset)
+            vs.append(complete_influence(cache, 2).values)
         assert vs[0] == vs[1]
 
 
 class TestKdepthInfluence:
     def test_depth_one_is_marginal_vs_prior(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        v = kdepth_influence(cache, SPEC, d, 0, 1, target)
+        v = kdepth_influence(cache, 0, 1, target)
         prior = class_prior(d, target)
         for i in range(d.n_attributes):
-            single = subset_eval(cache, SPEC, d, AttributeSubset.from_indices([i], 3),
+            single = subset_eval(cache, AttributeSubset.from_indices([i], 3),
                                  d.instance(0), target)
             assert v.values[i] == pytest.approx(single - prior, abs=0)
 
     def test_full_depth_equals_complete(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
         memo = {}
-        vc = complete_influence(cache, SPEC, d, 1, target, eval_memo=memo)
-        vk = kdepth_influence(cache, SPEC, d, 1, d.n_attributes, target, eval_memo=memo)
+        vc = complete_influence(cache, 1, target, eval_memo=memo)
+        vk = kdepth_influence(cache, 1, d.n_attributes, target, eval_memo=memo)
         assert max(abs(a - b) for a, b in zip(vc.values, vk.values)) <= 1e-12
 
     def test_hand_expanded_k2_n3(self):
@@ -250,13 +249,13 @@ class TestKdepthInfluence:
         X = rng.normal(size=(25, 3))
         labels = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int).tolist()
         d = dataset_from(X, labels, name="k2n3")
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
         x = d.instance(4)
-        got = kdepth_influence(cache, SPEC, d, 4, 2, target)
+        got = kdepth_influence(cache, 4, 2, target)
 
         def ev(idx):
-            return subset_eval(cache, SPEC, d, AttributeSubset.from_indices(idx, 3), x, target)
+            return subset_eval(cache, AttributeSubset.from_indices(idx, 3), x, target)
 
         n = 3
         for i in range(3):
@@ -267,31 +266,31 @@ class TestKdepthInfluence:
             assert got.values[i] == pytest.approx(expected, abs=1e-15)
 
     def test_k_range_validated(self, xor4):
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, xor4)
         with pytest.raises(ValueError):
-            kdepth_influence(cache, SPEC, xor4, 0, 0)
+            kdepth_influence(cache, 0, 0)
         with pytest.raises(ValueError):
-            kdepth_influence(cache, SPEC, xor4, 0, 3)
+            kdepth_influence(cache, 0, 3)
 
 
 class TestCoalitionalInfluence:
     def test_singletons_equal_depth_one(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
         memo = {}
-        v1 = kdepth_influence(cache, SPEC, d, 5, 1, target, eval_memo=memo)
-        vs = coalitional_influence(cache, SPEC, d, 5, Coalition.singletons(3), target,
+        v1 = kdepth_influence(cache, 5, 1, target, eval_memo=memo)
+        vs = coalitional_influence(cache, 5, Coalition.singletons(3), target,
                                    eval_memo=memo)
         assert vs.values == v1.values
 
     def test_full_group_equals_complete(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
         memo = {}
-        vc = complete_influence(cache, SPEC, d, 5, target, eval_memo=memo)
-        vg = coalitional_influence(cache, SPEC, d, 5, Coalition.full_group(3), target,
+        vc = complete_influence(cache, 5, target, eval_memo=memo)
+        vg = coalitional_influence(cache, 5, Coalition.full_group(3), target,
                                    eval_memo=memo)
         assert max(abs(a - b) for a, b in zip(vc.values, vg.values)) <= 1e-12
 
@@ -301,15 +300,15 @@ class TestCoalitionalInfluence:
         X = rng.normal(size=(30, 4))
         labels = (X[:, 0] * X[:, 3] > 0).astype(int).tolist()
         d = dataset_from(X, labels, name="abc-d")
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
         G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
         memo = {}
-        v = coalitional_influence(cache, SPEC, d, 2, G, target, eval_memo=memo)
+        v = coalitional_influence(cache, 2, G, target, eval_memo=memo)
         touched = {AttributeSubset(mask, 4).indices() for mask in memo}
         assert touched == {(), (0,), (1,), (2,), (3,),
                            (0, 1), (0, 2), (1, 2), (0, 1, 2)}
-        d_influence = subset_eval(cache, SPEC, d, AttributeSubset.from_indices([3], 4),
+        d_influence = subset_eval(cache, AttributeSubset.from_indices([3], 4),
                                   d.instance(2), target) - class_prior(d, target)
         assert v.values[3] == pytest.approx(d_influence, abs=0)
 
@@ -319,14 +318,14 @@ class TestCoalitionalInfluence:
         X = rng.normal(size=(24, 3))
         labels = ((X[:, 0] + X[:, 2] > 0)).astype(int).tolist()
         d = dataset_from(X, labels, name="overlap")
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
         x = d.instance(7)
         G = Coalition.from_index_sets([[0, 1], [1, 2]], 3)
-        got = coalitional_influence(cache, SPEC, d, 7, G, target)
+        got = coalitional_influence(cache, 7, G, target)
 
         def ev(idx):
-            return subset_eval(cache, SPEC, d, AttributeSubset.from_indices(idx, 3), x, target)
+            return subset_eval(cache, AttributeSubset.from_indices(idx, 3), x, target)
 
         w0 = coalition_penalty(0, 2, [2, 2])
         w1 = coalition_penalty(1, 2, [2, 2])
@@ -339,27 +338,27 @@ class TestCoalitionalInfluence:
         assert got.values[0] == pytest.approx(expected_0, abs=1e-15)
 
     def test_coverage_enforced(self, blob_dataset):
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, blob_dataset)
         G = Coalition.from_index_sets([[0, 1]], 3)
         with pytest.raises(ValueError, match="cover"):
-            coalitional_influence(cache, SPEC, blob_dataset, 0, G)
+            coalitional_influence(cache, 0, G)
 
 
 class TestRequests:
     def test_predicted_class_default(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
-        target = predicted_class(cache, SPEC, d, 0)
-        full = cache.get_or_train(SPEC, d, AttributeSubset.full(3))
+        cache = SubsetModelCache(SPEC, d)
+        target = predicted_class(cache, 0)
+        full = cache.get_or_train(AttributeSubset.full(3))
         assert target.index == int(np.argmax(full.confidences(d.instance(0))))
-        v = complete_influence(cache, SPEC, d, 0)
+        v = complete_influence(cache, 0)
         assert v.target == target
 
     def test_dispatch(self, blob_dataset):
         d = blob_dataset
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        v = method_influence(cache, SPEC, d, 1, MethodConfig("kdepth", k=1), None, target)
+        v = method_influence(cache, 1, MethodConfig("kdepth", k=1), None, target)
         assert v.method_tag == "kdepth:1"
         assert v.instance_index == 1
 
@@ -372,19 +371,19 @@ class TestMulticlass:
         d = dataset_from(X, labels, name="threeway")
         assert d.n_classes == 3
         spec = ModelSpec(kind="random_forest", tree_count=9, seed=2)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, d)
         for c in d.class_set:
             target = d.class_target(c)
-            v = complete_influence(cache, spec, d, 0, target)
-            full = subset_eval(cache, spec, d, AttributeSubset.full(3),
+            v = complete_influence(cache, 0, target)
+            full = subset_eval(cache, AttributeSubset.full(3),
                                d.instance(0), target)
             assert sum(v.values) == pytest.approx(full - class_prior(d, target),
                                                   abs=1e-9)
-        handle = cache.get_or_train(spec, d, AttributeSubset.full(3))
+        handle = cache.get_or_train(AttributeSubset.full(3))
         assert handle.confidences(d.instance(0)).sum() == pytest.approx(1.0, abs=1e-9)
         # per-class efficiency sums add up across classes: priors and full
         # confidences both sum to one, so the influence totals cancel
-        totals = [sum(complete_influence(cache, spec, d, 5, d.class_target(c)).values)
+        totals = [sum(complete_influence(cache, 5, d.class_target(c)).values)
                   for c in d.class_set]
         assert sum(totals) == pytest.approx(0.0, abs=1e-9)
 
@@ -395,8 +394,8 @@ class TestInfluenceVector:
             InfluenceVector((math.nan,), 0, blob_dataset.class_target("hi"), "complete")
 
     def test_json_shape(self, blob_dataset):
-        cache = SubsetModelCache()
-        v = kdepth_influence(cache, SPEC, blob_dataset, 0, 1,
+        cache = SubsetModelCache(SPEC, blob_dataset)
+        v = kdepth_influence(cache, 0, 1,
                              blob_dataset.class_target("hi"))
         doc = v.to_json(blob_dataset)
         assert doc["instance"] == 0

@@ -173,34 +173,34 @@ class TestSubsetModelCache:
     def test_single_training_per_subset(self, blob_dataset):
         d = blob_dataset
         spec = ModelSpec(kind="decision_tree")
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, d)
         s = AttributeSubset.from_indices([0], 3)
-        h1 = cache.get_or_train(spec, d, s)
-        h2 = cache.get_or_train(spec, d, AttributeSubset.from_indices([0], 3))
+        h1 = cache.get_or_train(s)
+        h2 = cache.get_or_train(AttributeSubset.from_indices([0], 3))
         assert h1 is h2
         assert cache.training_count == 1
-        cache.get_or_train(spec, d, AttributeSubset.from_indices([1], 3))
+        cache.get_or_train(AttributeSubset.from_indices([1], 3))
         assert cache.training_count == 2
 
     def test_counts_all_subsets_for_complete(self, xor4):
         from coalex import complete_influence
 
         spec = ModelSpec(kind="decision_tree")
-        cache = SubsetModelCache()
-        complete_influence(cache, spec, xor4, 0, xor4.class_target("p"))
+        cache = SubsetModelCache(spec, xor4)
+        complete_influence(cache, 0, xor4.class_target("p"))
         assert cache.training_count == 2 ** 2  # all subsets incl. the empty baseline
 
     def test_concurrent_single_fit(self, blob_dataset):
         d = blob_dataset
         spec = ModelSpec(kind="random_forest", tree_count=20, seed=0)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, d)
         s = AttributeSubset.full(3)
         handles = []
         barrier = threading.Barrier(8)
 
         def worker():
             barrier.wait()
-            handles.append(cache.get_or_train(spec, d, s))
+            handles.append(cache.get_or_train(s))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -210,41 +210,12 @@ class TestSubsetModelCache:
         assert cache.training_count == 1
         assert all(h is handles[0] for h in handles)
 
-    def test_rejects_cross_dataset_reuse(self, blob_dataset, xor4):
-        spec = ModelSpec(kind="decision_tree")
-        cache = SubsetModelCache()
-        cache.get_or_train(spec, blob_dataset, AttributeSubset.full(3))
-        with pytest.raises(ValueError, match="reused"):
-            cache.get_or_train(spec, xor4, AttributeSubset.full(2))
-
-    def test_accepts_equal_spec(self, blob_dataset):
-        cache = SubsetModelCache()
-        h = cache.get_or_train(ModelSpec(kind="decision_tree"), blob_dataset,
-                               AttributeSubset.full(3))
-        again = cache.get_or_train(ModelSpec(kind="decision_tree"), blob_dataset,
-                                   AttributeSubset.full(3))
-        assert again is h
-        with pytest.raises(ValueError, match="reused"):
-            cache.get_or_train(ModelSpec(kind="decision_tree", seed=1), blob_dataset,
-                               AttributeSubset.full(3))
-
-    def test_binding_holds_the_dataset_object(self):
-        # The bound dataset has no other reference: a new dataset object must
-        # still be rejected, even one that reuses the freed object's address.
-        spec = ModelSpec(kind="decision_tree")
-        make = lambda: dataset_from([[0.0], [1.0], [2.0]], ["p", "q", "q"])
-        cache = SubsetModelCache()
-        cache.get_or_train(spec, make(), AttributeSubset.full(1))
-        for _ in range(20):
-            with pytest.raises(ValueError, match="reused"):
-                cache.get_or_train(spec, make(), AttributeSubset.full(1))
-
     def test_interrupted_fit_is_not_cached(self, blob_dataset, monkeypatch):
         import coalex.model
 
         spec = ModelSpec(kind="decision_tree")
         s = AttributeSubset.full(3)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, blob_dataset)
         real_train = coalex.model.train
 
         def interrupted(*args):
@@ -252,11 +223,11 @@ class TestSubsetModelCache:
 
         monkeypatch.setattr(coalex.model, "train", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            cache.get_or_train(spec, blob_dataset, s)
+            cache.get_or_train(s)
         monkeypatch.setattr(coalex.model, "train", real_train)
         assert s not in cache
         try:
-            cache.get_or_train(spec, blob_dataset, s)
+            cache.get_or_train(s)
         except KeyboardInterrupt:
             pytest.fail("the interrupt was cached as a training failure")
         assert s in cache and cache.training_count == 1
@@ -266,7 +237,7 @@ class TestSubsetModelCache:
 
         spec = ModelSpec(kind="decision_tree")
         s = AttributeSubset.full(3)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, blob_dataset)
         real_train = coalex.model.train
         started, release = threading.Event(), threading.Event()
         calls, outcomes = [], []
@@ -281,12 +252,12 @@ class TestSubsetModelCache:
 
         def owner():
             try:
-                cache.get_or_train(spec, blob_dataset, s)
+                cache.get_or_train(s)
             except KeyboardInterrupt:
                 outcomes.append("interrupted")
 
         def waiter():
-            outcomes.append(cache.get_or_train(spec, blob_dataset, s))
+            outcomes.append(cache.get_or_train(s))
 
         monkeypatch.setattr(coalex.model, "train", first_fit_interrupted)
         threads = [threading.Thread(target=owner), threading.Thread(target=waiter)]
@@ -301,14 +272,14 @@ class TestSubsetModelCache:
         assert len(calls) == 2 and cache.training_count == 1
         handles = [o for o in outcomes if o != "interrupted"]
         assert "interrupted" in outcomes and len(handles) == 1
-        assert handles[0] is cache.get_or_train(spec, blob_dataset, s)
+        assert handles[0] is cache.get_or_train(s)
 
     def test_failed_fit_is_cached(self, blob_dataset, monkeypatch):
         import coalex.model
 
         spec = ModelSpec(kind="decision_tree")
         s = AttributeSubset.full(3)
-        cache = SubsetModelCache()
+        cache = SubsetModelCache(spec, blob_dataset)
         calls = []
 
         def failing(*args):
@@ -318,5 +289,5 @@ class TestSubsetModelCache:
         monkeypatch.setattr(coalex.model, "train", failing)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="fit failed"):
-                cache.get_or_train(spec, blob_dataset, s)
+                cache.get_or_train(s)
         assert len(calls) == 1
