@@ -13,19 +13,11 @@ from .complexity import (
     complexity_proportion,
     find_threshold,
 )
-from .dataset import (
-    AttributeSubset,
-    Dataset,
-    class_prior,
-    load_csv,
-    project,
-    subsets_by_size,
-)
+from .dataset import AttributeSubset, Dataset, load_csv
 from .errors import ComplexityCapError, ConfigError, DataError
 from .evaluation import (
     MethodConfig,
     error_score,
-    group_stats,
     influence_distance,
     make_synthetic_dataset,
     make_synthetic_suite,
@@ -43,9 +35,6 @@ from .grouping import (
     group_spearman,
     group_vif,
     normalize,
-    pca_loadings,
-    spearman_matrix,
-    vif_all,
 )
 from .influence import (
     InfluenceVector,
@@ -65,13 +54,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributeSubset", "Coalition", "ComplexityCapError", "ComplexityReport", "ConfigError",
     "DataError", "Dataset", "InfluenceVector", "MethodConfig", "ModelSpec",
-    "SubsetModelCache", "class_prior", "closure", "coalition_penalty",
-    "coalitional_influence", "complete_influence", "complexity_proportion",
-    "error_score", "fidelity", "find_threshold", "group_model_based", "group_pca",
-    "group_rev_spearman", "group_rev_vif", "group_spearman", "group_stats",
-    "group_vif", "influence_distance", "kdepth_influence", "kdepth_penalty",
-    "load_csv", "make_synthetic_dataset", "make_synthetic_suite", "normalize",
-    "pca_loadings", "predicted_class", "project", "run_benchmark",
-    "shapley_penalty", "spearman_matrix", "subset_eval", "subsets_by_size",
-    "train", "vif_all", "write_benchmark_csv", "write_benchmark_json",
+    "SubsetModelCache", "closure", "coalition_penalty", "coalitional_influence",
+    "complete_influence", "complexity_proportion", "error_score", "fidelity",
+    "find_threshold", "group_model_based", "group_pca", "group_rev_spearman",
+    "group_rev_vif", "group_spearman", "group_vif", "influence_distance",
+    "kdepth_influence", "kdepth_penalty", "load_csv", "make_synthetic_dataset",
+    "make_synthetic_suite", "normalize", "predicted_class", "run_benchmark",
+    "shapley_penalty", "subset_eval", "train", "write_benchmark_csv", "write_benchmark_json",
 ]

@@ -79,10 +79,14 @@ class RunConfig:
 
 
 # Flag names that are also config-file keys but name a RunConfig field differently,
-# and the type each numeric field's resolved value is converted to.
+# and the type of each field's resolved value: numbers are converted to it, text
+# must already have it (a target may also be a column index).
 _FIELD_OF = {"format": "output_format", "methods": "method"}
 _FIELD_TYPES = {"k": int, "repetitions": int, "seed": int, "jobs": int, "cap": int,
-                "synthetic": int, "threshold": float, "proportion": float, "delta": float}
+                "synthetic": int, "threshold": float, "proportion": float, "delta": float,
+                "target": (str, int), "method": str, "instances": str, "delimiter": str,
+                "output_format": str}
+_OUTPUT_FORMATS = ("json", "csv")
 
 _METHOD_REQUIRED = (f"--method is required; choose from "
                     f"{sorted(GROUPING_METHODS) + ['model_based']}")
@@ -118,6 +122,20 @@ def _pick(flag, file_cfg: dict, key: str, default):
     return default
 
 
+def _typed(key: str, kind, value):
+    """``value`` as ``kind``; a ConfigError naming ``key`` when it is not one."""
+    if value is None:
+        return None
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _model_spec(model_flags: tuple, file_cfg: dict, seed: int) -> ModelSpec:
     name, trees, max_depth, min_leaf = model_flags
     model_cfg = file_cfg.get("model", {}) if isinstance(file_cfg.get("model"), dict) else {}
@@ -125,13 +143,14 @@ def _model_spec(model_flags: tuple, file_cfg: dict, seed: int) -> ModelSpec:
     kind = _MODEL_ALIASES.get(str(kind_raw).lower())
     if kind is None:
         raise ConfigError(f"unknown model {kind_raw!r}; choose from {sorted(set(_MODEL_ALIASES))}")
-    max_depth = _pick(max_depth, model_cfg, "max_depth", None)
+    model_int = lambda key, flag, default: _typed(f"model.{key}", int,
+                                                  _pick(flag, model_cfg, key, default))
     try:
         return ModelSpec(
             kind=kind,
-            tree_count=int(_pick(trees, model_cfg, "tree_count", 100)),
-            max_depth=None if max_depth is None else int(max_depth),
-            min_leaf=int(_pick(min_leaf, model_cfg, "min_leaf", 1)),
+            tree_count=model_int("tree_count", trees, 100),
+            max_depth=model_int("max_depth", max_depth, None),
+            min_leaf=model_int("min_leaf", min_leaf, 1),
             seed=seed,
         )
     except ValueError as exc:
@@ -152,12 +171,7 @@ def _resolve(command: str, config_path: str | None, model_flags: tuple, fixed: d
     for key, flag in flags.items():
         name = _FIELD_OF.get(key, key)
         value = _pick(flag, file_cfg, key, getattr(cfg, name))
-        if name in _FIELD_TYPES and value is not None:
-            try:
-                value = _FIELD_TYPES[name](value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key} must be a number, got {value!r}") from None
-        setattr(cfg, name, value)
+        setattr(cfg, name, _typed(key, _FIELD_TYPES[name], value))
     for key, message in _REQUIRED[command].items():
         if getattr(cfg, _FIELD_OF.get(key, key)) is None:
             raise ConfigError(message)
@@ -165,6 +179,11 @@ def _resolve(command: str, config_path: str | None, model_flags: tuple, fixed: d
         raise ConfigError("--t and --proportion are mutually exclusive")
     if cfg.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {cfg.jobs}")
+    if cfg.output_format not in _OUTPUT_FORMATS:
+        raise ConfigError(f"format must be one of {', '.join(_OUTPUT_FORMATS)}, "
+                          f"got {cfg.output_format!r}")
+    if cfg.synthetic is not None and cfg.synthetic < 1:
+        raise ConfigError(f"--synthetic must be >= 1, got {cfg.synthetic}")
     spec = _model_spec(model_flags, file_cfg, cfg.seed)
     cfg.model = asdict(spec)
     return cfg, spec
@@ -188,12 +207,6 @@ def _resolve_class(d: Dataset, label: str | None):
         return None
     if label in d.class_set:
         return d.class_target(label)
-    try:
-        as_int = int(label)
-    except ValueError:
-        as_int = None
-    if as_int is not None and as_int in d.class_set:
-        return d.class_target(as_int)
     raise ConfigError(f"class {label!r} not in the dataset classes {list(d.class_set)}")
 
 
@@ -380,7 +393,7 @@ def cmd_complexity(data, out, config_path, model_name, trees, max_depth, min_lea
     """Report the evaluation cost of a coalition for DATA."""
     cfg, G, groups, extra = _coalition("complexity", data, out, config_path,
                                        (model_name, trees, max_depth, min_leaf), flags)
-    report = ComplexityReport.from_coalition(G).to_dict()
+    report = asdict(ComplexityReport.from_coalition(G))
     _emit(json.dumps({"config": cfg.to_dict() | extra} | report | groups, indent=2), out)
 
 

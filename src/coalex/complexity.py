@@ -10,35 +10,20 @@ reported as a proportion of that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .dataset import AttributeSubset, Dataset
+from .dataset import Dataset
 from .grouping import GROUPING_METHODS, Coalition
 
 BISECTION_EPS = 1e-6
+# Bisection stops after this many probes, or once a probe's proportion is
+# within the tolerance of the target.
+BISECTION_MAX_PROBES = 20
+BISECTION_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class Closure:
-    """Distinct non-empty subsets a coalitional influence pass evaluates."""
-
-    masks: frozenset[int]
-    n: int
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __contains__(self, s) -> bool:
-        mask = s.mask if isinstance(s, AttributeSubset) else int(s)
-        return mask in self.masks
-
-    def subsets(self) -> Iterator[AttributeSubset]:
-        for mask in sorted(self.masks):
-            yield AttributeSubset(mask, self.n)
-
-
-def closure(G: Coalition) -> Closure:
-    """All non-empty subsets of every group, plus every singleton."""
+def closure(G: Coalition) -> frozenset[int]:
+    """Masks of the distinct non-empty subsets a coalitional influence pass
+    evaluates: all non-empty subsets of every group, plus every singleton."""
     masks: set[int] = set()
     for g in G.groups:
         sub = g.mask
@@ -47,15 +32,12 @@ def closure(G: Coalition) -> Closure:
             sub = (sub - 1) & g.mask
     for i in range(G.n):
         masks.add(1 << i)
-    return Closure(frozenset(masks), G.n)
+    return frozenset(masks)
 
 
-def complexity_proportion(G: Coalition, n: int | None = None) -> float:
+def complexity_proportion(G: Coalition) -> float:
     """Closure size relative to the complete cost 2^n - 1."""
-    n = G.n if n is None else n
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return len(closure(G)) / float((1 << n) - 1)
+    return len(closure(G)) / float((1 << G.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -79,15 +61,6 @@ class ComplexityReport:
             mean_group_size=sum(sizes) / len(sizes),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "closure_size": self.closure_size,
-            "complete_size": self.complete_size,
-            "proportion": self.proportion,
-            "group_count": self.group_count,
-            "mean_group_size": self.mean_group_size,
-        }
-
 
 @dataclass(frozen=True)
 class ThresholdSearchResult:
@@ -96,19 +69,19 @@ class ThresholdSearchResult:
     threshold: float
     achieved: float
     coalition: Coalition
-    converged: bool  # False means: closest achievable, target not met within tol
+    converged: bool  # False means: closest achievable, target not met within BISECTION_TOL
     probe_count: int
 
 
-def find_threshold(method: str, d: Dataset, target: float,
-                   max_iter: int = 20, tol: float = 0.02) -> ThresholdSearchResult:
+def find_threshold(method: str, d: Dataset, target: float) -> ThresholdSearchResult:
     """Bisect the grouping threshold so the coalition costs ~``target`` of complete.
 
     Probes midpoints of a shrinking bracket inside (0, 0.5); stops once a
-    probe lands within ``tol`` of the target or after ``max_iter`` probes.
+    probe lands within ``BISECTION_TOL`` of the target or after
+    ``BISECTION_MAX_PROBES`` probes.
     The returned threshold is the probe whose achieved proportion is closest
     to the target (ties favor the smaller threshold), flagged unconverged
-    when even the best probe misses by more than ``tol``.  Complexity is not
+    when even the best probe misses by more than the tolerance.  Complexity is not
     assumed perfectly monotone in the threshold; non-monotone steps merely
     steer the bracket, the closest-probe rule decides.
     """
@@ -117,17 +90,15 @@ def find_threshold(method: str, d: Dataset, target: float,
                          f"{sorted(GROUPING_METHODS)}")
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target proportion must lie in (0, 1], got {target}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     grouping_fn = GROUPING_METHODS[method]
     lo, hi = BISECTION_EPS, 0.5 - BISECTION_EPS
     probes: list[tuple[float, float, Coalition]] = []
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_PROBES):
         mid = (lo + hi) / 2.0
         G = grouping_fn(d, mid)
         achieved = complexity_proportion(G)
         probes.append((mid, achieved, G))
-        if abs(achieved - target) <= tol:
+        if abs(achieved - target) <= BISECTION_TOL:
             break
         if achieved < target:
             lo = mid
@@ -140,6 +111,6 @@ def find_threshold(method: str, d: Dataset, target: float,
         threshold=best_t,
         achieved=best_achieved,
         coalition=best_G,
-        converged=abs(best_achieved - target) <= tol,
+        converged=abs(best_achieved - target) <= BISECTION_TOL,
         probe_count=len(probes),
     )

@@ -79,22 +79,6 @@ class AttributeSubset:
     def without_index(self, index: int) -> "AttributeSubset":
         return AttributeSubset(self.mask & ~(1 << index), self.n)
 
-    def union(self, other: "AttributeSubset") -> "AttributeSubset":
-        self._check_same_universe(other)
-        return AttributeSubset(self.mask | other.mask, self.n)
-
-    def intersection(self, other: "AttributeSubset") -> "AttributeSubset":
-        self._check_same_universe(other)
-        return AttributeSubset(self.mask & other.mask, self.n)
-
-    def is_subset_of(self, other: "AttributeSubset") -> bool:
-        self._check_same_universe(other)
-        return self.mask & ~other.mask == 0
-
-    def _check_same_universe(self, other: "AttributeSubset") -> None:
-        if self.n != other.n:
-            raise ValueError(f"subsets over different universes ({self.n} vs {other.n})")
-
     def __repr__(self) -> str:
         return f"AttributeSubset({set(self.indices()) or '{}'} of {self.n})"
 
@@ -231,7 +215,6 @@ def load_csv(
     path: str | Path,
     target_column: str | int,
     delimiter: str = ",",
-    name: str | None = None,
 ) -> Dataset:
     """Load a header-ed CSV as a Dataset, using one column as the class label.
 
@@ -295,7 +278,7 @@ def load_csv(
         attribute_names=tuple(feature_names),
         features=np.array(rows, dtype=np.float64),
         labels=tuple(labels),
-        name=name or path.stem,
+        name=path.stem,
     )
 
 

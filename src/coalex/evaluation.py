@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexity import complexity_proportion, find_threshold
+from .complexity import ComplexityReport, find_threshold
 from .dataset import ClassTarget, Dataset
 from .errors import ConfigError
 from .grouping import GROUPING_METHODS, Coalition, group_model_based
@@ -58,14 +58,7 @@ def influence_distance(i, j) -> float:
     return sum(abs(x - y) for x, y in zip(a, b)) / (2.0 * math.sqrt(len(a)))
 
 
-@dataclass(frozen=True)
-class ErrorScore:
-    value: float
-    n: int
-    method_tag: str
-
-
-def error_score(approx: InfluenceVector, oracle: InfluenceVector) -> ErrorScore:
+def error_score(approx: InfluenceVector, oracle: InfluenceVector) -> float:
     """Distance of an approximation from the exact vector it approximates."""
     if approx.instance_index != oracle.instance_index:
         raise ValueError("error score across different instances")
@@ -73,25 +66,21 @@ def error_score(approx: InfluenceVector, oracle: InfluenceVector) -> ErrorScore:
         raise ValueError("error score across different target classes")
     if len(approx) != len(oracle):
         raise ValueError("error score across different attribute counts")
-    return ErrorScore(influence_distance(approx, oracle), len(approx), approx.method_tag)
-
-
-def group_stats(G: Coalition) -> tuple[int, float]:
-    """Group count and mean group size of a coalition."""
-    sizes = [g.size for g in G.groups]
-    return len(sizes), sum(sizes) / len(sizes)
+    return influence_distance(approx, oracle)
 
 
 # ---------------------------------------------------------------------------
 # synthetic data
 
 
-def make_synthetic_dataset(n_attributes: int, n_instances: int, seed: int,
-                           name: str | None = None, rho: float = 0.88) -> Dataset:
+SYNTHETIC_RHO = 0.88
+
+
+def make_synthetic_dataset(n_attributes: int, n_instances: int, seed: int) -> Dataset:
     """Seeded dataset with a planted correlation chain and interaction labels.
 
     The attributes form an autoregressive chain with neighbor correlation
-    ``rho``, so correlation-driven grouping sees graded structure: tight
+    ``SYNTHETIC_RHO``, so correlation-driven grouping sees graded structure: tight
     thresholds isolate neighbors, loose ones merge most of the chain.  The
     binary label is the parity of two or three median-thresholded attributes
     spread along the chain, so no single attribute carries the class signal
@@ -100,7 +89,7 @@ def make_synthetic_dataset(n_attributes: int, n_instances: int, seed: int,
     if n_attributes < 1 or n_instances < 4:
         raise ValueError("need n_attributes >= 1 and n_instances >= 4")
     rng = np.random.default_rng([7340841, seed, n_attributes, n_instances])
-    n, m = n_attributes, n_instances
+    n, m, rho = n_attributes, n_instances, SYNTHETIC_RHO
     X = np.empty((m, n))
     X[:, 0] = rng.standard_normal(m)
     for j in range(1, n):
@@ -116,7 +105,7 @@ def make_synthetic_dataset(n_attributes: int, n_instances: int, seed: int,
         attribute_names=tuple(f"a{j}" for j in range(n)),
         features=X,
         labels=tuple(labels),
-        name=name or f"synth-n{n}-m{m}-s{seed}",
+        name=f"synth-n{n}-m{m}-s{seed}",
     )
 
 
@@ -346,12 +335,9 @@ def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
             logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
                         d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
     vectors = [method_influence(cache, i, mc, G, targets[i]) for i in range(m)]
-    if G is None:
-        prop, stats = _kdepth_proportion(d.n_attributes, mc.k), None
-    else:
-        prop, stats = complexity_proportion(G), group_stats(G)
+    report = None if G is None else ComplexityReport.from_coalition(G)
     elapsed = time.perf_counter() - started
-    mean_err = float(np.mean([error_score(v, o).value for v, o in zip(vectors, oracle_vectors)]))
+    mean_err = float(np.mean([error_score(v, o) for v, o in zip(vectors, oracle_vectors)]))
     return BenchmarkRecord(
         dataset_id=d.name,
         method_id=mc.method_id,
@@ -359,9 +345,10 @@ def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
         mean_error=mean_err,
         time_per_instance_s=elapsed / m,
         time_ratio_vs_complete=math.nan,  # filled by the caller
-        complexity_proportion=prop,
-        group_count_mean=None if stats is None else float(stats[0]),
-        group_size_mean=None if stats is None else float(stats[1]),
+        complexity_proportion=(_kdepth_proportion(d.n_attributes, mc.k) if report is None
+                               else report.proportion),
+        group_count_mean=None if report is None else float(report.group_count),
+        group_size_mean=None if report is None else report.mean_group_size,
         seed=seed,
         model=_spec_id(spec),
     )
@@ -431,11 +418,10 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
 
 
 def write_benchmark_csv(records: Iterable[BenchmarkRecord], path: str | Path,
-                        config: dict | None = None) -> None:
+                        config: dict) -> None:
     path = Path(path)
     buf = io.StringIO()
-    if config is not None:
-        buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
@@ -444,9 +430,7 @@ def write_benchmark_csv(records: Iterable[BenchmarkRecord], path: str | Path,
 
 
 def write_benchmark_json(records: Iterable[BenchmarkRecord], path: str | Path,
-                         config: dict | None = None) -> None:
+                         config: dict) -> None:
     path = Path(path)
-    payload: dict = {"records": [r.to_dict() for r in records]}
-    if config is not None:
-        payload["config"] = config
+    payload = {"records": [r.to_dict() for r in records], "config": config}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -79,18 +79,10 @@ class Coalition:
     def index_sets(self) -> list[tuple[int, ...]]:
         return [g.indices() for g in self.groups]
 
-    def to_json(self, d: Dataset | None = None, method: str | None = None,
-                threshold: float | None = None) -> dict:
-        if d is not None:
-            groups = [[d.attribute_names[i] for i in g.indices()] for g in self.groups]
-        else:
-            groups = [list(g.indices()) for g in self.groups]
-        out: dict = {"groups": groups}
-        if method is not None:
-            out["method"] = method
-        if threshold is not None:
-            out["threshold"] = threshold
-        return out
+    def to_json(self, d: Dataset, method: str) -> dict:
+        """The groups by attribute name, and the grouping method that built them."""
+        return {"groups": [[d.attribute_names[i] for i in g.indices()] for g in self.groups],
+                "method": method}
 
 
 def normalize(groups: Iterable[AttributeSubset | Iterable[int]], n: int) -> Coalition:

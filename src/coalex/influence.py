@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lgamma
-from typing import MutableMapping, Sequence
+from typing import Sequence
 
 from .dataset import AttributeSubset, ClassTarget, Dataset, subsets_by_size
 from .errors import ComplexityCapError
@@ -114,19 +114,19 @@ def predicted_class(cache: SubsetModelCache, instance_index: int) -> ClassTarget
 
 
 def _influence(cache: SubsetModelCache, instance_index: int, target: ClassTarget | None,
-               terms, method_tag: str, eval_memo: MutableMapping | None) -> InfluenceVector:
+               terms, method_tag: str) -> InfluenceVector:
     """The weighted sum shared by the three methods.
 
     ``terms[i]`` lists (others, weights) pairs for attribute i: every subset
     of ``others`` with fewer than ``len(weights)`` members contributes
     ``weights[size] * (v(subset + i) - v(subset))``, in size-then-lexicographic
-    order.
+    order.  Each subset is evaluated once per call.
     """
     if target is None:
         target = predicted_class(cache, instance_index)
     d = cache.dataset
     x = d.instance(instance_index)
-    table: MutableMapping = {} if eval_memo is None else eval_memo
+    table: dict[int, float] = {}
 
     def ev(subset: AttributeSubset) -> float:
         value = table.get(subset.mask)
@@ -146,38 +146,34 @@ def _influence(cache: SubsetModelCache, instance_index: int, target: ClassTarget
 
 
 def complete_influence(cache: SubsetModelCache, instance_index: int,
-                       target: ClassTarget | None = None, cap: int = COMPLETE_ATTRIBUTE_CAP,
-                       eval_memo: MutableMapping | None = None) -> InfluenceVector:
+                       target: ClassTarget | None = None,
+                       cap: int = COMPLETE_ATTRIBUTE_CAP) -> InfluenceVector:
     """Exact Shapley influence over all attribute subsets.
 
     Exponential in the attribute count: refuses to run above ``cap``
-    attributes.  ``eval_memo`` may be shared by calls that explain the same
-    instance and class against the same cache, so that equivalent methods
-    reuse identical subset evaluations.
+    attributes.
     """
     n = cache.dataset.n_attributes
     if n > cap:
         raise ComplexityCapError(n, cap)
     weights = [shapley_penalty(s, n) for s in range(n)]
     terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
-    return _influence(cache, instance_index, target, terms, "complete", eval_memo)
+    return _influence(cache, instance_index, target, terms, "complete")
 
 
 def kdepth_influence(cache: SubsetModelCache, instance_index: int, k: int,
-                     target: ClassTarget | None = None,
-                     eval_memo: MutableMapping | None = None) -> InfluenceVector:
+                     target: ClassTarget | None = None) -> InfluenceVector:
     """Shapley sum truncated to subsets of fewer than k other attributes."""
     n = cache.dataset.n_attributes
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     weights = [kdepth_penalty(s, n, k) for s in range(k)]
     terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
-    return _influence(cache, instance_index, target, terms, f"kdepth:{k}", eval_memo)
+    return _influence(cache, instance_index, target, terms, f"kdepth:{k}")
 
 
 def coalitional_influence(cache: SubsetModelCache, instance_index: int, coalition: Coalition,
-                          target: ClassTarget | None = None,
-                          eval_memo: MutableMapping | None = None) -> InfluenceVector:
+                          target: ClassTarget | None = None) -> InfluenceVector:
     """Influence restricted to the coalition's groups.
 
     The group sum is taken literally: a subset reachable through two
@@ -197,4 +193,4 @@ def coalitional_influence(cache: SubsetModelCache, instance_index: int, coalitio
         terms.append([([j for j in g.indices() if j != i],
                        [coalition_penalty(s, g.size, sizes) for s in range(g.size)])
                       for g in groups_i])
-    return _influence(cache, instance_index, target, terms, "coalitional", eval_memo)
+    return _influence(cache, instance_index, target, terms, "coalitional")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import AttributeSubset, ClassTarget, Dataset, class_prior, project
+from .dataset import AttributeSubset, ClassTarget, Dataset, project
 from .errors import DataError
 
 MODEL_KINDS = ("random_forest", "decision_tree", "prior_baseline")
@@ -153,40 +153,31 @@ def _walk(node: _TreeNode, x: np.ndarray) -> np.ndarray:
 class TrainedModelHandle:
     """A fitted classifier for one attribute subset.
 
-    ``confidence`` accepts either a full dataset row (projected internally)
-    or a row already restricted to the subset's attributes.  Confidence
-    vectors are probability-like: entries in [0, 1] summing to 1.
+    ``confidences`` takes a full dataset row and reads the subset's columns.
+    A single tree (the prior baseline is a one-leaf tree) returns its leaf's
+    class frequencies; a forest returns each class's share of the tree votes.
+    Confidence vectors are probability-like: entries in [0, 1] summing to 1.
     """
 
-    def __init__(self, spec: ModelSpec, subset: AttributeSubset,
-                 class_set: tuple, kind: str, trees=None, priors=None):
-        self.spec = spec
+    def __init__(self, subset: AttributeSubset, class_set: tuple, trees: list[_TreeNode],
+                 vote: bool):
         self.subset = subset
         self.class_set = class_set
-        self._kind = kind
         self._trees = trees
-        self._priors = priors
+        self._vote = vote
         self._columns = np.array(subset.indices(), dtype=np.intp)
 
     def _project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("expected a single instance row")
-        if x.shape[0] == self.subset.n:
-            return x[self._columns]
-        if x.shape[0] == self.subset.size:
-            return x
-        raise ValueError(
-            f"instance has {x.shape[0]} values; expected {self.subset.n} (full row) "
-            f"or {self.subset.size} (projected)"
-        )
+        if x.shape != (self.subset.n,):
+            raise ValueError(f"instance of shape {x.shape}; expected a row of "
+                             f"{self.subset.n} values")
+        return x[self._columns]
 
     def confidences(self, x) -> np.ndarray:
         """Per-class confidence vector for one instance, ordered by class_set."""
-        if self._kind == "prior_baseline":
-            return self._priors.copy()
         xp = self._project(x)
-        if self._kind == "decision_tree":
+        if not self._vote:
             return _walk(self._trees[0], xp).copy()
         votes = np.zeros(len(self.class_set))
         for tree in self._trees:
@@ -218,17 +209,17 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
         raise ValueError(f"subset over {s.n} attributes for a dataset with {d.n_attributes}")
     if d.n_classes < 2:
         raise DataError("training requires at least 2 classes")
-    if s.size == 0 or spec.kind == "prior_baseline":
-        priors = np.array([class_prior(d, d.class_target(c)) for c in d.class_set])
-        return TrainedModelHandle(spec, s, d.class_set, "prior_baseline", priors=priors)
-
-    dp = project(d, s)
-    X = dp.features
-    y = dp.label_indices()
+    y = d.label_indices()
     n_classes = d.n_classes
+    if s.size == 0 or spec.kind == "prior_baseline":
+        prior = _TreeNode()
+        _make_leaf(prior, y, n_classes)
+        return TrainedModelHandle(s, d.class_set, [prior], vote=False)
+
+    X = project(d, s).features
     if spec.kind == "decision_tree":
         tree = _fit_tree(X, y, n_classes, spec, rng=None)
-        return TrainedModelHandle(spec, s, d.class_set, "decision_tree", trees=[tree])
+        return TrainedModelHandle(s, d.class_set, [tree], vote=False)
 
     trees = []
     m = X.shape[0]
@@ -236,7 +227,7 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
         rng = np.random.default_rng([spec.seed, t])
         rows = rng.integers(0, m, size=m)
         trees.append(_fit_tree(X[rows], y[rows], n_classes, spec, rng))
-    return TrainedModelHandle(spec, s, d.class_set, "random_forest", trees=trees)
+    return TrainedModelHandle(s, d.class_set, trees, vote=True)
 
 
 class SubsetModelCache:

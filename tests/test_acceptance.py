@@ -14,7 +14,6 @@ from coalex import (
     Coalition,
     ModelSpec,
     SubsetModelCache,
-    class_prior,
     closure,
     coalitional_influence,
     complete_influence,
@@ -28,8 +27,9 @@ from coalex import (
     predicted_class,
     shapley_penalty,
     subset_eval,
-    vif_all,
 )
+from coalex.dataset import class_prior
+from coalex.grouping import vif_all
 
 from conftest import dataset_from
 
@@ -48,7 +48,7 @@ def report(num: int, ok: bool, detail: str = ""):
 @pytest.fixture(scope="session")
 def equivalence_suite():
     """20 seeded datasets with n in [2,8], m in [50,300]; per-instance vectors
-    for the complete oracle and the equivalence methods, sharing evaluations."""
+    for the complete oracle and the equivalence methods, sharing one cache."""
     rng = np.random.default_rng(20240)
     shapes = [(n, int(rng.integers(50, 121))) for n in range(2, 9)]
     shapes += [(int(rng.integers(2, 9)), int(rng.integers(50, 121))) for _ in range(13)]
@@ -61,14 +61,11 @@ def equivalence_suite():
         efficiency_residual = 0.0
         for i in range(d.n_instances):
             target = predicted_class(cache, i)
-            memo: dict = {}
-            vc = complete_influence(cache, i, target, eval_memo=memo)
-            vkn = kdepth_influence(cache, i, n, target, eval_memo=memo)
-            vfull = coalitional_influence(cache, i, Coalition.full_group(n),
-                                          target, eval_memo=memo)
-            v1 = kdepth_influence(cache, i, 1, target, eval_memo=memo)
-            vsing = coalitional_influence(cache, i, Coalition.singletons(n),
-                                          target, eval_memo=memo)
+            vc = complete_influence(cache, i, target)
+            vkn = kdepth_influence(cache, i, n, target)
+            vfull = coalitional_influence(cache, i, Coalition.full_group(n), target)
+            v1 = kdepth_influence(cache, i, 1, target)
+            vsing = coalitional_influence(cache, i, Coalition.singletons(n), target)
             max_kn = max(max_kn, max(abs(a - b) for a, b in zip(vc.values, vkn.values)))
             max_full = max(max_full, max(abs(a - b) for a, b in zip(vc.values, vfull.values)))
             max_sing = max(max_sing, max(abs(a - b) for a, b in zip(v1.values, vsing.values)))
@@ -161,7 +158,7 @@ def test_criterion_5_training_economy_and_wallclock():
         oracle_cache = SubsetModelCache(SPEC, d)
         targets = [predicted_class(oracle_cache, i) for i in range(m)]
         for i in range(m):
-            complete_influence(oracle_cache, i, targets[i], eval_memo={})
+            complete_influence(oracle_cache, i, targets[i])
         t_complete = time.perf_counter() - t0
         for p in proportions:
             total_runs += 1
@@ -169,8 +166,7 @@ def test_criterion_5_training_economy_and_wallclock():
             t0 = time.perf_counter()
             search = find_threshold("spearman", d, p)
             for i in range(m):
-                coalitional_influence(cache, i, search.coalition, targets[i],
-                                      eval_memo={})
+                coalitional_influence(cache, i, search.coalition, targets[i])
             span = time.perf_counter() - t0
             trainings = cache.training_count
             if search.converged:
@@ -202,11 +198,10 @@ def test_criterion_6_error_trend():
         errs = {depth: [] for depth in range(1, n + 1)}
         for i in range(d.n_instances):
             target = predicted_class(cache, i)
-            memo: dict = {}
-            oracle = complete_influence(cache, i, target, eval_memo=memo)
+            oracle = complete_influence(cache, i, target)
             for depth in range(1, n + 1):
-                v = kdepth_influence(cache, i, depth, target, eval_memo=memo)
-                errs[depth].append(error_score(v, oracle).value)
+                v = kdepth_influence(cache, i, depth, target)
+                errs[depth].append(error_score(v, oracle))
         means = [float(np.mean(errs[depth])) for depth in range(1, n + 1)]
         for a, b in zip(means, means[1:]):
             pairs += 1

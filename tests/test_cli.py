@@ -297,6 +297,13 @@ class TestBenchmark:
         assert result.exit_code == 2
         assert "--jobs must be >= 1" in result.output
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_synthetic_below_one_exits_2(self, runner, count):
+        result = runner.invoke(main, ["benchmark", "--synthetic", count, "--methods", "complete",
+                                      "--model", "dt"])
+        assert result.exit_code == 2
+        assert f"--synthetic must be >= 1, got {count}" in result.output
+
     def test_requires_methods(self, runner):
         result = runner.invoke(main, ["benchmark", "--synthetic", "1"])
         assert result.exit_code == 2
@@ -360,6 +367,29 @@ class TestConfigPrecedence:
                                       "--instances", "0"])
         assert result.exit_code == 2
         assert "k must be a number, got 'x'" in result.output
+
+    @pytest.mark.parametrize("values, message", [
+        ({"instances": 0}, "instances must be a string, got 0"),
+        ({"method": 5}, "method must be a string, got 5"),
+        ({"format": "xml"}, "format must be one of json, csv, got 'xml'"),
+        ({"model": {"kind": "dt", "tree_count": "x"}},
+         "model.tree_count must be a number, got 'x'"),
+    ], ids=["instances", "method", "format", "model.tree_count"])
+    def test_config_file_value_of_the_wrong_type_exits_2(self, runner, small_csv, tmp_path,
+                                                         values, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y"} | values))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
+
+    def test_config_file_int_target_is_a_column_index(self, runner, small_csv, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": 3, "model": {"kind": "dt"}}))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg),
+                                      "--instances", "0"])
+        assert result.exit_code == 0, result.output
+        assert set(json.loads(result.output)["influences"][0]["influences"]) == {"a", "b", "c"}
 
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_bad_delimiter_exits_2(self, runner, small_csv, delimiter):

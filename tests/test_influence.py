@@ -14,7 +14,6 @@ from coalex import (
     MethodConfig,
     ModelSpec,
     SubsetModelCache,
-    class_prior,
     coalition_penalty,
     coalitional_influence,
     complete_influence,
@@ -24,6 +23,7 @@ from coalex import (
     shapley_penalty,
     subset_eval,
 )
+from coalex.dataset import class_prior
 from coalex.evaluation import method_influence
 
 from conftest import dataset_from
@@ -127,8 +127,6 @@ def brute_force_permutation_shapley(cache, spec, d, i, target):
 
 class TestSubsetEval:
     def test_empty_subset_is_class_prior(self, blob_dataset):
-        from coalex import class_prior
-
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
@@ -238,9 +236,8 @@ class TestKdepthInfluence:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        memo = {}
-        vc = complete_influence(cache, 1, target, eval_memo=memo)
-        vk = kdepth_influence(cache, 1, d.n_attributes, target, eval_memo=memo)
+        vc = complete_influence(cache, 1, target)
+        vk = kdepth_influence(cache, 1, d.n_attributes, target)
         assert max(abs(a - b) for a, b in zip(vc.values, vk.values)) <= 1e-12
 
     def test_hand_expanded_k2_n3(self):
@@ -278,20 +275,16 @@ class TestCoalitionalInfluence:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
-        memo = {}
-        v1 = kdepth_influence(cache, 5, 1, target, eval_memo=memo)
-        vs = coalitional_influence(cache, 5, Coalition.singletons(3), target,
-                                   eval_memo=memo)
+        v1 = kdepth_influence(cache, 5, 1, target)
+        vs = coalitional_influence(cache, 5, Coalition.singletons(3), target)
         assert vs.values == v1.values
 
     def test_full_group_equals_complete(self, blob_dataset):
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
-        memo = {}
-        vc = complete_influence(cache, 5, target, eval_memo=memo)
-        vg = coalitional_influence(cache, 5, Coalition.full_group(3), target,
-                                   eval_memo=memo)
+        vc = complete_influence(cache, 5, target)
+        vg = coalitional_influence(cache, 5, Coalition.full_group(3), target)
         assert max(abs(a - b) for a, b in zip(vc.values, vg.values)) <= 1e-12
 
     def test_paper_shape_groups(self):
@@ -303,9 +296,10 @@ class TestCoalitionalInfluence:
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
         G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
-        memo = {}
-        v = coalitional_influence(cache, 2, G, target, eval_memo=memo)
-        touched = {AttributeSubset(mask, 4).indices() for mask in memo}
+        v = coalitional_influence(cache, 2, G, target)
+        # the cache is fresh and the target given, so it trained exactly the touched subsets
+        touched = {AttributeSubset(mask, 4).indices() for mask in range(16)
+                   if AttributeSubset(mask, 4) in cache}
         assert touched == {(), (0,), (1,), (2,), (3,),
                            (0, 1), (0, 2), (1, 2), (0, 1, 2)}
         d_influence = subset_eval(cache, AttributeSubset.from_indices([3], 4),
@@ -386,6 +380,42 @@ class TestMulticlass:
         totals = [sum(complete_influence(cache, 5, d.class_target(c)).values)
                   for c in d.class_set]
         assert sum(totals) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestAxiomsUnderRetraining:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=4), st.data(),
+           st.floats(min_value=-1e3, max_value=1e3), st.integers(min_value=0, max_value=2**16))
+    def test_null_player_decision_tree(self, n, data, value, seed):
+        # a constant column can never split, so adding it to any subset retrains
+        # the same tree: every term of its influence is exactly zero
+        position = data.draw(st.integers(min_value=0, max_value=n - 1))
+        rng = np.random.default_rng(seed)
+        X = np.insert(rng.normal(size=(20, n - 1)), position, value, axis=1)
+        labels = (X[:, (position + 1) % n] + 0.5 * rng.normal(size=20) > 0).astype(int)
+        labels[:2] = [0, 1]
+        d = dataset_from(X, labels.tolist())
+        cache = SubsetModelCache(ModelSpec(kind="decision_tree"), d)
+        for i in (0, 1, 7):
+            assert complete_influence(cache, i).values[position] == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=7),
+           st.integers(min_value=0, max_value=2**16))
+    def test_efficiency_random_forest_three_classes(self, n, tree_count, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(24, n))
+        labels = np.digitize(X[:, 0] + 0.5 * rng.normal(size=24), [-0.4, 0.4])
+        labels[:3] = [0, 1, 2]
+        d = dataset_from(X, labels.tolist())
+        spec = ModelSpec(kind="random_forest", tree_count=tree_count, seed=seed)
+        cache = SubsetModelCache(spec, d)
+        full = AttributeSubset.full(n)
+        for c in d.class_set:
+            target = d.class_target(c)
+            v = complete_influence(cache, 3, target)
+            v_full = subset_eval(cache, full, d.instance(3), target)
+            assert sum(v.values) == pytest.approx(v_full - class_prior(d, target), abs=1e-9)
 
 
 class TestInfluenceVector:

@@ -9,9 +9,9 @@ from coalex import (
     DataError,
     ModelSpec,
     SubsetModelCache,
-    class_prior,
     train,
 )
+from coalex.dataset import class_prior
 
 from conftest import dataset_from
 
@@ -133,20 +133,12 @@ class TestRandomForest:
 
 
 class TestHandles:
-    def test_accepts_projected_or_full_row(self, blob_dataset):
-        d = blob_dataset
-        s = AttributeSubset.from_indices([0, 2], 3)
-        h = train(ModelSpec(kind="decision_tree"), d, s)
-        full_row = d.instance(0)
-        projected = full_row[[0, 2]]
-        c = d.class_target("lo")
-        assert h.confidence(full_row, c) == h.confidence(projected, c)
-
     def test_rejects_bad_length(self, blob_dataset):
         h = train(ModelSpec(kind="decision_tree"), blob_dataset,
                   AttributeSubset.from_indices([0, 2], 3))
-        with pytest.raises(ValueError, match="expected"):
-            h.confidence([1.0, 2.0, 3.0, 4.0], blob_dataset.class_target("lo"))
+        for row in ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]):  # a row is always a full row
+            with pytest.raises(ValueError, match="expected"):
+                h.confidence(row, blob_dataset.class_target("lo"))
 
     def test_rejects_foreign_class(self, blob_dataset):
         h = train(ModelSpec(kind="decision_tree"), blob_dataset, AttributeSubset.full(3))
