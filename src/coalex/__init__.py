@@ -43,7 +43,7 @@ from .influence import (
     complete_influence,
     kdepth_influence,
     kdepth_penalty,
-    predicted_class,
+    predicted_classes,
     shapley_penalty,
     subset_eval,
 )
@@ -59,6 +59,6 @@ __all__ = [
     "find_threshold", "group_model_based", "group_pca", "group_rev_spearman",
     "group_rev_vif", "group_spearman", "group_vif", "influence_distance",
     "kdepth_influence", "kdepth_penalty", "load_csv", "make_synthetic_dataset",
-    "make_synthetic_suite", "normalize", "predicted_class", "run_benchmark",
+    "make_synthetic_suite", "normalize", "predicted_classes", "run_benchmark",
     "shapley_penalty", "subset_eval", "train", "write_benchmark_csv", "write_benchmark_json",
 ]

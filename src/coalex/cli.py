@@ -128,6 +128,8 @@ def _typed(key: str, kind, value):
         return None
     if kind in (int, float):
         try:
+            if isinstance(value, bool):
+                raise TypeError
             return kind(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be a number, got {value!r}") from None
@@ -138,7 +140,9 @@ def _typed(key: str, kind, value):
 
 def _model_spec(model_flags: tuple, file_cfg: dict, seed: int) -> ModelSpec:
     name, trees, max_depth, min_leaf = model_flags
-    model_cfg = file_cfg.get("model", {}) if isinstance(file_cfg.get("model"), dict) else {}
+    model_cfg = {} if file_cfg.get("model") is None else file_cfg["model"]
+    if not isinstance(model_cfg, dict):
+        raise ConfigError(f"model must be an object, got {model_cfg!r}")
     kind_raw = _pick(name, model_cfg, "kind", "random_forest")
     kind = _MODEL_ALIASES.get(str(kind_raw).lower())
     if kind is None:
@@ -332,12 +336,18 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
     extra: dict = {}
     if mc.kind == "coalitional":
         coalition, extra = build_coalition(cache, mc, cfg.seed)
-    explain = lambda i: method_influence(cache, i, mc, coalition, fixed_class, cfg.cap)
-    if cfg.jobs > 1:
+
+    def explain(block: list[int]):
+        targets = None if fixed_class is None else [fixed_class] * len(block)
+        return method_influence(cache, block, mc, coalition, targets, cfg.cap)
+
+    if cfg.jobs > 1:  # contiguous blocks of picks on threads sharing the cache
+        size = max(1, -(-len(picks) // cfg.jobs))
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            vectors = list(pool.map(explain, picks))
+            parts = pool.map(explain, [picks[lo:lo + size] for lo in range(0, len(picks), size)])
+            vectors = [v for part in parts for v in part]
     else:
-        vectors = [explain(i) for i in picks]
+        vectors = explain(picks)
 
     payload_cfg = cfg.to_dict() | extra
     if cfg.output_format == "json":

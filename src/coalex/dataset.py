@@ -65,17 +65,6 @@ class AttributeSubset:
     def __contains__(self, index: int) -> bool:
         return 0 <= index < self.n and bool(self.mask >> index & 1)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def __len__(self) -> int:
-        return self.size
-
-    def with_index(self, index: int) -> "AttributeSubset":
-        if not 0 <= index < self.n:
-            raise ValueError(f"attribute index {index} out of range [0, {self.n})")
-        return AttributeSubset(self.mask | 1 << index, self.n)
-
     def without_index(self, index: int) -> "AttributeSubset":
         return AttributeSubset(self.mask & ~(1 << index), self.n)
 
@@ -83,9 +72,8 @@ class AttributeSubset:
         return f"AttributeSubset({set(self.indices()) or '{}'} of {self.n})"
 
 
-def subsets_by_size(indices: Sequence[int], n: int,
-                    max_size: int | None = None) -> Iterator[AttributeSubset]:
-    """Yield every subset of ``indices`` in size-then-lexicographic order.
+def subsets_by_size(indices: Sequence[int], max_size: int | None = None) -> Iterator[int]:
+    """Yield the bit mask of every subset of ``indices`` in size-then-lexicographic order.
 
     The fixed order makes floating-point accumulations over subsets
     reproducible.  ``max_size`` bounds the largest subset yielded (inclusive).
@@ -94,7 +82,7 @@ def subsets_by_size(indices: Sequence[int], n: int,
     top = len(indices) if max_size is None else min(max_size, len(indices))
     for r in range(top + 1):
         for combo in combinations(indices, r):
-            yield AttributeSubset.from_indices(combo, n)
+            yield sum(1 << i for i in combo)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from math import comb
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +33,7 @@ from .influence import (
     complete_influence,
     coalitional_influence,
     kdepth_influence,
-    predicted_class,
+    kdepth_plan,
 )
 from .model import ModelSpec, SubsetModelCache
 
@@ -248,25 +247,8 @@ class BenchmarkRecord:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset_id,
-            "method": self.method_id,
-            "param": self.param,
-            "mean_error": self.mean_error,
-            "time_per_instance_s": self.time_per_instance_s,
-            "time_ratio_vs_complete": self.time_ratio_vs_complete,
-            "complexity_proportion": self.complexity_proportion,
-            "group_count_mean": self.group_count_mean,
-            "group_size_mean": self.group_size_mean,
-            "seed": self.seed,
-            "model": self.model,
-            "parallel_timed": self.parallel_timed,
-        }
-
-
-def _kdepth_proportion(n: int, k: int) -> float:
-    touched = sum(comb(n, s) for s in range(1, k + 1))
-    return touched / float((1 << n) - 1)
+        fields = asdict(self)
+        return {"dataset": fields.pop("dataset_id"), "method": fields.pop("method_id")} | fields
 
 
 def _spec_id(spec: ModelSpec) -> str:
@@ -307,24 +289,24 @@ def build_coalition(cache: SubsetModelCache, mc: MethodConfig,
     return GROUPING_METHODS[mc.grouping](cache.dataset, t), {"threshold": t}
 
 
-def method_influence(cache: SubsetModelCache, i: int, mc: MethodConfig,
-                     coalition: Coalition | None, target: ClassTarget | None,
-                     cap: int = COMPLETE_ATTRIBUTE_CAP) -> InfluenceVector:
-    """Influence vector of instance ``i`` under ``mc``.
+def method_influence(cache: SubsetModelCache, instances: Sequence[int], mc: MethodConfig,
+                     coalition: Coalition | None, targets: Sequence[ClassTarget] | None,
+                     cap: int = COMPLETE_ATTRIBUTE_CAP) -> list[InfluenceVector]:
+    """Influence vectors of ``instances`` under ``mc``, one per instance.
 
     ``coalition`` is the one :func:`build_coalition` made for a coalitional
-    method and is ignored otherwise; ``cap`` bounds complete influence.
+    method and is ignored otherwise; ``targets`` and ``cap`` are passed on.
     """
     if mc.kind == "complete":
-        return complete_influence(cache, i, target, cap=cap)
+        return complete_influence(cache, instances, targets, cap=cap)
     if mc.kind == "kdepth":
-        return kdepth_influence(cache, i, mc.k, target)
-    return coalitional_influence(cache, i, coalition, target)
+        return kdepth_influence(cache, instances, mc.k, targets)
+    return coalitional_influence(cache, instances, coalition, targets)
 
 
 def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
-              targets, oracle_vectors) -> BenchmarkRecord:
-    """Time one (dataset, method) cell against precomputed oracle vectors."""
+              oracle_vectors: list[InfluenceVector]) -> BenchmarkRecord:
+    """Time one (dataset, method) cell against the oracle vectors and their targets."""
     m = d.n_instances
     cache = SubsetModelCache(spec, d)
     G = None
@@ -334,7 +316,7 @@ def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
         if extra.get("converged") is False:
             logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
                         d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
-    vectors = [method_influence(cache, i, mc, G, targets[i]) for i in range(m)]
+    vectors = method_influence(cache, range(m), mc, G, [o.target for o in oracle_vectors])
     report = None if G is None else ComplexityReport.from_coalition(G)
     elapsed = time.perf_counter() - started
     mean_err = float(np.mean([error_score(v, o) for v, o in zip(vectors, oracle_vectors)]))
@@ -345,7 +327,8 @@ def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
         mean_error=mean_err,
         time_per_instance_s=elapsed / m,
         time_ratio_vs_complete=math.nan,  # filled by the caller
-        complexity_proportion=(_kdepth_proportion(d.n_attributes, mc.k) if report is None
+        complexity_proportion=((len(kdepth_plan(d.n_attributes, mc.k).masks) - 1)  # not {}
+                               / ((1 << d.n_attributes) - 1) if report is None
                                else report.proportion),
         group_count_mean=None if report is None else float(report.group_count),
         group_size_mean=None if report is None else report.mean_group_size,
@@ -382,10 +365,7 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
                 runnable.append(mc)
         m = d.n_instances
         started = time.perf_counter()
-        oracle_cache = SubsetModelCache(spec, d)
-        targets = [predicted_class(oracle_cache, i) for i in range(m)]
-        oracle_vectors = [complete_influence(oracle_cache, i, targets[i], cap=cap)
-                          for i in range(m)]
+        oracle_vectors = complete_influence(SubsetModelCache(spec, d), range(m), cap=cap)
         oracle_tpi = (time.perf_counter() - started) / m
 
         complete_record = BenchmarkRecord(
@@ -399,12 +379,11 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
         pending = [mc for mc in runnable if mc.kind != "complete"]
         if jobs > 1 and len(pending) > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                cells = list(pool.map(
-                    lambda mc: _run_cell(d, mc, spec, seed, targets, oracle_vectors),
-                    pending))
+                cells = list(pool.map(lambda mc: _run_cell(d, mc, spec, seed, oracle_vectors),
+                                      pending))
             cells = [replace(c, parallel_timed=True) for c in cells]
         else:
-            cells = [_run_cell(d, mc, spec, seed, targets, oracle_vectors) for mc in pending]
+            cells = [_run_cell(d, mc, spec, seed, oracle_vectors) for mc in pending]
 
         by_config = iter(cells)
         for mc in runnable:

@@ -1,19 +1,22 @@
-"""Attribute-influence vectors for single predictions.
+"""Attribute-influence vectors: three weightings of one value table.
 
-For an instance x and a target class, the influence of attribute i is a
-weighted sum of confidence differences between models retrained with and
-without i over a family of attribute subsets:
+For an instance x and a target class c, the value of an attribute subset S
+is v(S), the confidence for c at x of the model retrained on S (the class
+prior when S is empty).  The influence of attribute i sums weighted
+differences v(S + i) - v(S) over subsets S of the other attributes:
 
-* complete      -- every subset of the other attributes, Shapley-weighted;
-                   exact but costs 2^n subset models.
-* k-depth       -- only subsets smaller than k, with renormalized weights;
-                   depth 1 is the linear influence (marginal vs the prior).
-* coalitional   -- only subsets inside attribute groups that contain i,
-                   weighted by the factorial mass of those groups.
+* complete      -- all of them, Shapley-weighted; exact but 2^n subset models.
+* k-depth       -- those smaller than k, with renormalized weights; depth 1
+                   is the linear influence (marginal vs the prior).
+* coalitional   -- those inside the attribute's groups, weighted by the
+                   factorial mass of those groups.
 
-All three share one evaluation primitive, :func:`subset_eval`, backed by a
-:class:`~coalex.model.SubsetModelCache` so each distinct subset is trained
-exactly once per run.
+Each method is a :class:`Plan`, its weight matrix W in sparse form.  The
+value table V[mask, instance] gets one :func:`subset_eval` row per plan
+mask, over blocks of at most ``VALUE_TABLE_CELLS`` values, from a
+:class:`~coalex.model.SubsetModelCache` that trains each subset once.  Each
+attribute's terms are summed left to right with ``np.cumsum``, giving the
+floats of a Python ``total +=`` loop; ``np.sum`` sums pairwise and would not.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from fractions import Fraction
 from math import factorial, lgamma
 from typing import Sequence
 
+import numpy as np
+
 from .dataset import AttributeSubset, ClassTarget, Dataset, subsets_by_size
-from .errors import ComplexityCapError
+from .errors import ComplexityCapError, DataError
 from .grouping import Coalition
 from .model import SubsetModelCache
 
@@ -33,6 +38,9 @@ COMPLETE_ATTRIBUTE_CAP = 20
 
 # Exact rational weights up to this many attributes; log-gamma beyond.
 _EXACT_LIMIT = 20
+
+# Value-table cells per instance block: 32 MB of float64, whatever the plan size.
+VALUE_TABLE_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -97,100 +105,132 @@ def coalition_penalty(sub_size: int, group_size: int, groups_of_attr: Sequence[i
     return math.exp(lgamma(sub_size + 1) + lgamma(group_size - sub_size) - log_denom)
 
 
-def subset_eval(cache: SubsetModelCache, s: AttributeSubset, x, c: ClassTarget) -> float:
-    """Confidence for class c of the model trained on subset s, evaluated at x.
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A method's weight matrix W in sparse form: ``masks``, the distinct subset masks it
+    evaluates, ascending, and ``terms[i]``, arrays of masks with attribute i, masks without
+    it and weights; i's influence sums ``weight * (v(with) - v(without))`` in that order."""
 
-    The empty subset evaluates to the class prior.
-    """
-    return cache.get_or_train(s).confidence(x, c)
+    masks: np.ndarray
+    terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def sums(self, V: np.ndarray) -> np.ndarray:
+        """W . V as attributes x instances, for V with one row per mask."""
+        out = np.empty((len(self.terms), V.shape[1]))
+        for i, (with_i, without_i, weights) in enumerate(self.terms):
+            plus, minus = np.searchsorted(self.masks, (with_i, without_i))
+            steps = weights[:, None] * (V[plus] - V[minus])
+            out[i] = np.cumsum(np.concatenate([np.zeros((1, V.shape[1])), steps]), axis=0)[-1]
+        return out
 
 
-def predicted_class(cache: SubsetModelCache, instance_index: int) -> ClassTarget:
-    """Class predicted for the instance by the model trained on all attributes."""
-    d = cache.dataset
-    full = AttributeSubset.full(d.n_attributes)
-    idx = cache.get_or_train(full).predict_class(d.instance(instance_index))
-    return ClassTarget(d.class_set[idx], idx)
-
-
-def _influence(cache: SubsetModelCache, instance_index: int, target: ClassTarget | None,
-               terms, method_tag: str) -> InfluenceVector:
-    """The weighted sum shared by the three methods.
-
-    ``terms[i]`` lists (others, weights) pairs for attribute i: every subset
-    of ``others`` with fewer than ``len(weights)`` members contributes
-    ``weights[size] * (v(subset + i) - v(subset))``, in size-then-lexicographic
-    order.  Each subset is evaluated once per call.
-    """
-    if target is None:
-        target = predicted_class(cache, instance_index)
-    d = cache.dataset
-    x = d.instance(instance_index)
-    table: dict[int, float] = {}
-
-    def ev(subset: AttributeSubset) -> float:
-        value = table.get(subset.mask)
-        if value is None:
-            value = subset_eval(cache, subset, x, target)
-            table[subset.mask] = value
-        return value
-
-    values = []
+def _plan(terms) -> Plan:
+    """The plan of ``terms[i]``, (others, weights) pairs for attribute i: each subset s of
+    ``others`` smaller than ``len(weights)`` adds ``weights[|s|] * (v(s + i) - v(s))``."""
+    plan_terms = []
     for i, pairs in enumerate(terms):
-        total = 0.0
-        for others, weights in pairs:
-            for sub in subsets_by_size(others, d.n_attributes, max_size=len(weights) - 1):
-                total += weights[sub.size] * (ev(sub.with_index(i)) - ev(sub))
-        values.append(total)
-    return InfluenceVector(tuple(values), instance_index, target, method_tag)
+        without = [list(subsets_by_size(others, len(w) - 1)) for others, w in pairs]
+        weights = [w[mask.bit_count()] for (_, w), subs in zip(pairs, without) for mask in subs]
+        without_i = np.array([mask for subs in without for mask in subs], dtype=np.int64)
+        plan_terms.append((without_i | 1 << i, without_i, np.array(weights)))
+    masks = np.array(sorted({m for t in plan_terms for m in t[0].tolist() + t[1].tolist()}))
+    return Plan(masks, tuple(plan_terms))
 
 
-def complete_influence(cache: SubsetModelCache, instance_index: int,
-                       target: ClassTarget | None = None,
-                       cap: int = COMPLETE_ATTRIBUTE_CAP) -> InfluenceVector:
-    """Exact Shapley influence over all attribute subsets.
-
-    Exponential in the attribute count: refuses to run above ``cap``
-    attributes.
-    """
-    n = cache.dataset.n_attributes
-    if n > cap:
-        raise ComplexityCapError(n, cap)
+def complete_plan(n: int) -> Plan:
+    """Every subset of the other attributes, Shapley-weighted."""
     weights = [shapley_penalty(s, n) for s in range(n)]
-    terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
-    return _influence(cache, instance_index, target, terms, "complete")
+    return _plan([[([j for j in range(n) if j != i], weights)] for i in range(n)])
 
 
-def kdepth_influence(cache: SubsetModelCache, instance_index: int, k: int,
-                     target: ClassTarget | None = None) -> InfluenceVector:
-    """Shapley sum truncated to subsets of fewer than k other attributes."""
-    n = cache.dataset.n_attributes
+def kdepth_plan(n: int, k: int) -> Plan:
+    """Subsets of fewer than k other attributes, with depth-k weights."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     weights = [kdepth_penalty(s, n, k) for s in range(k)]
-    terms = [[([j for j in range(n) if j != i], weights)] for i in range(n)]
-    return _influence(cache, instance_index, target, terms, f"kdepth:{k}")
+    return _plan([[([j for j in range(n) if j != i], weights)] for i in range(n)])
 
 
-def coalitional_influence(cache: SubsetModelCache, instance_index: int, coalition: Coalition,
-                          target: ClassTarget | None = None) -> InfluenceVector:
-    """Influence restricted to the coalition's groups.
-
-    The group sum is taken literally: a subset reachable through two
-    overlapping groups contributes once per group (the cache makes the
-    duplicate evaluation free).
-    """
-    n = cache.dataset.n_attributes
-    if coalition.n != n:
-        raise ValueError(f"coalition over {coalition.n} attributes for a dataset with {n}")
-    groups_of = [coalition.groups_containing(i) for i in range(n)]
+def coalitional_plan(coalition: Coalition) -> Plan:
+    """One term list per group holding the attribute, overlapping groups included."""
+    groups_of = [coalition.groups_containing(i) for i in range(coalition.n)]
     missing = [i for i, groups_i in enumerate(groups_of) if not groups_i]
     if missing:
         raise ValueError(f"coalition does not cover attributes {missing}")
-    terms = []
-    for i, groups_i in enumerate(groups_of):
-        sizes = [g.size for g in groups_i]
-        terms.append([([j for j in g.indices() if j != i],
-                       [coalition_penalty(s, g.size, sizes) for s in range(g.size)])
-                      for g in groups_i])
-    return _influence(cache, instance_index, target, terms, "coalitional")
+    return _plan([
+        [([j for j in g.indices() if j != i],
+          [coalition_penalty(s, g.size, [h.size for h in groups_i]) for s in range(g.size)])
+         for g in groups_i]
+        for i, groups_i in enumerate(groups_of)])
+
+
+def subset_eval(cache: SubsetModelCache, s: AttributeSubset, X: np.ndarray,
+                target_idx) -> np.ndarray:
+    """One value-table row: at each row r of X, the confidence for class index
+    ``target_idx[r]`` of the model trained on s (the class prior when s is empty)."""
+    rows = cache.get_or_train(s).confidences(X).tolist()  # not fancy indexing: see model._leaves
+    return np.array([row[k] for row, k in zip(rows, target_idx, strict=True)])
+
+
+def predicted_classes(cache: SubsetModelCache, instances: Sequence[int]) -> list[ClassTarget]:
+    """Class predicted for each instance by the model trained on all attributes."""
+    d = cache.dataset
+    X = np.array([d.instance(i) for i in instances]).reshape(-1, d.n_attributes)
+    full = cache.get_or_train(AttributeSubset.full(d.n_attributes))
+    return [d.class_target(d.class_set[k]) for k in np.argmax(full.confidences(X), axis=1)]
+
+
+def _influence(cache: SubsetModelCache, instances: Sequence[int],
+               targets: Sequence[ClassTarget] | None, plan: Plan,
+               method_tag: str) -> list[InfluenceVector]:
+    """``plan`` over the value table of ``instances``, filled in blocks of instances."""
+    d = cache.dataset
+    X = np.array([d.instance(i) for i in instances]).reshape(-1, d.n_attributes)
+    if len(X) == 0:
+        return []
+    if targets is None:
+        targets = predicted_classes(cache, instances)
+    elif len(targets) != len(X):
+        raise ValueError(f"{len(targets)} targets for {len(X)} instances")
+    for c in set(targets):
+        if not 0 <= c.index < d.n_classes or d.class_set[c.index] != c.class_id:
+            raise DataError(f"class target {c} not in the dataset's class_set")
+    target_idx = np.array([c.index for c in targets], dtype=np.intp)
+    values = np.empty((len(X), d.n_attributes))
+    block = max(1, VALUE_TABLE_CELLS // len(plan.masks))
+    for lo in range(0, len(X), block):
+        Xb, idx = X[lo:lo + block], target_idx[lo:lo + block]
+        V = np.empty((len(plan.masks), len(Xb)))
+        for r, mask in enumerate(plan.masks.tolist()):
+            V[r] = subset_eval(cache, AttributeSubset(mask, d.n_attributes), Xb, idx)
+        values[lo:lo + block] = plan.sums(V).T
+    return [InfluenceVector(tuple(row), i, c, method_tag)
+            for row, i, c in zip(values.tolist(), instances, targets)]
+
+
+def complete_influence(cache: SubsetModelCache, instances: Sequence[int],
+                       targets: Sequence[ClassTarget] | None = None,
+                       cap: int = COMPLETE_ATTRIBUTE_CAP) -> list[InfluenceVector]:
+    """Exact Shapley influence, one vector per instance of its class in ``targets`` (``None``:
+    its predicted class).  Costs 2^n subset models: refuses more than ``cap`` attributes."""
+    n = cache.dataset.n_attributes
+    if n > cap:
+        raise ComplexityCapError(n, cap)
+    return _influence(cache, instances, targets, complete_plan(n), "complete")
+
+
+def kdepth_influence(cache: SubsetModelCache, instances: Sequence[int], k: int,
+                     targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
+    """Shapley sum truncated to subsets of fewer than k other attributes."""
+    plan = kdepth_plan(cache.dataset.n_attributes, k)
+    return _influence(cache, instances, targets, plan, f"kdepth:{k}")
+
+
+def coalitional_influence(cache: SubsetModelCache, instances: Sequence[int],
+                          coalition: Coalition,
+                          targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
+    """Influence restricted to the coalition's groups (see :func:`coalitional_plan`)."""
+    n = cache.dataset.n_attributes
+    if coalition.n != n:
+        raise ValueError(f"coalition over {coalition.n} attributes for a dataset with {n}")
+    return _influence(cache, instances, targets, coalitional_plan(coalition), "coalitional")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import AttributeSubset, ClassTarget, Dataset, project
+from .dataset import AttributeSubset, Dataset, project
 from .errors import DataError
 
 MODEL_KINDS = ("random_forest", "decision_tree", "prior_baseline")
@@ -57,10 +57,6 @@ class _TreeNode:
         self.left = left
         self.right = right
         self.probs = probs
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.probs is not None
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
@@ -144,19 +140,31 @@ def _make_leaf(node: _TreeNode, ys: np.ndarray, n_classes: int) -> None:
     node.probs = counts / counts.sum()
 
 
-def _walk(node: _TreeNode, x: np.ndarray) -> np.ndarray:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.probs
+def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
+    """Yield (leaf, rows) for every leaf that some of ``rows`` descend to;
+    ``columns[f][r]`` is feature f of row r."""
+    # Plain lists, not index arrays: a call on a few rows costs no more than
+    # walking each row down, and never releases the interpreter lock, as numpy
+    # indexing does, to a thread that is training a model.
+    stack = [(root, rows)]
+    while stack:
+        node, rows = stack.pop()
+        if node.probs is not None:
+            yield node, rows
+            continue
+        col, thr = columns[node.feature], node.threshold
+        for child, go_left in ((node.right, False), (node.left, True)):
+            part = [r for r in rows if (col[r] < thr) == go_left]
+            if part:
+                stack.append((child, part))
 
 
 class TrainedModelHandle:
     """A fitted classifier for one attribute subset.
 
-    ``confidences`` takes a full dataset row and reads the subset's columns.
-    A single tree (the prior baseline is a one-leaf tree) returns its leaf's
-    class frequencies; a forest returns each class's share of the tree votes.
-    Confidence vectors are probability-like: entries in [0, 1] summing to 1.
+    ``confidences`` reads the subset's columns of full dataset rows.  One tree
+    (the prior baseline is a one-leaf tree) gives its leaf's class frequencies,
+    a forest each class's share of the tree votes: entries in [0, 1] summing to 1.
     """
 
     def __init__(self, subset: AttributeSubset, class_set: tuple, trees: list[_TreeNode],
@@ -165,37 +173,31 @@ class TrainedModelHandle:
         self.class_set = class_set
         self._trees = trees
         self._vote = vote
-        self._columns = np.array(subset.indices(), dtype=np.intp)
 
-    def _project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.subset.n,):
-            raise ValueError(f"instance of shape {x.shape}; expected a row of "
+    def confidences(self, X) -> np.ndarray:
+        """Rows x classes confidences for a rows x n matrix, columns ordered by class_set."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.subset.n:
+            raise ValueError(f"instances of shape {X.shape}; expected rows of "
                              f"{self.subset.n} values")
-        return x[self._columns]
-
-    def confidences(self, x) -> np.ndarray:
-        """Per-class confidence vector for one instance, ordered by class_set."""
-        xp = self._project(x)
+        m, n_classes = X.shape[0], len(self.class_set)
+        columns, rows = [X[:, j].tolist() for j in self.subset.indices()], list(range(m))
         if not self._vote:
-            return _walk(self._trees[0], xp).copy()
-        votes = np.zeros(len(self.class_set))
+            probs = {r: leaf.probs for leaf, part in _leaves(self._trees[0], columns, rows)
+                     for r in part}
+            return np.array([probs[r] for r in rows], dtype=np.float64).reshape(m, n_classes)
+        votes = [[0] * n_classes for _ in rows]
         for tree in self._trees:
-            votes[int(np.argmax(_walk(tree, xp)))] += 1.0
-        return votes / len(self._trees)
-
-    def confidence(self, x, c: ClassTarget) -> float:
-        if not 0 <= c.index < len(self.class_set) or self.class_set[c.index] != c.class_id:
-            raise DataError(f"class target {c} not in the training class_set")
-        return float(self.confidences(x)[c.index])
-
-    def predict_class(self, x) -> int:
-        """Index of the most-confident class; ties go to the lowest index."""
-        return int(np.argmax(self.confidences(x)))
+            for leaf, part in _leaves(tree, columns, rows):
+                probs = leaf.probs.tolist()
+                k = probs.index(max(probs))  # the first maximum, as np.argmax
+                for r in part:
+                    votes[r][k] += 1
+        return np.array(votes, dtype=np.float64).reshape(m, n_classes) / len(self._trees)
 
     def predict_classes(self, X) -> np.ndarray:
-        return np.array([self.predict_class(row) for row in np.asarray(X, dtype=np.float64)],
-                        dtype=np.intp)
+        """Index of each row's most-confident class; ties go to the lowest index."""
+        return np.argmax(self.confidences(X), axis=1)
 
 
 def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle:

@@ -24,7 +24,7 @@ from coalex import (
     influence_distance,
     kdepth_influence,
     make_synthetic_dataset,
-    predicted_class,
+    predicted_classes,
     shapley_penalty,
     subset_eval,
 )
@@ -59,18 +59,20 @@ def equivalence_suite():
         cache = SubsetModelCache(SPEC, d)
         max_kn = max_full = max_sing = 0.0
         efficiency_residual = 0.0
-        for i in range(d.n_instances):
-            target = predicted_class(cache, i)
-            vc = complete_influence(cache, i, target)
-            vkn = kdepth_influence(cache, i, n, target)
-            vfull = coalitional_influence(cache, i, Coalition.full_group(n), target)
-            v1 = kdepth_influence(cache, i, 1, target)
-            vsing = coalitional_influence(cache, i, Coalition.singletons(n), target)
+        instances = range(d.n_instances)
+        targets = predicted_classes(cache, instances)
+        full_confs = subset_eval(cache, AttributeSubset.full(n), d.features,
+                                 [t.index for t in targets])
+        for target, full_conf, vc, vkn, vfull, v1, vsing in zip(
+                targets, full_confs,
+                complete_influence(cache, instances, targets),
+                kdepth_influence(cache, instances, n, targets),
+                coalitional_influence(cache, instances, Coalition.full_group(n), targets),
+                kdepth_influence(cache, instances, 1, targets),
+                coalitional_influence(cache, instances, Coalition.singletons(n), targets)):
             max_kn = max(max_kn, max(abs(a - b) for a, b in zip(vc.values, vkn.values)))
             max_full = max(max_full, max(abs(a - b) for a, b in zip(vc.values, vfull.values)))
             max_sing = max(max_sing, max(abs(a - b) for a, b in zip(v1.values, vsing.values)))
-            full_conf = subset_eval(cache, AttributeSubset.full(n),
-                                    d.instance(i), target)
             prior = class_prior(d, target)
             efficiency_residual = max(efficiency_residual,
                                       abs(sum(vc.values) - (full_conf - prior)))
@@ -156,17 +158,14 @@ def test_criterion_5_training_economy_and_wallclock():
         m = d.n_instances
         t0 = time.perf_counter()
         oracle_cache = SubsetModelCache(SPEC, d)
-        targets = [predicted_class(oracle_cache, i) for i in range(m)]
-        for i in range(m):
-            complete_influence(oracle_cache, i, targets[i])
+        targets = [v.target for v in complete_influence(oracle_cache, range(m))]
         t_complete = time.perf_counter() - t0
         for p in proportions:
             total_runs += 1
             cache = SubsetModelCache(SPEC, d)
             t0 = time.perf_counter()
             search = find_threshold("spearman", d, p)
-            for i in range(m):
-                coalitional_influence(cache, i, search.coalition, targets[i])
+            coalitional_influence(cache, range(m), search.coalition, targets)
             span = time.perf_counter() - t0
             trainings = cache.training_count
             if search.converged:
@@ -196,11 +195,11 @@ def test_criterion_6_error_trend():
         d = make_synthetic_dataset(n, m, seed=100 + k)
         cache = SubsetModelCache(SPEC, d)
         errs = {depth: [] for depth in range(1, n + 1)}
-        for i in range(d.n_instances):
-            target = predicted_class(cache, i)
-            oracle = complete_influence(cache, i, target)
-            for depth in range(1, n + 1):
-                v = kdepth_influence(cache, i, depth, target)
+        instances = range(d.n_instances)
+        oracles = complete_influence(cache, instances)
+        targets = [v.target for v in oracles]
+        for depth in range(1, n + 1):
+            for v, oracle in zip(kdepth_influence(cache, instances, depth, targets), oracles):
                 errs[depth].append(error_score(v, oracle))
         means = [float(np.mean(errs[depth])) for depth in range(1, n + 1)]
         for a, b in zip(means, means[1:]):

@@ -65,12 +65,12 @@ class TestExplain:
         spec = ModelSpec(kind="decision_tree", seed=3)
         cache = SubsetModelCache(spec, d)
         full = cache.get_or_train(AttributeSubset.full(3))
-        target_idx = full.predict_class(d.instance(0))
+        target_idx = full.predict_classes(d.features[:1])[0]
         target = d.class_target(d.class_set[target_idx])
         prior = sum(1 for l in d.labels if l == target.class_id) / d.n_instances
         for j, name in enumerate(d.attribute_names):
-            single = subset_eval(cache, AttributeSubset.from_indices([j], 3),
-                                 d.instance(0), target)
+            [single] = subset_eval(cache, AttributeSubset.from_indices([j], 3),
+                                   d.features[:1], [target.index])
             assert got[name] == pytest.approx(single - prior, abs=1e-12)
 
     def test_cap_violation_exits_4(self, runner, wide_csv):
@@ -382,6 +382,30 @@ class TestConfigPrecedence:
         result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
+
+    @pytest.mark.parametrize("model", ["dt", ["dt"], 3])
+    def test_config_file_model_that_is_not_an_object_exits_2(self, runner, small_csv, tmp_path,
+                                                             model):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y", "model": model, "instances": "0"}))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"error: model must be an object, got {model!r}" in result.output
+
+    @pytest.mark.parametrize("values, key", [
+        ({"method": "kdepth", "k": True}, "k"),
+        ({"seed": False}, "seed"),
+        ({"method": "coalitional:spearman", "threshold": True}, "threshold"),
+        ({"jobs": True}, "jobs"),
+        ({"model": {"kind": "dt", "max_depth": True}}, "model.max_depth"),
+        ({"model": {"kind": "rf", "tree_count": False}}, "model.tree_count"),
+    ], ids=["k", "seed", "threshold", "jobs", "model.max_depth", "model.tree_count"])
+    def test_config_file_boolean_is_not_a_number(self, runner, small_csv, tmp_path, values, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y", "instances": "0"} | values))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"error: {key} must be a number, got " in result.output
 
     def test_config_file_int_target_is_a_column_index(self, runner, small_csv, tmp_path):
         cfg = tmp_path / "run.json"

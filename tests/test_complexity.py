@@ -191,6 +191,5 @@ class TestTrainingEconomy:
         G = group_spearman(d, 0.3)
         cache = SubsetModelCache(spec, d)
         target = d.class_target(d.labels[0])
-        for i in range(5):
-            coalitional_influence(cache, i, G, target)
+        coalitional_influence(cache, range(5), G, [target] * 5)
         assert cache.training_count == len(closure(G)) + 1

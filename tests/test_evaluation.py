@@ -78,16 +78,16 @@ class TestErrorScore:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        oracle = complete_influence(cache, 0, target)
-        approx = coalitional_influence(cache, 0, Coalition.full_group(3), target)
+        [oracle] = complete_influence(cache, [0], [target])
+        [approx] = coalitional_influence(cache, [0], Coalition.full_group(3), [target])
         assert error_score(approx, oracle) <= 1e-12
 
     def test_linear_strictly_positive_on_interactions(self, xor4):
         spec = ModelSpec(kind="decision_tree", seed=0)  # must fit the 4-point XOR
         cache = SubsetModelCache(spec, xor4)
         target = xor4.class_target("p")
-        oracle = complete_influence(cache, 0, target)
-        linear = kdepth_influence(cache, 0, 1, target)
+        [oracle] = complete_influence(cache, [0], [target])
+        [linear] = kdepth_influence(cache, [0], 1, [target])
         assert error_score(linear, oracle) > 0.0
 
     def test_provenance_checked(self):

@@ -412,7 +412,7 @@ class TestFidelity:
         pred = h.predict_classes(d.features)
         for i in range(d.n_instances):
             for j in np.flatnonzero(pred == pred[i]):
-                assert h.predict_class(d.features[j]) == pred[i]
+                assert h.predict_classes(d.features[[j]])[0] == pred[i]
         assert fidelity(d, h, [(0, 1, 2)], repetitions=3, seed=2) == 1.0
 
     def test_prior_baseline_fidelity_one(self, blob_dataset):

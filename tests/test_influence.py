@@ -10,6 +10,7 @@ from coalex import (
     AttributeSubset,
     Coalition,
     ComplexityCapError,
+    DataError,
     InfluenceVector,
     MethodConfig,
     ModelSpec,
@@ -19,12 +20,14 @@ from coalex import (
     complete_influence,
     kdepth_influence,
     kdepth_penalty,
-    predicted_class,
+    predicted_classes,
     shapley_penalty,
     subset_eval,
 )
-from coalex.dataset import class_prior
+import coalex.influence
+from coalex.dataset import ClassTarget, class_prior
 from coalex.evaluation import method_influence
+from coalex.influence import coalitional_plan, complete_plan, kdepth_plan
 
 from conftest import dataset_from
 
@@ -100,10 +103,14 @@ class TestPenalties:
         assert got == pytest.approx(float(oracle), rel=1e-12)
 
 
+def value(cache, s, i, target):
+    """v(s) at instance i for one target class: one cell of the value table."""
+    return subset_eval(cache, s, cache.dataset.features[[i]], [target.index])[0]
+
+
 def brute_force_permutation_shapley(cache, spec, d, i, target):
     """Independent oracle: average marginal contribution over attribute orders."""
     n = d.n_attributes
-    x = d.instance(i)
     values = [Fraction(0)] * n
     evals = {}
 
@@ -111,7 +118,7 @@ def brute_force_permutation_shapley(cache, spec, d, i, target):
         key = frozenset(mask_indices)
         if key not in evals:
             s = AttributeSubset.from_indices(key, n)
-            evals[key] = subset_eval(cache, s, x, target)
+            evals[key] = value(cache, s, i, target)
         return evals[key]
 
     perms = list(permutations(range(n)))
@@ -130,13 +137,13 @@ class TestSubsetEval:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        got = subset_eval(cache, AttributeSubset.empty(3), d.instance(0), target)
+        got = value(cache, AttributeSubset.empty(3), 0, target)
         assert got == class_prior(d, target)
 
     def test_full_subset_on_separable_data(self, separable2):
         cache = SubsetModelCache(ModelSpec(kind="decision_tree"), separable2)
         target = separable2.class_target("p")
-        got = subset_eval(cache, AttributeSubset.full(1), separable2.instance(0), target)
+        got = value(cache, AttributeSubset.full(1), 0, target)
         assert got == 1.0
 
     def test_repeat_calls_hit_cache(self, blob_dataset):
@@ -144,8 +151,8 @@ class TestSubsetEval:
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
         s = AttributeSubset.from_indices([0, 1], 3)
-        a = subset_eval(cache, s, d.instance(2), target)
-        b = subset_eval(cache, s, d.instance(2), target)
+        a = value(cache, s, 2, target)
+        b = value(cache, s, 2, target)
         assert a == b
         assert cache.training_count == 1
 
@@ -154,9 +161,8 @@ class TestCompleteInfluence:
     def test_single_attribute(self, separable2):
         cache = SubsetModelCache(SPEC, separable2)
         target = separable2.class_target("p")
-        v = complete_influence(cache, 0, target)
-        expected = subset_eval(cache, AttributeSubset.full(1),
-                               separable2.instance(0), target) - class_prior(separable2, target)
+        v = complete_influence(cache, [0], [target])[0]
+        expected = value(cache, AttributeSubset.full(1), 0, target) - class_prior(separable2, target)
         assert v.values == (expected,)
 
     def test_matches_permutation_oracle(self):
@@ -167,7 +173,7 @@ class TestCompleteInfluence:
             d = dataset_from(X, labels, name=f"perm{n}")
             cache = SubsetModelCache(SPEC, d)
             target = d.class_target(1)
-            got = complete_influence(cache, 3, target)
+            got = complete_influence(cache, [3], [target])[0]
             oracle = brute_force_permutation_shapley(cache, SPEC, d, 3, target)
             np.testing.assert_allclose(got.values, oracle, atol=1e-12)
 
@@ -175,9 +181,8 @@ class TestCompleteInfluence:
         cache = SubsetModelCache(SPEC, xor4)
         target = xor4.class_target("p")
         for i in range(4):
-            v = complete_influence(cache, i, target)
-            full = subset_eval(cache, AttributeSubset.full(2),
-                               xor4.instance(i), target)
+            v = complete_influence(cache, [i], [target])[0]
+            full = value(cache, AttributeSubset.full(2), i, target)
             assert sum(v.values) == pytest.approx(full - class_prior(xor4, target), abs=1e-9)
 
     def test_constant_column_gets_zero(self):
@@ -186,7 +191,7 @@ class TestCompleteInfluence:
         labels = (X[:, 0] > 0).astype(int).tolist()
         d = dataset_from(X, labels, name="const-col")
         cache = SubsetModelCache(SPEC, d)
-        v = complete_influence(cache, 0, d.class_target(1))
+        v = complete_influence(cache, [0], [d.class_target(1)])[0]
         assert abs(v.values[1]) < 1e-9
 
     def test_duplicate_columns_get_equal_influence(self):
@@ -200,7 +205,7 @@ class TestCompleteInfluence:
         for seed in range(3):
             spec = ModelSpec(kind="random_forest", tree_count=15, seed=seed)
             cache = SubsetModelCache(spec, d)
-            v = complete_influence(cache, 1, d.class_target(1))
+            v = complete_influence(cache, [1], [d.class_target(1)])[0]
             diffs.append(v.values[0] - v.values[1])
         assert abs(np.mean(diffs)) <= 1e-6
 
@@ -208,7 +213,7 @@ class TestCompleteInfluence:
         d = dataset_from(np.zeros((2, 21)) + np.arange(21), [0, 1])
         cache = SubsetModelCache(SPEC, d)
         with pytest.raises(ComplexityCapError, match="cap is 20"):
-            complete_influence(cache, 0, d.class_target(0))
+            complete_influence(cache, [0], [d.class_target(0)])
         assert cache.training_count == 0
 
     def test_deterministic_across_runs(self, blob_dataset):
@@ -216,7 +221,7 @@ class TestCompleteInfluence:
         vs = []
         for _ in range(2):
             cache = SubsetModelCache(spec, blob_dataset)
-            vs.append(complete_influence(cache, 2).values)
+            vs.append(complete_influence(cache, [2])[0].values)
         assert vs[0] == vs[1]
 
 
@@ -225,19 +230,18 @@ class TestKdepthInfluence:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        v = kdepth_influence(cache, 0, 1, target)
+        v = kdepth_influence(cache, [0], 1, [target])[0]
         prior = class_prior(d, target)
         for i in range(d.n_attributes):
-            single = subset_eval(cache, AttributeSubset.from_indices([i], 3),
-                                 d.instance(0), target)
+            single = value(cache, AttributeSubset.from_indices([i], 3), 0, target)
             assert v.values[i] == pytest.approx(single - prior, abs=0)
 
     def test_full_depth_equals_complete(self, blob_dataset):
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        vc = complete_influence(cache, 1, target)
-        vk = kdepth_influence(cache, 1, d.n_attributes, target)
+        vc = complete_influence(cache, [1], [target])[0]
+        vk = kdepth_influence(cache, [1], d.n_attributes, [target])[0]
         assert max(abs(a - b) for a, b in zip(vc.values, vk.values)) <= 1e-12
 
     def test_hand_expanded_k2_n3(self):
@@ -248,11 +252,10 @@ class TestKdepthInfluence:
         d = dataset_from(X, labels, name="k2n3")
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
-        x = d.instance(4)
-        got = kdepth_influence(cache, 4, 2, target)
+        got = kdepth_influence(cache, [4], 2, [target])[0]
 
         def ev(idx):
-            return subset_eval(cache, AttributeSubset.from_indices(idx, 3), x, target)
+            return value(cache, AttributeSubset.from_indices(idx, 3), 4, target)
 
         n = 3
         for i in range(3):
@@ -265,9 +268,9 @@ class TestKdepthInfluence:
     def test_k_range_validated(self, xor4):
         cache = SubsetModelCache(SPEC, xor4)
         with pytest.raises(ValueError):
-            kdepth_influence(cache, 0, 0)
+            kdepth_influence(cache, [0], 0)
         with pytest.raises(ValueError):
-            kdepth_influence(cache, 0, 3)
+            kdepth_influence(cache, [0], 3)
 
 
 class TestCoalitionalInfluence:
@@ -275,16 +278,16 @@ class TestCoalitionalInfluence:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
-        v1 = kdepth_influence(cache, 5, 1, target)
-        vs = coalitional_influence(cache, 5, Coalition.singletons(3), target)
+        v1 = kdepth_influence(cache, [5], 1, [target])[0]
+        vs = coalitional_influence(cache, [5], Coalition.singletons(3), [target])[0]
         assert vs.values == v1.values
 
     def test_full_group_equals_complete(self, blob_dataset):
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
-        vc = complete_influence(cache, 5, target)
-        vg = coalitional_influence(cache, 5, Coalition.full_group(3), target)
+        vc = complete_influence(cache, [5], [target])[0]
+        vg = coalitional_influence(cache, [5], Coalition.full_group(3), [target])[0]
         assert max(abs(a - b) for a, b in zip(vc.values, vg.values)) <= 1e-12
 
     def test_paper_shape_groups(self):
@@ -296,14 +299,14 @@ class TestCoalitionalInfluence:
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
         G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
-        v = coalitional_influence(cache, 2, G, target)
+        v = coalitional_influence(cache, [2], G, [target])[0]
         # the cache is fresh and the target given, so it trained exactly the touched subsets
         touched = {AttributeSubset(mask, 4).indices() for mask in range(16)
                    if AttributeSubset(mask, 4) in cache}
         assert touched == {(), (0,), (1,), (2,), (3,),
                            (0, 1), (0, 2), (1, 2), (0, 1, 2)}
-        d_influence = subset_eval(cache, AttributeSubset.from_indices([3], 4),
-                                  d.instance(2), target) - class_prior(d, target)
+        d_influence = value(cache, AttributeSubset.from_indices([3], 4), 2,
+                            target) - class_prior(d, target)
         assert v.values[3] == pytest.approx(d_influence, abs=0)
 
     def test_overlapping_groups_follow_formula_literally(self):
@@ -314,12 +317,11 @@ class TestCoalitionalInfluence:
         d = dataset_from(X, labels, name="overlap")
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
-        x = d.instance(7)
         G = Coalition.from_index_sets([[0, 1], [1, 2]], 3)
-        got = coalitional_influence(cache, 7, G, target)
+        got = coalitional_influence(cache, [7], G, [target])[0]
 
         def ev(idx):
-            return subset_eval(cache, AttributeSubset.from_indices(idx, 3), x, target)
+            return value(cache, AttributeSubset.from_indices(idx, 3), 7, target)
 
         w0 = coalition_penalty(0, 2, [2, 2])
         w1 = coalition_penalty(1, 2, [2, 2])
@@ -335,24 +337,25 @@ class TestCoalitionalInfluence:
         cache = SubsetModelCache(SPEC, blob_dataset)
         G = Coalition.from_index_sets([[0, 1]], 3)
         with pytest.raises(ValueError, match="cover"):
-            coalitional_influence(cache, 0, G)
+            coalitional_influence(cache, [0], G)
 
 
 class TestRequests:
     def test_predicted_class_default(self, blob_dataset):
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
-        target = predicted_class(cache, 0)
+        targets = predicted_classes(cache, [0, 4])
         full = cache.get_or_train(AttributeSubset.full(3))
-        assert target.index == int(np.argmax(full.confidences(d.instance(0))))
-        v = complete_influence(cache, 0)
-        assert v.target == target
+        assert [t.index for t in targets] == list(np.argmax(full.confidences(d.features[[0, 4]]),
+                                                            axis=1))
+        vectors = complete_influence(cache, [0, 4])
+        assert [v.target for v in vectors] == targets
 
     def test_dispatch(self, blob_dataset):
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        v = method_influence(cache, 1, MethodConfig("kdepth", k=1), None, target)
+        [v] = method_influence(cache, [1], MethodConfig("kdepth", k=1), None, [target])
         assert v.method_tag == "kdepth:1"
         assert v.instance_index == 1
 
@@ -368,16 +371,15 @@ class TestMulticlass:
         cache = SubsetModelCache(spec, d)
         for c in d.class_set:
             target = d.class_target(c)
-            v = complete_influence(cache, 0, target)
-            full = subset_eval(cache, AttributeSubset.full(3),
-                               d.instance(0), target)
+            v = complete_influence(cache, [0], [target])[0]
+            full = value(cache, AttributeSubset.full(3), 0, target)
             assert sum(v.values) == pytest.approx(full - class_prior(d, target),
                                                   abs=1e-9)
         handle = cache.get_or_train(AttributeSubset.full(3))
-        assert handle.confidences(d.instance(0)).sum() == pytest.approx(1.0, abs=1e-9)
+        assert handle.confidences(d.features[:1]).sum() == pytest.approx(1.0, abs=1e-9)
         # per-class efficiency sums add up across classes: priors and full
         # confidences both sum to one, so the influence totals cancel
-        totals = [sum(complete_influence(cache, 5, d.class_target(c)).values)
+        totals = [sum(complete_influence(cache, [5], [d.class_target(c)])[0].values)
                   for c in d.class_set]
         assert sum(totals) == pytest.approx(0.0, abs=1e-9)
 
@@ -397,7 +399,7 @@ class TestAxiomsUnderRetraining:
         d = dataset_from(X, labels.tolist())
         cache = SubsetModelCache(ModelSpec(kind="decision_tree"), d)
         for i in (0, 1, 7):
-            assert complete_influence(cache, i).values[position] == 0.0
+            assert complete_influence(cache, [i])[0].values[position] == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=7),
@@ -413,9 +415,125 @@ class TestAxiomsUnderRetraining:
         full = AttributeSubset.full(n)
         for c in d.class_set:
             target = d.class_target(c)
-            v = complete_influence(cache, 3, target)
-            v_full = subset_eval(cache, full, d.instance(3), target)
+            v = complete_influence(cache, [3], [target])[0]
+            v_full = value(cache, full, 3, target)
             assert sum(v.values) == pytest.approx(v_full - class_prior(d, target), abs=1e-9)
+
+
+def assert_same_plan(a, b):
+    """Exact equality of two plans' masks and weight matrices."""
+    assert a.masks.dtype == b.masks.dtype and np.array_equal(a.masks, b.masks)
+    assert len(a.terms) == len(b.terms)
+    for ta, tb in zip(a.terms, b.terms):
+        for xa, xb in zip(ta, tb):
+            assert xa.dtype == xb.dtype and xa.shape == xb.shape
+            assert (xa == xb).all()
+
+
+class TestPlans:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_full_depth_is_complete(self, n):
+        assert_same_plan(kdepth_plan(n, n), complete_plan(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_full_group_is_complete(self, n):
+        assert_same_plan(coalitional_plan(Coalition.full_group(n)), complete_plan(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_singletons_are_depth_one(self, n):
+        assert_same_plan(coalitional_plan(Coalition.singletons(n)), kdepth_plan(n, 1))
+
+    def test_masks_are_the_touched_subsets(self):
+        assert list(complete_plan(3).masks) == list(range(8))
+        assert list(kdepth_plan(3, 2).masks) == [0, 1, 2, 3, 4, 5, 6]
+        G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
+        assert list(coalitional_plan(G).masks) == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        # attribute 3 sits alone: one term, {3} against the prior
+        with_3, without_3, weights_3 = coalitional_plan(G).terms[3]
+        assert (list(with_3), list(without_3), list(weights_3)) == ([8], [0], [1.0])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_complete_plan_matches_permutation_shapley(self, n):
+        # independent oracle on a fixed random value function over all 2^n subsets
+        rng = np.random.default_rng(100 + n)
+        v = rng.random((1 << n, 3))
+        perms = list(permutations(range(n)))
+        oracle = np.zeros((n, 3))
+        for order in perms:
+            mask = 0
+            for attr in order:
+                oracle[attr] += v[mask | 1 << attr] - v[mask]
+                mask |= 1 << attr
+        oracle /= len(perms)
+        plan = complete_plan(n)
+        np.testing.assert_allclose(plan.sums(v[plan.masks]), oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_sums_add_left_to_right(self, width):
+        # the terms are summed in plan order, as a Python loop over them would
+        rng = np.random.default_rng(7)
+        plan = complete_plan(6)
+        scale = 10.0 ** rng.integers(-8, 8, size=(len(plan.masks), 1))
+        v = rng.random((len(plan.masks), width)) * scale
+        row = {int(m): k for k, m in enumerate(plan.masks)}
+        got = plan.sums(v)
+        for i, (with_i, without_i, weights) in enumerate(plan.terms):
+            for col in range(width):
+                total = 0.0
+                for a, b, w in zip(with_i.tolist(), without_i.tolist(), weights.tolist()):
+                    total += w * (float(v[row[a], col]) - float(v[row[b], col]))
+                assert got[i, col] == total
+
+
+class TestBatching:
+    @pytest.fixture
+    def rf_cache(self, blob_dataset):
+        return SubsetModelCache(ModelSpec(kind="random_forest", tree_count=5, seed=1),
+                                blob_dataset)
+
+    @staticmethod
+    def methods():
+        """The three influence functions, on a three-attribute dataset."""
+        G = Coalition.from_index_sets([[0, 1], [1, 2]], 3)
+        return [lambda c, i, t: complete_influence(c, i, t),
+                lambda c, i, t: kdepth_influence(c, i, 2, t),
+                lambda c, i, t: coalitional_influence(c, i, G, t)]
+
+    @pytest.mark.parametrize("method", range(3), ids=["complete", "kdepth", "coalitional"])
+    @pytest.mark.parametrize("cells", [None, 15])
+    def test_one_call_equals_one_call_per_instance(self, blob_dataset, rf_cache, monkeypatch,
+                                                   method, cells):
+        d = blob_dataset
+        fn = self.methods()[method]
+        instances = list(range(d.n_instances))
+        single = [fn(rf_cache, [i], None)[0] for i in instances]
+        if cells is not None:  # blocks of one or two instances
+            monkeypatch.setattr(coalex.influence, "VALUE_TABLE_CELLS", cells)
+        batch = fn(rf_cache, instances, None)
+        assert [v.values for v in batch] == [v.values for v in single]
+        assert [v.target for v in batch] == [v.target for v in single]
+        assert [v.instance_index for v in batch] == instances
+        fixed = [d.class_target("lo")] * len(instances)
+        assert ([v.values for v in fn(rf_cache, instances, fixed)]
+                == [fn(rf_cache, [i], fixed[:1])[0].values for i in instances])
+
+    def test_rejects_foreign_class(self, blob_dataset):
+        cache = SubsetModelCache(SPEC, blob_dataset)
+        foreign = dataset_from([[0.0]], ["z"]).class_target("z")
+        misplaced = ClassTarget("hi", 1 - blob_dataset.class_target("hi").index)
+        for fn in self.methods():
+            for bad in (foreign, misplaced):
+                with pytest.raises(DataError, match="not in the dataset's class_set"):
+                    fn(cache, [0, 1], [blob_dataset.class_target("hi"), bad])
+        assert cache.training_count == 0
+
+    def test_targets_must_match_instances(self, blob_dataset):
+        cache = SubsetModelCache(SPEC, blob_dataset)
+        with pytest.raises(ValueError, match="2 targets for 3 instances"):
+            complete_influence(cache, [0, 1, 2], [blob_dataset.class_target("hi")] * 2)
+        with pytest.raises(IndexError):
+            complete_influence(cache, [0, blob_dataset.n_instances])
+        assert complete_influence(cache, []) == []
 
 
 class TestInfluenceVector:
@@ -425,8 +543,7 @@ class TestInfluenceVector:
 
     def test_json_shape(self, blob_dataset):
         cache = SubsetModelCache(SPEC, blob_dataset)
-        v = kdepth_influence(cache, 0, 1,
-                             blob_dataset.class_target("hi"))
+        [v] = kdepth_influence(cache, [0], 1, [blob_dataset.class_target("hi")])
         doc = v.to_json(blob_dataset)
         assert doc["instance"] == 0
         assert doc["class"] == "hi"

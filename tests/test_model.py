@@ -17,7 +17,12 @@ from conftest import dataset_from
 
 
 def all_confidences(handle, d):
-    return np.array([handle.confidences(row) for row in d.features])
+    return handle.confidences(d.features)
+
+
+def confidence(handle, row, target):
+    """The confidence for one class at one row."""
+    return handle.confidences([row])[0, target.index]
 
 
 class TestPriorBaseline:
@@ -29,28 +34,28 @@ class TestPriorBaseline:
             target = d.class_target(c)
             expected = class_prior(d, target)
             for i in range(d.n_instances):
-                assert h.confidence(d.instance(i), target) == expected
+                assert confidence(h, d.instance(i), target) == expected
 
     def test_empty_subset_forces_baseline(self, blob_dataset):
         d = blob_dataset
         spec = ModelSpec(kind="random_forest", tree_count=5)
         h = train(spec, d, AttributeSubset.empty(d.n_attributes))
-        got = h.confidences(d.instance(0))
+        got = h.confidences(d.features[:1])[0]
         expected = [class_prior(d, d.class_target(c)) for c in d.class_set]
         np.testing.assert_array_equal(got, expected)
 
     def test_two_thirds(self):
         d = dataset_from([[0.0]] * 3, ["p", "p", "q"])
         h = train(ModelSpec(kind="prior_baseline"), d, AttributeSubset.full(1))
-        assert h.confidence([0.0], d.class_target("p")) == pytest.approx(2 / 3)
+        assert confidence(h, [0.0], d.class_target("p")) == pytest.approx(2 / 3)
 
 
 class TestDecisionTree:
     def test_perfect_stump(self, separable2):
         h = train(ModelSpec(kind="decision_tree"), separable2, AttributeSubset.full(1))
-        assert h.confidence([0.0], separable2.class_target("p")) == 1.0
-        assert h.confidence([0.0], separable2.class_target("q")) == 0.0
-        assert h.confidence([1.0], separable2.class_target("q")) == 1.0
+        assert confidence(h, [0.0], separable2.class_target("p")) == 1.0
+        assert confidence(h, [0.0], separable2.class_target("q")) == 0.0
+        assert confidence(h, [1.0], separable2.class_target("q")) == 1.0
 
     def test_xor_single_attribute_is_uninformative(self, xor4):
         # projected to a0 the labels are [p,q] on each side: leaves stay 50/50
@@ -59,19 +64,19 @@ class TestDecisionTree:
         p = xor4.class_target("p")
         prior = class_prior(xor4, p)
         for i in range(4):
-            assert h.confidence(xor4.instance(i), p) == pytest.approx(prior)
+            assert confidence(h, xor4.instance(i), p) == pytest.approx(prior)
 
     def test_xor_both_attributes_learnable(self, xor4):
         h = train(ModelSpec(kind="decision_tree"), xor4, AttributeSubset.full(2))
         for i, label in enumerate(xor4.labels):
-            assert h.confidence(xor4.instance(i), xor4.class_target(label)) == 1.0
+            assert confidence(h, xor4.instance(i), xor4.class_target(label)) == 1.0
 
     def test_degenerate_labels_constant_predictor(self):
         d = dataset_from([[0.0], [1.0], [2.0]], ["p", "p", "p"], class_set=("p", "q"))
         h = train(ModelSpec(kind="decision_tree"), d, AttributeSubset.full(1))
         for x in ([0.0], [1.5], [99.0]):
-            assert h.confidence(x, d.class_target("p")) == 1.0
-            assert h.confidence(x, d.class_target("q")) == 0.0
+            assert confidence(h, x, d.class_target("p")) == 1.0
+            assert confidence(h, x, d.class_target("q")) == 0.0
 
     def test_max_depth_respected(self, blob_dataset):
         h = train(ModelSpec(kind="decision_tree", max_depth=1), blob_dataset,
@@ -138,13 +143,20 @@ class TestHandles:
                   AttributeSubset.from_indices([0, 2], 3))
         for row in ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]):  # a row is always a full row
             with pytest.raises(ValueError, match="expected"):
-                h.confidence(row, blob_dataset.class_target("lo"))
+                h.confidences([row])
+        with pytest.raises(ValueError, match="expected"):
+            h.confidences([1.0, 2.0, 3.0])  # a matrix, not one row
 
-    def test_rejects_foreign_class(self, blob_dataset):
-        h = train(ModelSpec(kind="decision_tree"), blob_dataset, AttributeSubset.full(3))
-        other = dataset_from([[0.0]], ["z"])
-        with pytest.raises(DataError):
-            h.confidence(blob_dataset.instance(0), other.class_target("z"))
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "prior_baseline"])
+    def test_batch_equals_row_by_row(self, blob_dataset, kind):
+        d = blob_dataset
+        h = train(ModelSpec(kind=kind, tree_count=9, seed=3), d, AttributeSubset.full(3))
+        batch = h.confidences(d.features)
+        rows = np.vstack([h.confidences(d.features[i:i + 1]) for i in range(d.n_instances)])
+        assert batch.shape == (d.n_instances, d.n_classes)
+        assert batch.tobytes() == rows.tobytes()
+        assert np.array_equal(h.predict_classes(d.features), np.argmax(rows, axis=1))
+        assert h.confidences(d.features[:0]).shape == (0, d.n_classes)
 
 
 class TestSpecValidation:
@@ -179,7 +191,7 @@ class TestSubsetModelCache:
 
         spec = ModelSpec(kind="decision_tree")
         cache = SubsetModelCache(spec, xor4)
-        complete_influence(cache, 0, xor4.class_target("p"))
+        complete_influence(cache, [0], [xor4.class_target("p")])
         assert cache.training_count == 2 ** 2  # all subsets incl. the empty baseline
 
     def test_concurrent_single_fit(self, blob_dataset):
