@@ -17,7 +17,8 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +34,6 @@ from .influence import (
     complete_influence,
     coalitional_influence,
     kdepth_influence,
-    kdepth_plan,
 )
 from .model import ModelSpec, SubsetModelCache
 
@@ -247,8 +247,25 @@ class BenchmarkRecord:
         ]
 
     def to_dict(self) -> dict:
-        fields = asdict(self)
-        return {"dataset": fields.pop("dataset_id"), "method": fields.pop("method_id")} | fields
+        return {
+            "dataset": self.dataset_id,
+            "method": self.method_id,
+            "param": self.param,
+            "mean_error": self.mean_error,
+            "time_per_instance_s": self.time_per_instance_s,
+            "time_ratio_vs_complete": self.time_ratio_vs_complete,
+            "complexity_proportion": self.complexity_proportion,
+            "group_count_mean": self.group_count_mean,
+            "group_size_mean": self.group_size_mean,
+            "seed": self.seed,
+            "model": self.model,
+            "parallel_timed": self.parallel_timed,
+        }
+
+
+def _kdepth_proportion(n: int, k: int) -> float:
+    touched = sum(comb(n, s) for s in range(1, k + 1))
+    return touched / float((1 << n) - 1)
 
 
 def _spec_id(spec: ModelSpec) -> str:
@@ -327,8 +344,7 @@ def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
         mean_error=mean_err,
         time_per_instance_s=elapsed / m,
         time_ratio_vs_complete=math.nan,  # filled by the caller
-        complexity_proportion=((len(kdepth_plan(d.n_attributes, mc.k).masks) - 1)  # not {}
-                               / ((1 << d.n_attributes) - 1) if report is None
+        complexity_proportion=(_kdepth_proportion(d.n_attributes, mc.k) if report is None
                                else report.proportion),
         group_count_mean=None if report is None else float(report.group_count),
         group_size_mean=None if report is None else report.mean_group_size,

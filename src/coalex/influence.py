@@ -39,7 +39,7 @@ COMPLETE_ATTRIBUTE_CAP = 20
 # Exact rational weights up to this many attributes; log-gamma beyond.
 _EXACT_LIMIT = 20
 
-# Value-table cells per instance block: 32 MB of float64, whatever the plan size.
+# Value-table cells per instance block: at most 32 MB of float64 in V (not in the plan).
 VALUE_TABLE_CELLS = 1 << 22
 
 
@@ -108,17 +108,17 @@ def coalition_penalty(sub_size: int, group_size: int, groups_of_attr: Sequence[i
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A method's weight matrix W in sparse form: ``masks``, the distinct subset masks it
-    evaluates, ascending, and ``terms[i]``, arrays of masks with attribute i, masks without
-    it and weights; i's influence sums ``weight * (v(with) - v(without))`` in that order."""
+    evaluates, ascending, and ``terms[i]``, arrays of the rows in ``masks`` of the subsets
+    with attribute i and without it, and their weights; i's influence sums
+    ``weight * (v(with) - v(without))`` in that order."""
 
-    masks: np.ndarray
+    masks: list[int]
     terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def sums(self, V: np.ndarray) -> np.ndarray:
         """W . V as attributes x instances, for V with one row per mask."""
         out = np.empty((len(self.terms), V.shape[1]))
-        for i, (with_i, without_i, weights) in enumerate(self.terms):
-            plus, minus = np.searchsorted(self.masks, (with_i, without_i))
+        for i, (plus, minus, weights) in enumerate(self.terms):
             steps = weights[:, None] * (V[plus] - V[minus])
             out[i] = np.cumsum(np.concatenate([np.zeros((1, V.shape[1])), steps]), axis=0)[-1]
         return out
@@ -127,13 +127,19 @@ class Plan:
 def _plan(terms) -> Plan:
     """The plan of ``terms[i]``, (others, weights) pairs for attribute i: each subset s of
     ``others`` smaller than ``len(weights)`` adds ``weights[|s|] * (v(s + i) - v(s))``."""
+    def without(i):  # (mask of s, weight) in term order
+        for others, w in terms[i]:
+            for mask in subsets_by_size(others, len(w) - 1):
+                yield mask, w[mask.bit_count()]
+
+    masks = sorted({m for i in range(len(terms)) for s, _ in without(i) for m in (s, s | 1 << i)})
+    row = {m: r for r, m in enumerate(masks)}
     plan_terms = []
-    for i, pairs in enumerate(terms):
-        without = [list(subsets_by_size(others, len(w) - 1)) for others, w in pairs]
-        weights = [w[mask.bit_count()] for (_, w), subs in zip(pairs, without) for mask in subs]
-        without_i = np.array([mask for subs in without for mask in subs], dtype=np.int64)
-        plan_terms.append((without_i | 1 << i, without_i, np.array(weights)))
-    masks = np.array(sorted({m for t in plan_terms for m in t[0].tolist() + t[1].tolist()}))
+    for i in range(len(terms)):
+        subs, weights = zip(*without(i))
+        plan_terms.append((np.array([row[s | 1 << i] for s in subs], dtype=np.int32),
+                           np.array([row[s] for s in subs], dtype=np.int32),
+                           np.array(weights)))
     return Plan(masks, tuple(plan_terms))
 
 
@@ -201,7 +207,7 @@ def _influence(cache: SubsetModelCache, instances: Sequence[int],
     for lo in range(0, len(X), block):
         Xb, idx = X[lo:lo + block], target_idx[lo:lo + block]
         V = np.empty((len(plan.masks), len(Xb)))
-        for r, mask in enumerate(plan.masks.tolist()):
+        for r, mask in enumerate(plan.masks):
             V[r] = subset_eval(cache, AttributeSubset(mask, d.n_attributes), Xb, idx)
         values[lo:lo + block] = plan.sums(V).T
     return [InfluenceVector(tuple(row), i, c, method_tag)

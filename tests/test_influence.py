@@ -422,7 +422,7 @@ class TestAxiomsUnderRetraining:
 
 def assert_same_plan(a, b):
     """Exact equality of two plans' masks and weight matrices."""
-    assert a.masks.dtype == b.masks.dtype and np.array_equal(a.masks, b.masks)
+    assert a.masks == b.masks
     assert len(a.terms) == len(b.terms)
     for ta, tb in zip(a.terms, b.terms):
         for xa, xb in zip(ta, tb):
@@ -444,13 +444,24 @@ class TestPlans:
         assert_same_plan(coalitional_plan(Coalition.singletons(n)), kdepth_plan(n, 1))
 
     def test_masks_are_the_touched_subsets(self):
-        assert list(complete_plan(3).masks) == list(range(8))
-        assert list(kdepth_plan(3, 2).masks) == [0, 1, 2, 3, 4, 5, 6]
+        assert complete_plan(3).masks == list(range(8))
+        assert kdepth_plan(3, 2).masks == [0, 1, 2, 3, 4, 5, 6]
         G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
-        assert list(coalitional_plan(G).masks) == [0, 1, 2, 3, 4, 5, 6, 7, 8]
-        # attribute 3 sits alone: one term, {3} against the prior
+        assert coalitional_plan(G).masks == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        # attribute 3 sits alone: one term, {3} (row 8) against the prior (row 0)
         with_3, without_3, weights_3 = coalitional_plan(G).terms[3]
         assert (list(with_3), list(without_3), list(weights_3)) == ([8], [0], [1.0])
+        G = Coalition.from_index_sets([[0, 2], [1]], 3)
+        assert coalitional_plan(G).masks == [0, 1, 2, 4, 5]
+        assert [list(rows) for rows in coalitional_plan(G).terms[2][:2]] == [[3, 4], [0, 1]]
+
+    def test_wide_plans_keep_python_int_masks(self):
+        # masks of 64 or more attributes do not fit a machine integer
+        plan = kdepth_plan(70, 1)
+        assert plan.masks == [0] + [1 << i for i in range(70)]
+        assert [list(t[0]) for t in plan.terms] == [[i + 1] for i in range(70)]
+        G = Coalition.from_index_sets([[i, i + 1] for i in range(0, 70, 2)], 70)
+        assert coalitional_plan(G).masks[-1] == 3 << 68
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_complete_plan_matches_permutation_shapley(self, n):
@@ -475,13 +486,12 @@ class TestPlans:
         plan = complete_plan(6)
         scale = 10.0 ** rng.integers(-8, 8, size=(len(plan.masks), 1))
         v = rng.random((len(plan.masks), width)) * scale
-        row = {int(m): k for k, m in enumerate(plan.masks)}
         got = plan.sums(v)
         for i, (with_i, without_i, weights) in enumerate(plan.terms):
             for col in range(width):
                 total = 0.0
                 for a, b, w in zip(with_i.tolist(), without_i.tolist(), weights.tolist()):
-                    total += w * (float(v[row[a], col]) - float(v[row[b], col]))
+                    total += w * (float(v[a, col]) - float(v[b, col]))
                 assert got[i, col] == total
 
 
@@ -526,6 +536,17 @@ class TestBatching:
                 with pytest.raises(DataError, match="not in the dataset's class_set"):
                     fn(cache, [0, 1], [blob_dataset.class_target("hi"), bad])
         assert cache.training_count == 0
+
+    def test_seventy_attributes(self):
+        # subset masks past bit 63, for the methods without an attribute cap
+        rng = np.random.default_rng(70)
+        X = rng.normal(size=(30, 70))
+        d = dataset_from(X, ["hi" if x > 0 else "lo" for x in X[:, 5]])
+        cache = SubsetModelCache(SPEC, d)
+        G = Coalition.from_index_sets([[i, i + 1] for i in range(0, 70, 2)], 70)
+        for v in kdepth_influence(cache, [0, 1], 1) + coalitional_influence(cache, [0, 1], G):
+            assert len(v) == 70 and v.values[5] != 0.0
+        assert cache.training_count == 1 + 70 + 35 + 1  # and the full model's predictions
 
     def test_targets_must_match_instances(self, blob_dataset):
         cache = SubsetModelCache(SPEC, blob_dataset)
