@@ -199,7 +199,9 @@ def _parse_instances(text: str, m: int) -> list[int]:
     try:
         picks = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigError(f"bad --instances value {text!r}: use 'all' or e.g. '0,3,7'") from None
+        picks = []
+    if not picks:
+        raise ConfigError(f"bad --instances value {text!r}: use 'all' or e.g. '0,3,7'")
     for i in picks:
         if not 0 <= i < m:
             raise ConfigError(f"instance index {i} out of range [0, {m})")

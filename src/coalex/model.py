@@ -1,11 +1,12 @@
 """Trainable classifiers with per-attribute-subset training and caching.
 
-The built-in learners are deliberately self-contained and fully
-deterministic: for a fixed (spec, dataset, subset) every confidence value
-is bit-reproducible across runs and thread schedules.  Influence
-computations retrain a model for every attribute subset they touch, so
-:class:`SubsetModelCache` guarantees at-most-once training per distinct
-subset.
+The built-in learners are deliberately self-contained and fully deterministic:
+for a fixed (spec, dataset, subset) every confidence value is bit-reproducible
+across runs and thread schedules.  Influence computations retrain a model for
+every attribute subset they touch, so :class:`SubsetModelCache` trains each
+distinct subset at most once, and its split memo searches each (tree, node,
+column) split once across them: one entry per search it runs, its memory offset
+on forests by leaves that keep only their voted class.
 """
 
 from __future__ import annotations
@@ -47,97 +48,104 @@ class ModelSpec:
 
 
 class _TreeNode:
-    """Binary CART node; leaves carry a class-frequency vector."""
+    """Binary CART node; ``leaf`` is a forest leaf's vote, a class-frequency vector, or None."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "probs")
+    __slots__ = ("feature", "threshold", "left", "right", "leaf")
 
-    def __init__(self, probs=None, feature=-1, threshold=0.0, left=None, right=None):
+    def __init__(self, leaf=None, feature=-1, threshold=0.0, left=None, right=None):
         self.feature = feature
         self.threshold = threshold
         self.left = left
         self.right = right
-        self.probs = probs
+        self.leaf = leaf
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
-                features: Sequence[int], min_leaf: int):
-    """Lowest-Gini-cost split over the given features.
+def _feature_split(col: np.ndarray, y: np.ndarray, classes: np.ndarray, min_leaf: int):
+    """Lowest-Gini-cost (cost, threshold) split of a column or None; ties go left."""
+    m = col.shape[0]
+    order = np.argsort(col, kind="stable")
+    xs = col[order]
+    ys = y[order]
+    if xs[0] == xs[-1]:
+        return None
+    cum = np.cumsum(ys[:, None] == classes, axis=0)  # (m, C) prefix counts
+    sizes = np.arange(1, m)                          # left side sizes
+    left = cum[:-1]
+    right = cum[-1] - left
+    # weighted Gini cost; minimizing it maximizes sum(l^2)/|l| + sum(r^2)/|r|
+    purity = (left * left).sum(axis=1) / sizes + (right * right).sum(axis=1) / (m - sizes)
+    cost = 1.0 - purity / m
+    valid = (xs[:-1] < xs[1:]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
+    if not valid.any():
+        return None
+    cost = np.where(valid, cost, math.inf)
+    pos = int(np.argmin(cost))  # first minimum -> lowest threshold
+    thr = (xs[pos] + xs[pos + 1]) / 2.0
+    if thr <= xs[pos]:  # midpoint rounded down to the left value
+        thr = xs[pos + 1]
+    return float(cost[pos]), float(thr)
 
+
+def _best_split(X: np.ndarray, rows: np.ndarray, y: np.ndarray, n_classes: int,
+                features: Sequence[int], min_leaf: int, memo: dict, key, cols):
+    """Lowest-Gini-cost split of ``X[rows]`` over the given features.
+
+    ``memo[key, cols[f]]`` holds feature f's split at this node once searched.
     Ties are broken toward the lowest feature index, then the lowest
     threshold, by scanning features in ascending order and accepting only
     strict cost improvements.
     """
-    m = X.shape[0]
-    best_cost = math.inf
-    best = None
+    best_cost, best = math.inf, None
     classes = np.arange(n_classes)
     for f in features:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y[order]
-        if xs[0] == xs[-1]:
-            continue
-        cum = np.cumsum(ys[:, None] == classes, axis=0)  # (m, C) prefix counts
-        sizes = np.arange(1, m)                          # left side sizes
-        left = cum[:-1]
-        right = cum[-1] - left
-        # weighted Gini cost; minimizing it maximizes sum(l^2)/|l| + sum(r^2)/|r|
-        purity = (left * left).sum(axis=1) / sizes + (right * right).sum(axis=1) / (m - sizes)
-        cost = 1.0 - purity / m
-        valid = (xs[:-1] < xs[1:]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
-        if not valid.any():
-            continue
-        cost = np.where(valid, cost, math.inf)
-        pos = int(np.argmin(cost))  # first minimum -> lowest threshold
-        if cost[pos] < best_cost:
-            thr = (xs[pos] + xs[pos + 1]) / 2.0
-            if thr <= xs[pos]:  # midpoint rounded down to the left value
-                thr = xs[pos + 1]
-            best_cost = cost[pos]
-            best = (f, float(thr))
+        found = memo.get((key, cols[f]), False)
+        if found is False:
+            found = memo[key, cols[f]] = _feature_split(X[rows, f], y, classes, min_leaf)
+        if found is not None and found[0] < best_cost:
+            best_cost, best = found[0], (f, found[1])
     return best
 
 
 def _fit_tree(X: np.ndarray, y: np.ndarray, n_classes: int, spec: ModelSpec,
-              rng: np.random.Generator | None) -> _TreeNode:
-    """Grow a CART tree; ``rng`` draws the per-split feature sample (forests only)."""
+              rng: np.random.Generator | None, memo: dict, key, cols) -> _TreeNode:
+    """Grow a CART tree; ``rng`` draws the per-split feature sample (forests only),
+    ``key`` is the root's key in ``memo`` and ``cols[f]`` the dataset column of X[:, f]."""
     q = X.shape[1]
     max_feats = q if rng is None else max(1, math.isqrt(q))
     root = _TreeNode()
-    # (node, row index array, depth); children are pushed right-then-left so
-    # the left subtree is grown first, keeping rng consumption deterministic.
-    stack = [(root, np.arange(X.shape[0]), 0)]
+    # (node, key, row index array, depth); children are pushed right-then-left
+    # so the left subtree is grown first, keeping rng consumption deterministic.
+    stack = [(root, key, np.arange(X.shape[0]), 0)]
     while stack:
-        node, rows, depth = stack.pop()
+        node, key, rows, depth = stack.pop()
         ys = y[rows]
         if (
             ys.shape[0] < 2 * spec.min_leaf
             or (spec.max_depth is not None and depth >= spec.max_depth)
             or (ys == ys[0]).all()
         ):
-            _make_leaf(node, ys, n_classes)
+            _make_leaf(node, ys, n_classes, rng is not None)
             continue
         if rng is None or max_feats >= q:
             features: Sequence[int] = range(q)
         else:
             features = np.sort(rng.choice(q, size=max_feats, replace=False))
-        split = _best_split(X[rows], ys, n_classes, features, spec.min_leaf)
+        split = _best_split(X, rows, ys, n_classes, features, spec.min_leaf, memo, key, cols)
         if split is None:
-            _make_leaf(node, ys, n_classes)
+            _make_leaf(node, ys, n_classes, rng is not None)
             continue
         f, thr = split
         node.feature, node.threshold = f, thr
         go_left = X[rows, f] < thr
         node.left, node.right = _TreeNode(), _TreeNode()
-        stack.append((node.right, rows[~go_left], depth + 1))
-        stack.append((node.left, rows[go_left], depth + 1))
+        stack.append((node.right, (key, cols[f], thr, False), rows[~go_left], depth + 1))
+        stack.append((node.left, (key, cols[f], thr, True), rows[go_left], depth + 1))
     return root
 
 
-def _make_leaf(node: _TreeNode, ys: np.ndarray, n_classes: int) -> None:
-    counts = np.bincount(ys, minlength=n_classes).astype(np.float64)
-    node.probs = counts / counts.sum()
+def _make_leaf(node: _TreeNode, ys: np.ndarray, n_classes: int, vote: bool = False) -> None:
+    counts = np.bincount(ys, minlength=n_classes)
+    node.leaf = int(np.argmax(counts)) if vote else counts / counts.sum()
 
 
 def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
@@ -149,7 +157,7 @@ def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
     stack = [(root, rows)]
     while stack:
         node, rows = stack.pop()
-        if node.probs is not None:
+        if node.leaf is not None:
             yield node, rows
             continue
         col, thr = columns[node.feature], node.threshold
@@ -183,16 +191,14 @@ class TrainedModelHandle:
         m, n_classes = X.shape[0], len(self.class_set)
         columns, rows = [X[:, j].tolist() for j in self.subset.indices()], list(range(m))
         if not self._vote:
-            probs = {r: leaf.probs for leaf, part in _leaves(self._trees[0], columns, rows)
+            probs = {r: node.leaf for node, part in _leaves(self._trees[0], columns, rows)
                      for r in part}
             return np.array([probs[r] for r in rows], dtype=np.float64).reshape(m, n_classes)
         votes = [[0] * n_classes for _ in rows]
         for tree in self._trees:
-            for leaf, part in _leaves(tree, columns, rows):
-                probs = leaf.probs.tolist()
-                k = probs.index(max(probs))  # the first maximum, as np.argmax
+            for node, part in _leaves(tree, columns, rows):
                 for r in part:
-                    votes[r][k] += 1
+                    votes[r][node.leaf] += 1
         return np.array(votes, dtype=np.float64).reshape(m, n_classes) / len(self._trees)
 
     def predict_classes(self, X) -> np.ndarray:
@@ -200,12 +206,14 @@ class TrainedModelHandle:
         return np.argmax(self.confidences(X), axis=1)
 
 
-def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle:
+def train(spec: ModelSpec, d: Dataset, s: AttributeSubset,
+          memo: dict | None = None) -> TrainedModelHandle:
     """Fit ``spec`` on ``project(d, s)``.
 
     The empty subset always yields the prior baseline: a constant predictor
     returning each class's empirical frequency.  Degenerate training data
     (a single label value) produces a constant predictor, not an error.
+    ``memo`` is a split memo shared with other fits (see :class:`SubsetModelCache`).
     """
     if s.n != d.n_attributes:
         raise ValueError(f"subset over {s.n} attributes for a dataset with {d.n_attributes}")
@@ -219,16 +227,18 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
         return TrainedModelHandle(s, d.class_set, [prior], vote=False)
 
     X = project(d, s).features
+    memo = {} if memo is None else memo
     if spec.kind == "decision_tree":
-        tree = _fit_tree(X, y, n_classes, spec, rng=None)
+        tree = _fit_tree(X, y, n_classes, spec, None, memo, 0, s.indices())
         return TrainedModelHandle(s, d.class_set, [tree], vote=False)
 
     trees = []
     m = X.shape[0]
     for t in range(spec.tree_count):
+        # the bootstrap is drawn first, so tree t's rows do not depend on s
         rng = np.random.default_rng([spec.seed, t])
         rows = rng.integers(0, m, size=m)
-        trees.append(_fit_tree(X[rows], y[rows], n_classes, spec, rng))
+        trees.append(_fit_tree(X[rows], y[rows], n_classes, spec, rng, memo, t, s.indices()))
     return TrainedModelHandle(s, d.class_set, trees, vote=True)
 
 
@@ -238,9 +248,16 @@ class SubsetModelCache:
     The cache owns its model spec and dataset: ``get_or_train(s)`` returns
     ``train(cache.spec, cache.dataset, s)``.  Thread-safe: concurrent calls
     for the same subset block on a single in-flight fit; distinct subsets
-    train in parallel.  A fit that raises an ``Exception`` is remembered and
-    re-raised for that subset; an interrupted fit is not, and the next call
-    for the subset trains again.
+    interleave under the interpreter lock.  A fit that raises an ``Exception``
+    is remembered and re-raised for that subset; an interrupted fit is not,
+    and the next call for the subset trains again.
+
+    All fits share one split memo: (node key, dataset column) -> that column's
+    (cost, threshold) split or None, where a node key is the tree index and
+    the (column, threshold, side) of each split above the node.  Tree t's rows
+    (all rows, or a bootstrap drawn before any subset-dependent draw) do not
+    depend on the subset, so a key names the same rows in every model and
+    output stays bit-identical.  Threads that search one key store one value.
     """
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
@@ -250,6 +267,7 @@ class SubsetModelCache:
         self._handles: dict[AttributeSubset, TrainedModelHandle] = {}
         self._inflight: dict[AttributeSubset, threading.Event] = {}
         self._failures: dict[AttributeSubset, Exception] = {}
+        self._splits: dict = {}  # split memo; one dict get or set is atomic
         self._trained = 0
 
     @property
@@ -276,7 +294,7 @@ class SubsetModelCache:
                     break
             event.wait()  # then look again: trained, failed, or interrupted
         try:
-            handle = train(self.spec, self.dataset, s)
+            handle = train(self.spec, self.dataset, s, self._splits)
         except BaseException as exc:
             with self._lock:
                 if isinstance(exc, Exception):

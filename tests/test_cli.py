@@ -146,6 +146,17 @@ class TestExplain:
                                       "--method", "complete", "--instances", "0,99"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("source, value", [("flag", ""), ("flag", ","), ("flag", " , "),
+                                               ("config", "")])
+    def test_instances_naming_no_instance_exits_2(self, runner, small_csv, tmp_path,
+                                                  source, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y", "model": {"kind": "dt"}, "instances": value}))
+        args = ["explain", str(small_csv), "--config", str(cfg)]
+        result = runner.invoke(main, args + (["--instances", value] if source == "flag" else []))
+        assert result.exit_code == 2
+        assert "--instances" in result.output and "influences" not in result.output
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, runner, small_csv, jobs):
         result = runner.invoke(main, ["explain", str(small_csv), "--target", "y",

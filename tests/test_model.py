@@ -1,3 +1,5 @@
+import random
+import sys
 import threading
 import time
 
@@ -12,8 +14,44 @@ from coalex import (
     train,
 )
 from coalex.dataset import class_prior
+from coalex.influence import complete_plan
 
 from conftest import dataset_from
+
+
+def tree_shapes(handle):
+    """Each tree's (feature, threshold, leaf value) triples in preorder."""
+    shapes = []
+    for root in handle._trees:
+        shape, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            leaf = node.leaf.tolist() if isinstance(node.leaf, np.ndarray) else node.leaf
+            shape.append((int(node.feature), node.threshold, leaf))
+            stack += [n for n in (node.right, node.left) if n is not None]
+        shapes.append(shape)
+    return shapes
+
+
+def assert_same_model(h, ref, d):
+    assert tree_shapes(h) == tree_shapes(ref)
+    got, want = all_confidences(h, d), all_confidences(ref, d)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def five_attributes():
+    """Five attributes with repeated values (tied split costs) and three classes."""
+    rng = np.random.default_rng(5)
+    x = np.round(rng.normal(size=(48, 5)), 1)
+    x[:, 3] = np.round(x[:, 3])
+    score = x[:, 0] + x[:, 1] * x[:, 2] - x[:, 3]
+    labels = ["a" if v < -0.5 else "b" if v < 0.5 else "c" for v in score]
+    return dataset_from(x, labels, name="five")
+
+
+SHARED_SPECS = [ModelSpec(kind="decision_tree"),
+                ModelSpec(kind="random_forest", tree_count=6, max_depth=3, seed=4)]
 
 
 def all_confidences(handle, d):
@@ -295,3 +333,50 @@ class TestSubsetModelCache:
             with pytest.raises(RuntimeError, match="fit failed"):
                 cache.get_or_train(s)
         assert len(calls) == 1
+
+
+class TestSplitMemo:
+    """Subset models of one cache share split searches and stay bit-identical."""
+
+    @pytest.mark.parametrize("spec", SHARED_SPECS, ids=["dt", "rf"])
+    def test_cache_order_does_not_change_models(self, five_attributes, spec):
+        d = five_attributes
+        subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks]
+        forward, backward = SubsetModelCache(spec, d), SubsetModelCache(spec, d)
+        for s in subsets:
+            forward.get_or_train(s)
+        for s in reversed(subsets):
+            backward.get_or_train(s)
+        for s in subsets:
+            alone = train(spec, d, s)
+            assert_same_model(forward.get_or_train(s), alone, d)
+            assert_same_model(backward.get_or_train(s), alone, d)
+
+    def test_concurrent_fits_match_serial(self, five_attributes):
+        d, spec = five_attributes, SHARED_SPECS[1]
+        subsets = [AttributeSubset(mask, 5) for mask in range(2 ** 5)]
+        random.Random(7).shuffle(subsets)
+        cache, errors = SubsetModelCache(spec, d), []
+
+        def worker():
+            try:
+                for s in subsets:
+                    cache.get_or_train(s)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert cache.training_count == 2 ** 5
+        serial = SubsetModelCache(spec, d)
+        for s in sorted(subsets, key=lambda s: s.mask):
+            assert_same_model(cache.get_or_train(s), serial.get_or_train(s), d)
