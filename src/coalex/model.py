@@ -213,7 +213,7 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset,
     The empty subset always yields the prior baseline: a constant predictor
     returning each class's empirical frequency.  Degenerate training data
     (a single label value) produces a constant predictor, not an error.
-    ``memo`` is a split memo shared with other fits (see :class:`SubsetModelCache`).
+    Fits of one ``spec`` and ``d`` may share a split ``memo`` (see :class:`SubsetModelCache`).
     """
     if s.n != d.n_attributes:
         raise ValueError(f"subset over {s.n} attributes for a dataset with {d.n_attributes}")
