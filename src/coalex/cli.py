@@ -15,7 +15,6 @@ import io
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -252,7 +251,8 @@ def common_options(f, jobs: bool = True):
                      help="Master seed; fully determines all numeric output.")(f)
     if jobs:
         f = click.option("--jobs", type=int, default=None, envvar="COALEX_JOBS",
-                         help="Worker threads (default 1 for timing fidelity).")(f)
+                         help="Benchmark cells run at once (default 1 for timing "
+                              "fidelity); explain runs in one thread.")(f)
     f = click.option("--delimiter", default=None, envvar="COALEX_DELIMITER",
                      help="CSV field delimiter (default ',').")(f)
     return f
@@ -339,17 +339,8 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
     if mc.kind == "coalitional":
         coalition, extra = build_coalition(cache, mc, cfg.seed)
 
-    def explain(block: list[int]):
-        targets = None if fixed_class is None else [fixed_class] * len(block)
-        return method_influence(cache, block, mc, coalition, targets, cfg.cap)
-
-    if cfg.jobs > 1:  # contiguous blocks of picks on threads sharing the cache
-        size = max(1, -(-len(picks) // cfg.jobs))
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = pool.map(explain, [picks[lo:lo + size] for lo in range(0, len(picks), size)])
-            vectors = [v for part in parts for v in part]
-    else:
-        vectors = explain(picks)
+    targets = None if fixed_class is None else [fixed_class] * len(picks)
+    vectors = method_influence(cache, picks, mc, coalition, targets, cfg.cap)
 
     payload_cfg = cfg.to_dict() | extra
     if cfg.output_format == "json":

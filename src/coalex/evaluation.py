@@ -363,8 +363,8 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
     method then runs on a fresh cache so its span covers everything it
     needs.  Datasets beyond the attribute cap, and ``kdepth:k`` on a dataset
     with fewer than k attributes, are skipped with a logged reason.
-    ``jobs`` > 1 runs method cells concurrently; their wall-clock shares the
-    machine, so records are marked parallel-timed.
+    ``jobs`` > 1 runs method cells concurrently, each on a cache it owns;
+    their wall-clock shares the machine, so records are marked parallel-timed.
     """
     records: list[BenchmarkRecord] = []
     for d in datasets:

@@ -174,7 +174,7 @@ def subset_eval(cache: SubsetModelCache, s: AttributeSubset, X: np.ndarray,
                 target_idx) -> np.ndarray:
     """One value-table row: at each row r of X, the confidence for class index
     ``target_idx[r]`` of the model trained on s (the class prior when s is empty)."""
-    rows = cache.get_or_train(s).confidences(X).tolist()  # not fancy indexing: see model._leaves
+    rows = cache.get_or_train(s).confidences(X).tolist()  # few rows: lists, as in model._leaves
     return np.array([row[k] for row, k in zip(rows, target_idx, strict=True)])
 
 

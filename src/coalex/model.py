@@ -2,17 +2,17 @@
 
 The built-in learners are deliberately self-contained and fully deterministic:
 for a fixed (spec, dataset, subset) every confidence value is bit-reproducible
-across runs and thread schedules.  Influence computations retrain a model for
-every attribute subset they touch, so :class:`SubsetModelCache` trains each
-distinct subset at most once, and its split memo searches each (tree, node,
-column) split once across them: one entry per search it runs, its memory offset
-on forests by leaves that keep only their voted class.
+across runs and whatever order a cache trains its subsets in.  Influence
+computations retrain a model for every attribute subset they touch, so
+:class:`SubsetModelCache` trains each distinct subset at most once, and its
+split memo searches each (tree, node, column) split once across them: one
+entry per search it runs, its memory offset on forests by leaves that keep
+only their voted class.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,9 +151,9 @@ def _make_leaf(node: _TreeNode, ys: np.ndarray, n_classes: int, vote: bool = Fal
 def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
     """Yield (leaf, rows) for every leaf that some of ``rows`` descend to;
     ``columns[f][r]`` is feature f of row r."""
-    # Plain lists, not index arrays: a call on a few rows costs no more than
-    # walking each row down, and never releases the interpreter lock, as numpy
-    # indexing does, to a thread that is training a model.
+    # Plain lists, not index arrays: the calls see few rows, where a list costs
+    # no more than numpy indexing and, unlike it, never releases the
+    # interpreter lock to a concurrent benchmark cell.
     stack = [(root, rows)]
     while stack:
         node, rows = stack.pop()
@@ -243,68 +243,37 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset,
 
 
 class SubsetModelCache:
-    """At-most-once model training per distinct attribute subset.
+    """At-most-once model training per distinct attribute subset, for one thread.
 
     The cache owns its model spec and dataset: ``get_or_train(s)`` returns
-    ``train(cache.spec, cache.dataset, s)``.  Thread-safe: concurrent calls
-    for the same subset block on a single in-flight fit; distinct subsets
-    interleave under the interpreter lock.  A fit that raises an ``Exception``
-    is remembered and re-raised for that subset; an interrupted fit is not,
-    and the next call for the subset trains again.
+    ``train(cache.spec, cache.dataset, s)``.  A fit that raises, or is
+    interrupted, leaves no entry; the next call for the subset trains again.
+    A cache is used by one thread: concurrent work builds a cache each.
 
     All fits share one split memo: (node key, dataset column) -> that column's
     (cost, threshold) split or None, where a node key is the tree index and
     the (column, threshold, side) of each split above the node.  Tree t's rows
     (all rows, or a bootstrap drawn before any subset-dependent draw) do not
     depend on the subset, so a key names the same rows in every model and
-    output stays bit-identical.  Threads that search one key store one value.
+    output stays bit-identical.
     """
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
         self.dataset = dataset
-        self._lock = threading.Lock()
         self._handles: dict[AttributeSubset, TrainedModelHandle] = {}
-        self._inflight: dict[AttributeSubset, threading.Event] = {}
-        self._failures: dict[AttributeSubset, Exception] = {}
-        self._splits: dict = {}  # split memo; one dict get or set is atomic
-        self._trained = 0
+        self._splits: dict = {}
 
     @property
     def training_count(self) -> int:
         """Number of distinct subsets trained so far."""
-        with self._lock:
-            return self._trained
+        return len(self._handles)
 
     def __contains__(self, s: AttributeSubset) -> bool:
-        with self._lock:
-            return s in self._handles
+        return s in self._handles
 
     def get_or_train(self, s: AttributeSubset) -> TrainedModelHandle:
-        while True:
-            with self._lock:
-                handle = self._handles.get(s)
-                if handle is not None:
-                    return handle
-                if s in self._failures:
-                    raise self._failures[s]
-                event = self._inflight.get(s)
-                if event is None:
-                    event = self._inflight[s] = threading.Event()
-                    break
-            event.wait()  # then look again: trained, failed, or interrupted
-        try:
-            handle = train(self.spec, self.dataset, s, self._splits)
-        except BaseException as exc:
-            with self._lock:
-                if isinstance(exc, Exception):
-                    self._failures[s] = exc
-                del self._inflight[s]
-            event.set()
-            raise
-        with self._lock:
-            self._handles[s] = handle
-            self._trained += 1
-            del self._inflight[s]
-        event.set()
+        handle = self._handles.get(s)
+        if handle is None:
+            handle = self._handles[s] = train(self.spec, self.dataset, s, self._splits)
         return handle

@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ class TestExplain:
         a = json.loads(serial.output)["influences"]
         b = json.loads(parallel.output)["influences"]
         assert a == b
+
+    def test_jobs_trains_every_model_in_the_invoking_thread(self, runner, small_csv,
+                                                            monkeypatch):
+        import coalex.model
+
+        real_train, fits = coalex.model.train, []
+
+        def recording(*args):
+            fits.append(threading.get_ident())
+            return real_train(*args)
+
+        monkeypatch.setattr(coalex.model, "train", recording)
+        result = runner.invoke(main, ["explain", str(small_csv), "--target", "y",
+                                      "--model", "dt", "--method", "complete",
+                                      "--instances", "0,1,2", "--jobs", "2"])
+        assert result.exit_code == 0, result.output
+        assert len(fits) == 2 ** 3
+        assert set(fits) == {threading.get_ident()}
 
 
 class TestGroups:

@@ -1,8 +1,3 @@
-import random
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -232,107 +227,26 @@ class TestSubsetModelCache:
         complete_influence(cache, [0], [xor4.class_target("p")])
         assert cache.training_count == 2 ** 2  # all subsets incl. the empty baseline
 
-    def test_concurrent_single_fit(self, blob_dataset):
-        d = blob_dataset
-        spec = ModelSpec(kind="random_forest", tree_count=20, seed=0)
-        cache = SubsetModelCache(spec, d)
-        s = AttributeSubset.full(3)
-        handles = []
-        barrier = threading.Barrier(8)
-
-        def worker():
-            barrier.wait()
-            handles.append(cache.get_or_train(s))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert cache.training_count == 1
-        assert all(h is handles[0] for h in handles)
-
     def test_interrupted_fit_is_not_cached(self, blob_dataset, monkeypatch):
         import coalex.model
 
         spec = ModelSpec(kind="decision_tree")
         s = AttributeSubset.full(3)
-        cache = SubsetModelCache(spec, blob_dataset)
         real_train = coalex.model.train
+        # an interrupt and a failing fit both leave no entry: the next call trains
+        for raised in (KeyboardInterrupt(), RuntimeError("fit failed")):
+            cache = SubsetModelCache(spec, blob_dataset)
 
-        def interrupted(*args):
-            raise KeyboardInterrupt
+            def raising(*args):
+                raise raised
 
-        monkeypatch.setattr(coalex.model, "train", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            cache.get_or_train(s)
-        monkeypatch.setattr(coalex.model, "train", real_train)
-        assert s not in cache
-        try:
-            cache.get_or_train(s)
-        except KeyboardInterrupt:
-            pytest.fail("the interrupt was cached as a training failure")
-        assert s in cache and cache.training_count == 1
-
-    def test_waiter_trains_after_an_interrupted_fit(self, blob_dataset, monkeypatch):
-        import coalex.model
-
-        spec = ModelSpec(kind="decision_tree")
-        s = AttributeSubset.full(3)
-        cache = SubsetModelCache(spec, blob_dataset)
-        real_train = coalex.model.train
-        started, release = threading.Event(), threading.Event()
-        calls, outcomes = [], []
-
-        def first_fit_interrupted(*args):
-            calls.append(args)
-            if len(calls) == 1:
-                started.set()
-                release.wait(timeout=10)
-                raise KeyboardInterrupt
-            return real_train(*args)
-
-        def owner():
-            try:
+            monkeypatch.setattr(coalex.model, "train", raising)
+            with pytest.raises(type(raised)):
                 cache.get_or_train(s)
-            except KeyboardInterrupt:
-                outcomes.append("interrupted")
-
-        def waiter():
-            outcomes.append(cache.get_or_train(s))
-
-        monkeypatch.setattr(coalex.model, "train", first_fit_interrupted)
-        threads = [threading.Thread(target=owner), threading.Thread(target=waiter)]
-        threads[0].start()
-        assert started.wait(timeout=10)
-        threads[1].start()
-        time.sleep(0.1)  # let the waiter block on the in-flight fit
-        release.set()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert len(calls) == 2 and cache.training_count == 1
-        handles = [o for o in outcomes if o != "interrupted"]
-        assert "interrupted" in outcomes and len(handles) == 1
-        assert handles[0] is cache.get_or_train(s)
-
-    def test_failed_fit_is_cached(self, blob_dataset, monkeypatch):
-        import coalex.model
-
-        spec = ModelSpec(kind="decision_tree")
-        s = AttributeSubset.full(3)
-        cache = SubsetModelCache(spec, blob_dataset)
-        calls = []
-
-        def failing(*args):
-            calls.append(args)
-            raise RuntimeError("fit failed")
-
-        monkeypatch.setattr(coalex.model, "train", failing)
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="fit failed"):
-                cache.get_or_train(s)
-        assert len(calls) == 1
+            monkeypatch.setattr(coalex.model, "train", real_train)
+            assert s not in cache and cache.training_count == 0
+            cache.get_or_train(s)
+            assert s in cache and cache.training_count == 1
 
 
 class TestSplitMemo:
@@ -351,32 +265,3 @@ class TestSplitMemo:
             alone = train(spec, d, s)
             assert_same_model(forward.get_or_train(s), alone, d)
             assert_same_model(backward.get_or_train(s), alone, d)
-
-    def test_concurrent_fits_match_serial(self, five_attributes):
-        d, spec = five_attributes, SHARED_SPECS[1]
-        subsets = [AttributeSubset(mask, 5) for mask in range(2 ** 5)]
-        random.Random(7).shuffle(subsets)
-        cache, errors = SubsetModelCache(spec, d), []
-
-        def worker():
-            try:
-                for s in subsets:
-                    cache.get_or_train(s)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not errors
-        assert cache.training_count == 2 ** 5
-        serial = SubsetModelCache(spec, d)
-        for s in sorted(subsets, key=lambda s: s.mask):
-            assert_same_model(cache.get_or_train(s), serial.get_or_train(s), d)
