@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import Dataset
-from .grouping import GROUPING_METHODS, Coalition
+from .grouping import GROUPING_METHODS, Coalition, grouping_scores
 
 BISECTION_EPS = 1e-6
 # Bisection stops after this many probes, or once a probe's proportion is
@@ -78,7 +78,9 @@ def find_threshold(method: str, d: Dataset, target: float) -> ThresholdSearchRes
 
     Probes midpoints of a shrinking bracket inside (0, 0.5); stops once a
     probe lands within ``BISECTION_TOL`` of the target or after
-    ``BISECTION_MAX_PROBES`` probes.
+    ``BISECTION_MAX_PROBES`` probes.  The grouping's threshold-independent
+    scores (VIFs, the Spearman matrix or the PCA loadings) are computed once,
+    before the first probe, and every probe passes them as ``scores=``.
     The returned threshold is the probe whose achieved proportion is closest
     to the target (ties favor the smaller threshold), flagged unconverged
     when even the best probe misses by more than the tolerance.  Complexity is not
@@ -91,11 +93,12 @@ def find_threshold(method: str, d: Dataset, target: float) -> ThresholdSearchRes
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target proportion must lie in (0, 1], got {target}")
     grouping_fn = GROUPING_METHODS[method]
+    scores = grouping_scores(method, d)
     lo, hi = BISECTION_EPS, 0.5 - BISECTION_EPS
     probes: list[tuple[float, float, Coalition]] = []
     for _ in range(BISECTION_MAX_PROBES):
         mid = (lo + hi) / 2.0
-        G = grouping_fn(d, mid)
+        G = grouping_fn(d, mid, scores=scores)
         achieved = complexity_proportion(G)
         probes.append((mid, achieved, G))
         if abs(achieved - target) <= BISECTION_TOL:

@@ -270,46 +270,59 @@ def groups_from_correlation_reversed(corr: np.ndarray, t: float) -> list[set[int
 # grouping methods
 
 
-def group_pca(d: Dataset, t: float) -> Coalition:
-    _check_threshold(t)
-    return normalize(groups_from_loadings(pca_loadings(d), t), d.n_attributes)
-
-
-def group_spearman(d: Dataset, t: float) -> Coalition:
-    _check_threshold(t)
-    return normalize(groups_from_correlation(spearman_matrix(d), t), d.n_attributes)
-
-
-def group_rev_spearman(d: Dataset, t: float) -> Coalition:
-    _check_threshold(t)
-    return normalize(groups_from_correlation_reversed(spearman_matrix(d), t), d.n_attributes)
-
-
-def _group_by_vif(d: Dataset, t: float, member) -> Coalition:
-    """Group each attribute a with every b for which ``member(new, old)`` holds,
-    where old is b's VIF and new is b's VIF once a is removed."""
-    _check_threshold(t)
+def grouping_scores(method: str, d: Dataset):
+    """The threshold-independent scores of grouping ``method``, which every grouping
+    method takes as keyword ``scores`` and computes when omitted: the PCA loadings,
+    the Spearman matrix, or each attribute's VIF ``old[b]`` plus ``new[a, b]``, b's
+    VIF once a is removed (NaN on the diagonal).  The primitives are looked up
+    when called, so wrappers installed on this module's functions see every call."""
+    if method == "pca":
+        return pca_loadings(d)
+    if method in ("spearman", "rev_spearman"):
+        return spearman_matrix(d)
     n = d.n_attributes
-    if n == 1:
-        return normalize([], 1)
-    old = vif_all(d)
-    groups = []
+    new = np.full((n, n), np.nan)
     for a in range(n):
-        rest = AttributeSubset.full(n).without_index(a)
-        new = vif_all(d, rest)
-        groups.append({a} | {b for pos, b in enumerate(rest.indices())
-                             if member(new[pos], old[b])})
-    return normalize(groups, n)
+        new[a, np.arange(n) != a] = vif_all(d, AttributeSubset.full(n).without_index(a))
+    return vif_all(d), new
 
 
-def group_vif(d: Dataset, t: float) -> Coalition:
+def group_pca(d: Dataset, t: float, *, scores: np.ndarray | None = None) -> Coalition:
+    _check_threshold(t)
+    loadings = grouping_scores("pca", d) if scores is None else scores
+    return normalize(groups_from_loadings(loadings, t), d.n_attributes)
+
+
+def group_spearman(d: Dataset, t: float, *, scores: np.ndarray | None = None) -> Coalition:
+    _check_threshold(t)
+    corr = grouping_scores("spearman", d) if scores is None else scores
+    return normalize(groups_from_correlation(corr, t), d.n_attributes)
+
+
+def group_rev_spearman(d: Dataset, t: float, *, scores: np.ndarray | None = None) -> Coalition:
+    _check_threshold(t)
+    corr = grouping_scores("rev_spearman", d) if scores is None else scores
+    return normalize(groups_from_correlation_reversed(corr, t), d.n_attributes)
+
+
+def _group_by_vif(d: Dataset, t: float, member, scores: tuple | None) -> Coalition:
+    """Group each attribute a with every b for which ``member(new, old)`` holds,
+    where old is b's VIF and new is b's VIF once a is removed.  ``scores`` are
+    ``grouping_scores("vif", d)``: n + 1 ``vif_all`` calls, none depending on t."""
+    _check_threshold(t)
+    old, new = grouping_scores("vif", d) if scores is None else scores
+    inside = member(new, old) | np.eye(d.n_attributes, dtype=bool)
+    return normalize([np.flatnonzero(row).tolist() for row in inside], d.n_attributes)
+
+
+def group_vif(d: Dataset, t: float, *, scores: tuple | None = None) -> Coalition:
     """Group each attribute with those whose VIF collapses when it is removed."""
-    return _group_by_vif(d, t, lambda new, old: new < old * (VIF_MEMBERSHIP_OFFSET + t))
+    return _group_by_vif(d, t, lambda new, old: new < old * (VIF_MEMBERSHIP_OFFSET + t), scores)
 
 
-def group_rev_vif(d: Dataset, t: float) -> Coalition:
+def group_rev_vif(d: Dataset, t: float, *, scores: tuple | None = None) -> Coalition:
     """Group each attribute with those whose VIF it barely supports."""
-    return _group_by_vif(d, t, lambda new, old: new > old * (1.0 - t * REV_VIF_DAMPING))
+    return _group_by_vif(d, t, lambda new, old: new > old * (1.0 - t * REV_VIF_DAMPING), scores)
 
 
 GROUPING_METHODS = {
@@ -342,40 +355,42 @@ def _as_partition(grouping, n: int) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(g)) for g in sets))
 
 
-def _randomized_fidelity(d: Dataset, model: TrainedModelHandle,
+def _randomized_fidelity(d: Dataset, model: TrainedModelHandle, pred: np.ndarray,
                          class_groups: Sequence[Sequence[int]],
                          uniform_attrs: Sequence[int],
                          repetitions: int, seed: int) -> float:
     """Fidelity engine: class-constrained joint swaps vs free per-attribute swaps.
 
     Attributes in a ``class_groups`` entry jointly take the values of a donor
-    instance the model predicts into the same class as the instance under
-    test (a predicted class with a single member donates to itself); each
-    attribute in ``uniform_attrs`` takes its value from a uniformly random
+    instance that ``pred``, the model's classes of the unmodified rows, puts
+    in the instance's class (a class with a single member donates to itself);
+    each attribute in ``uniform_attrs`` takes its value from a uniformly random
     instance.  Returns the fraction of unchanged predicted classes, averaged
-    over seeded rounds.
+    over seeded rounds.  A round's draws are one ``integers`` call whose bounds
+    follow a per-row loop (per row: its class size for each class group, then
+    m per free attribute), so they equal that loop's sequential scalar draws.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     X = d.features
     m = X.shape[0]
-    pred = model.predict_classes(X)
-    members_by_class = {c: np.flatnonzero(pred == c) for c in np.unique(pred)}
+    # members lists each class's rows in ascending order, as flatnonzero(pred == c)
+    # would; row i's class starts at members[first[i]].
+    _, cls, counts = np.unique(pred, return_inverse=True, return_counts=True)
+    members = np.argsort(cls, kind="stable")
+    first = (np.cumsum(counts) - counts)[cls]
     group_cols = [np.array(g, dtype=np.intp) for g in sorted(tuple(sorted(g)) for g in class_groups)]
     free_cols = np.array(sorted(uniform_attrs), dtype=np.intp)
+    k = len(group_cols)
+    highs = np.column_stack([np.tile(counts[cls][:, None], k), np.full((m, free_cols.size), m)])
     scores = []
     for r in range(repetitions):
-        rng = np.random.default_rng([seed, r])
+        draws = np.random.default_rng([seed, r]).integers(0, highs)
         randomized = np.empty_like(X)
-        for i in range(m):
-            same_class = members_by_class[pred[i]]
-            for g in group_cols:
-                donor = same_class[rng.integers(0, same_class.shape[0])]
-                randomized[i, g] = X[donor, g]
-            for a in free_cols:
-                randomized[i, a] = X[rng.integers(0, m), a]
-        new_pred = model.predict_classes(randomized)
-        scores.append(float(np.mean(new_pred == pred)))
+        for j, g in enumerate(group_cols):
+            randomized[:, g] = X[members[first + draws[:, j]][:, None], g]
+        randomized[:, free_cols] = X[draws[:, k:], free_cols]
+        scores.append(float(np.mean(model.predict_classes(randomized) == pred)))
     return float(np.mean(scores))
 
 
@@ -391,7 +406,8 @@ def fidelity(d: Dataset, model: TrainedModelHandle, grouping,
     parts = _as_partition(grouping, d.n_attributes)
     class_groups = [g for g in parts if len(g) >= 2]
     uniform_attrs = [g[0] for g in parts if len(g) == 1]
-    return _randomized_fidelity(d, model, class_groups, uniform_attrs, repetitions, seed)
+    return _randomized_fidelity(d, model, model.predict_classes(d.features), class_groups,
+                                uniform_attrs, repetitions, seed)
 
 
 def group_model_based(cache: SubsetModelCache, delta: float,
@@ -409,6 +425,7 @@ def group_model_based(cache: SubsetModelCache, delta: float,
     d = cache.dataset
     n = d.n_attributes
     handle = cache.get_or_train(AttributeSubset.full(n))
+    pred = handle.predict_classes(d.features)
 
     fid_memo: dict[frozenset[int], float] = {}
 
@@ -419,7 +436,7 @@ def group_model_based(cache: SubsetModelCache, delta: float,
         if value is None:
             class_groups = [tuple(sorted(group))] if group else []
             uniform = [j for j in range(n) if j not in group]
-            value = _randomized_fidelity(d, handle, class_groups, uniform,
+            value = _randomized_fidelity(d, handle, pred, class_groups, uniform,
                                          repetitions, seed)
             fid_memo[group] = value
         return value

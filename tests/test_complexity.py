@@ -19,6 +19,8 @@ from coalex import (
     make_synthetic_dataset,
     normalize,
 )
+import coalex.grouping
+from coalex.complexity import BISECTION_EPS, BISECTION_MAX_PROBES, BISECTION_TOL
 from coalex.grouping import GROUPING_METHODS
 
 from conftest import dataset_from
@@ -182,6 +184,50 @@ class TestFindThreshold:
             find_threshold("pca", d, 0.0)
         with pytest.raises(ValueError, match="target"):
             find_threshold("pca", d, 1.5)
+
+
+def reference_bisection(method, d, target):
+    """The bisection with every probe computing its grouping's scores afresh."""
+    lo, hi = BISECTION_EPS, 0.5 - BISECTION_EPS
+    probes = []
+    for _ in range(BISECTION_MAX_PROBES):
+        mid = (lo + hi) / 2.0
+        G = GROUPING_METHODS[method](d, mid)
+        achieved = complexity_proportion(G)
+        probes.append((mid, achieved, G))
+        if abs(achieved - target) <= BISECTION_TOL:
+            break
+        if achieved < target:
+            lo = mid
+        else:
+            hi = mid
+    t, achieved, G = min(probes, key=lambda p: (abs(p[1] - target), p[0]))
+    return t, achieved, G, len(probes)
+
+
+class TestScoresOncePerSearch:
+    @pytest.mark.parametrize("method", sorted(GROUPING_METHODS))
+    @pytest.mark.parametrize("target", [0.1, 0.25, 0.6])
+    def test_matches_reference_bisection(self, method, target):
+        d = make_synthetic_dataset(8, 90, seed=11)
+        res = find_threshold(method, d, target)
+        assert (res.threshold, res.achieved, res.coalition, res.probe_count) == \
+            reference_bisection(method, d, target)
+
+    @pytest.mark.parametrize("method", ["vif", "rev_vif"])
+    def test_vif_search_computes_scores_once(self, monkeypatch, method):
+        calls = []
+        original = coalex.grouping.vif_all
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coalex.grouping, "vif_all", counted)
+        d = make_synthetic_dataset(7, 80, seed=5)
+        res = find_threshold(method, d, 0.25)
+        assert res.probe_count > 1
+        assert len(calls) == d.n_attributes + 1
 
 
 class TestTrainingEconomy:

@@ -10,6 +10,7 @@ from coalex import (
     SubsetModelCache,
     closure,
     fidelity,
+    find_threshold,
     group_model_based,
     group_pca,
     group_rev_spearman,
@@ -20,6 +21,7 @@ from coalex import (
     normalize,
     train,
 )
+import coalex.grouping
 from coalex.grouping import (
     GROUPING_METHODS,
     groups_from_correlation,
@@ -457,6 +459,128 @@ class TestFidelity:
         h = train(ModelSpec(kind="decision_tree"), d, AttributeSubset.full(3))
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             fidelity(d, h, [(0, 1), (2,)], repetitions=0, seed=0)
+
+
+def loop_fidelity(d, model, class_groups, uniform_attrs, repetitions, seed):
+    """Reference: the per-row loop with one scalar draw per donor."""
+    X = d.features
+    m = X.shape[0]
+    pred = model.predict_classes(X)
+    members_by_class = {c: np.flatnonzero(pred == c) for c in np.unique(pred)}
+    group_cols = [np.array(g, dtype=np.intp) for g in sorted(tuple(sorted(g)) for g in class_groups)]
+    free_cols = np.array(sorted(uniform_attrs), dtype=np.intp)
+    scores = []
+    for r in range(repetitions):
+        rng = np.random.default_rng([seed, r])
+        randomized = np.empty_like(X)
+        for i in range(m):
+            same_class = members_by_class[pred[i]]
+            for g in group_cols:
+                donor = same_class[rng.integers(0, same_class.shape[0])]
+                randomized[i, g] = X[donor, g]
+            for a in free_cols:
+                randomized[i, a] = X[rng.integers(0, m), a]
+        new_pred = model.predict_classes(randomized)
+        scores.append(float(np.mean(new_pred == pred)))
+    return float(np.mean(scores))
+
+
+class CutModel:
+    """Predicts class 0, 1 or 2 from a row sum against two cut points."""
+
+    def __init__(self, cuts):
+        self.cuts = cuts
+
+    def predict_classes(self, X):
+        return np.digitize(np.asarray(X).sum(axis=1), self.cuts)
+
+
+def three_class_dataset(m=60, n=5, seed=3):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, n))
+    X[:, 1] += X[:, 0]
+    labels = np.digitize(X[:, 0] + X[:, 2], [-0.5, 0.5]).tolist()
+    return dataset_from(X, labels, name="three")
+
+
+PARTITIONS = [pytest.param(p, id=name) for name, p in (
+    ("singletons", [[i] for i in range(5)]), ("full", [list(range(5))]),
+    ("mixed", [[0, 1], [2], [3, 4]]), ("pairs", [[0, 3], [1, 2, 4]]))]
+
+
+def split(partition):
+    """The class groups and the free attributes ``fidelity`` makes of a partition."""
+    return [g for g in partition if len(g) >= 2], [g[0] for g in partition if len(g) == 1]
+
+
+class TestFidelityMatchesLoop:
+    """The one-call-per-round draws equal the per-row loop's scalar draws, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_fidelity_three_classes(self, seed, partition):
+        d = three_class_dataset()
+        h = train(ModelSpec(kind="decision_tree", max_depth=3), d, AttributeSubset.full(5))
+        assert len(np.unique(h.predict_classes(d.features))) == 3
+        want = loop_fidelity(d, h, *split(partition), 4, seed)
+        assert fidelity(d, h, partition, repetitions=4, seed=seed) == want
+
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_fidelity_with_a_single_member_class(self, partition):
+        d = three_class_dataset(seed=5)
+        sums = np.sort(d.features.sum(axis=1))
+        model = CutModel([float(sums[d.n_instances // 2]), float(sums[-1])])
+        counts = np.bincount(model.predict_classes(d.features), minlength=3)
+        assert counts[2] == 1
+        for seed in (0, 3):
+            want = loop_fidelity(d, model, *split(partition), 3, seed)
+            assert fidelity(d, model, partition, repetitions=3, seed=seed) == want
+
+    @pytest.mark.parametrize("seed", [0, 2, 9])
+    @pytest.mark.parametrize("data", ["blob", "three"])
+    def test_group_model_based(self, monkeypatch, blob_dataset, seed, data):
+        d = blob_dataset if data == "blob" else three_class_dataset()
+        spec = ModelSpec(kind="random_forest", tree_count=3, max_depth=3, seed=seed)
+        real = coalex.grouping._randomized_fidelity
+        pairs = []
+
+        def both(d, model, pred, class_groups, uniform, repetitions, seed):
+            got = real(d, model, pred, class_groups, uniform, repetitions, seed)
+            want = loop_fidelity(d, model, class_groups, uniform, repetitions, seed)
+            pairs.append((got, want))
+            return want
+
+        monkeypatch.setattr(coalex.grouping, "_randomized_fidelity", both)
+        G_loop = group_model_based(SubsetModelCache(spec, d), delta=0.02, repetitions=3,
+                                   seed=seed)
+        monkeypatch.undo()
+        assert len(pairs) > 1
+        assert all(got == want for got, want in pairs)
+        assert group_model_based(SubsetModelCache(spec, d), delta=0.02, repetitions=3,
+                                 seed=seed) == G_loop
+
+
+class TestScorePrimitivesStayVisible:
+    """A threshold search reaches each score primitive through its module
+    attribute, so a wrapper installed there (as a tracer does) sees the calls."""
+
+    @pytest.mark.parametrize("method, primitive", [
+        ("vif", "vif_all"), ("rev_vif", "vif_all"), ("spearman", "spearman_matrix"),
+        ("rev_spearman", "spearman_matrix"), ("pca", "pca_loadings"),
+    ])
+    def test_wrapped_primitive_sees_calls(self, monkeypatch, method, primitive):
+        calls = {name: 0 for name in ("vif_all", "spearman_matrix", "pca_loadings")}
+        for name in calls:
+            original = getattr(coalex.grouping, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(coalex.grouping, name, counted)
+        find_threshold(method, make_synthetic_dataset(6, 60, seed=3), 0.25)
+        assert calls[primitive] >= 1
+        assert sum(calls.values()) == calls[primitive]
 
 
 class TestModelBasedGrouping:
