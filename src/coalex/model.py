@@ -5,20 +5,19 @@ for a fixed (spec, dataset, subset) every confidence value is bit-reproducible
 across runs and whatever order a cache trains its subsets in.  Influence
 computations retrain a model for every attribute subset they touch, so
 :class:`SubsetModelCache` trains each distinct subset at most once, and its
-split memo searches each (tree, node, column) split once across them: one
-entry per search it runs, its memory offset on forests by leaves that keep
-only their voted class.
+models grow their trees from one shared memo: each tree's bootstrap and
+feature draws, and each node's rows, leaf and per-column split search, are
+computed once for all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import AttributeSubset, Dataset, project
+from .dataset import AttributeSubset, Dataset
 from .errors import DataError
 
 MODEL_KINDS = ("random_forest", "decision_tree", "prior_baseline")
@@ -51,13 +50,18 @@ class _TreeNode:
     """Binary CART node; ``leaf`` is a forest leaf's vote, a class-frequency vector, or None."""
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf")
+    rows = splits = None  # see _Record
 
-    def __init__(self, leaf=None, feature=-1, threshold=0.0, left=None, right=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.leaf = leaf
+    def __init__(self, leaf=None, feature=-1, threshold=0.0):
+        self.feature, self.threshold, self.leaf = feature, threshold, leaf
+        self.left = self.right = None
+
+
+class _Record(_TreeNode):
+    """A node that can still split, as a growth memo records it: its ``rows``, and
+    ``splits[c]``, dataset column c's split there once searched (see ``_grow``)."""
+
+    __slots__ = ("rows", "splits")
 
 
 def _feature_split(col: np.ndarray, y: np.ndarray, classes: np.ndarray, min_leaf: int):
@@ -86,66 +90,93 @@ def _feature_split(col: np.ndarray, y: np.ndarray, classes: np.ndarray, min_leaf
     return float(cost[pos]), float(thr)
 
 
-def _best_split(X: np.ndarray, rows: np.ndarray, y: np.ndarray, n_classes: int,
-                features: Sequence[int], min_leaf: int, memo: dict, key, cols):
-    """Lowest-Gini-cost split of ``X[rows]`` over the given features.
-
-    ``memo[key, cols[f]]`` holds feature f's split at this node once searched.
-    Ties are broken toward the lowest feature index, then the lowest
-    threshold, by scanning features in ascending order and accepting only
-    strict cost improvements.
-    """
-    best_cost, best = math.inf, None
-    classes = np.arange(n_classes)
-    for f in features:
-        found = memo.get((key, cols[f]), False)
-        if found is False:
-            found = memo[key, cols[f]] = _feature_split(X[rows, f], y, classes, min_leaf)
-        if found is not None and found[0] < best_cost:
-            best_cost, best = found[0], (f, found[1])
-    return best
-
-
-def _fit_tree(X: np.ndarray, y: np.ndarray, n_classes: int, spec: ModelSpec,
-              rng: np.random.Generator | None, memo: dict, key, cols) -> _TreeNode:
-    """Grow a CART tree; ``rng`` draws the per-split feature sample (forests only),
-    ``key`` is the root's key in ``memo`` and ``cols[f]`` the dataset column of X[:, f]."""
-    q = X.shape[1]
-    max_feats = q if rng is None else max(1, math.isqrt(q))
-    root = _TreeNode()
-    # (node, key, row index array, depth); children are pushed right-then-left
-    # so the left subtree is grown first, keeping rng consumption deterministic.
-    stack = [(root, key, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, key, rows, depth = stack.pop()
-        ys = y[rows]
-        if (
-            ys.shape[0] < 2 * spec.min_leaf
-            or (spec.max_depth is not None and depth >= spec.max_depth)
-            or (ys == ys[0]).all()
-        ):
-            _make_leaf(node, ys, n_classes, rng is not None)
-            continue
-        if rng is None or max_feats >= q:
-            features: Sequence[int] = range(q)
-        else:
-            features = np.sort(rng.choice(q, size=max_feats, replace=False))
-        split = _best_split(X, rows, ys, n_classes, features, spec.min_leaf, memo, key, cols)
-        if split is None:
-            _make_leaf(node, ys, n_classes, rng is not None)
-            continue
-        f, thr = split
-        node.feature, node.threshold = f, thr
-        go_left = X[rows, f] < thr
-        node.left, node.right = _TreeNode(), _TreeNode()
-        stack.append((node.right, (key, cols[f], thr, False), rows[~go_left], depth + 1))
-        stack.append((node.left, (key, cols[f], thr, True), rows[go_left], depth + 1))
-    return root
-
-
-def _make_leaf(node: _TreeNode, ys: np.ndarray, n_classes: int, vote: bool = False) -> None:
+def _leaf(ys: np.ndarray, n_classes: int, vote: bool):
     counts = np.bincount(ys, minlength=n_classes)
-    node.leaf = int(np.argmax(counts)) if vote else counts / counts.sum()
+    return int(np.argmax(counts)) if vote else counts / counts.sum()
+
+
+def _record(rows: np.ndarray, yb: np.ndarray, depth: int, spec: ModelSpec, n_classes: int,
+            vote: bool, width: int) -> _TreeNode:
+    """A node's memo record: its leaf if it cannot split, else a node keeping its rows."""
+    ys = yb[rows]
+    deep = spec.max_depth is not None and depth >= spec.max_depth
+    if deep or ys.shape[0] < 2 * spec.min_leaf or (ys == ys[0]).all():
+        return _TreeNode(_leaf(ys, n_classes, vote))
+    node = _Record()
+    node.rows, node.splits = rows, [False] * width
+    return node
+
+
+def _grow(memo: dict, spec: ModelSpec, d: Dataset, t: int, cols: tuple) -> _TreeNode:
+    """Tree t of the model over dataset columns ``cols``, grown from ``memo``.
+
+    ``memo[t]``: tree t's dataset columns over its rows (all rows, or its
+    bootstrap), their labels, its generator, the generator's state after the
+    bootstrap, and its root record.  ``memo[t, q]``: the sorted feature samples
+    tree t has drawn for q-column subsets, and the state after them.  A
+    record's ``splits[c]`` is False until column c is searched there, then None
+    or (cost, threshold), and (cost, threshold, left, right records) once a model
+    splits on it.  A model draws, searches and partitions only what none did before.
+    """
+    vote, n_classes = spec.kind == "random_forest", d.n_classes
+    if t not in memo:
+        yb, XT, rng, state = d.label_indices(), d.features.T, None, None
+        if vote:  # the bootstrap is drawn first, so tree t's rows do not depend on the subset
+            rng = np.random.default_rng([spec.seed, t])
+            boot = rng.integers(0, d.n_instances, size=d.n_instances)
+            XT, yb, state = d.features[boot].T, yb[boot], rng.bit_generator.state
+        root = _record(np.arange(d.n_instances, dtype=np.int32), yb, 0, spec, n_classes, vote,
+                       d.n_attributes)
+        memo[t] = np.ascontiguousarray(XT), yb, rng, state, root
+    XT, yb, rng, state, root = memo[t]
+    q = len(cols)
+    k = max(1, math.isqrt(q)) if vote else q
+    samples, state = memo.get((t, q), ((), state))
+    classes, drawn, top = np.arange(n_classes), 0, _TreeNode()
+    # (record, depth, parent, side); children are pushed right-then-left so the
+    # left subtree is grown first, in the order the feature samples are drawn.
+    stack = [(root, 0, top, "left")]
+    while stack:
+        node, depth, parent, side = stack.pop()
+        rows, splits = node.rows, node.splits
+        if rows is not None:
+            if k < q:
+                if drawn == len(samples):
+                    # draw from the stored state, then publish samples and state in
+                    # one assignment: an interrupted draw leaves the memo unchanged
+                    rng.bit_generator.state = state
+                    sample = np.sort(rng.choice(q, size=k, replace=False)).tolist()
+                    memo[t, q] = samples, state = samples + (sample,), rng.bit_generator.state
+                features = samples[drawn]
+                drawn += 1
+            else:
+                features = range(q)
+            # ascending features, strict improvements: ties go to the lowest column
+            best_cost, best, ys = math.inf, None, None
+            for f in features:
+                found = splits[cols[f]]
+                if found is False:
+                    ys = yb[rows] if ys is None else ys
+                    found = splits[cols[f]] = _feature_split(XT[cols[f]][rows], ys,
+                                                             classes, spec.min_leaf)
+                if found is not None and found[0] < best_cost:
+                    best_cost, best = found[0], f
+            if best is None:
+                if node.leaf is None:
+                    node.leaf = _leaf(yb[rows], n_classes, vote)
+            else:
+                c = cols[best]
+                found = splits[c]
+                if len(found) == 2:  # the first split here on column c: partition
+                    go_left = XT[c][rows] < found[1]
+                    found = splits[c] = found + tuple(
+                        _record(part, yb, depth + 1, spec, n_classes, vote, len(splits))
+                        for part in (rows[go_left], rows[~go_left]))
+                node = _TreeNode(feature=best, threshold=found[1])
+                stack.append((found[3], depth + 1, node, "right"))
+                stack.append((found[2], depth + 1, node, "left"))
+        setattr(parent, side, node)
+    return top.left
 
 
 def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
@@ -208,38 +239,24 @@ class TrainedModelHandle:
 
 def train(spec: ModelSpec, d: Dataset, s: AttributeSubset,
           memo: dict | None = None) -> TrainedModelHandle:
-    """Fit ``spec`` on ``project(d, s)``.
+    """Fit ``spec`` on the columns of ``d`` in ``s``.
 
     The empty subset always yields the prior baseline: a constant predictor
     returning each class's empirical frequency.  Degenerate training data
     (a single label value) produces a constant predictor, not an error.
-    Fits of one ``spec`` and ``d`` may share a split ``memo`` (see :class:`SubsetModelCache`).
+    Fits of one ``spec`` and ``d`` may share a growth ``memo`` (see :class:`SubsetModelCache`).
     """
     if s.n != d.n_attributes:
         raise ValueError(f"subset over {s.n} attributes for a dataset with {d.n_attributes}")
     if d.n_classes < 2:
         raise DataError("training requires at least 2 classes")
-    y = d.label_indices()
-    n_classes = d.n_classes
     if s.size == 0 or spec.kind == "prior_baseline":
-        prior = _TreeNode()
-        _make_leaf(prior, y, n_classes)
+        prior = _TreeNode(_leaf(d.label_indices(), d.n_classes, vote=False))
         return TrainedModelHandle(s, d.class_set, [prior], vote=False)
-
-    X = project(d, s).features
     memo = {} if memo is None else memo
-    if spec.kind == "decision_tree":
-        tree = _fit_tree(X, y, n_classes, spec, None, memo, 0, s.indices())
-        return TrainedModelHandle(s, d.class_set, [tree], vote=False)
-
-    trees = []
-    m = X.shape[0]
-    for t in range(spec.tree_count):
-        # the bootstrap is drawn first, so tree t's rows do not depend on s
-        rng = np.random.default_rng([spec.seed, t])
-        rows = rng.integers(0, m, size=m)
-        trees.append(_fit_tree(X[rows], y[rows], n_classes, spec, rng, memo, t, s.indices()))
-    return TrainedModelHandle(s, d.class_set, trees, vote=True)
+    vote = spec.kind == "random_forest"
+    trees = [_grow(memo, spec, d, t, s.indices()) for t in range(spec.tree_count if vote else 1)]
+    return TrainedModelHandle(s, d.class_set, trees, vote)
 
 
 class SubsetModelCache:
@@ -250,19 +267,23 @@ class SubsetModelCache:
     interrupted, leaves no entry; the next call for the subset trains again.
     A cache is used by one thread: concurrent work builds a cache each.
 
-    All fits share one split memo: (node key, dataset column) -> that column's
-    (cost, threshold) split or None, where a node key is the tree index and
-    the (column, threshold, side) of each split above the node.  Tree t's rows
-    (all rows, or a bootstrap drawn before any subset-dependent draw) do not
-    depend on the subset, so a key names the same rows in every model and
-    output stays bit-identical.
+    All fits grow their trees from one memo (see ``_grow``).  A node is named by
+    its tree t and the (column, threshold, side) of each split above it.  Tree
+    t's rows (all rows, or a bootstrap drawn before any subset-dependent draw)
+    and its j-th feature sample for q-column subsets do not depend on the
+    subset, so a node has the same rows, leaf and column splits in every model,
+    and output stays bit-identical.  The memo holds each tree's bootstrapped
+    columns and feature samples, one record per node (int32 rows only while it
+    can still split), one entry per split search; models share leaf records.
+    Every write publishes a finished value in one assignment, so an
+    interrupted fit leaves the memo as if its unfinished step had not begun.
     """
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
         self.dataset = dataset
         self._handles: dict[AttributeSubset, TrainedModelHandle] = {}
-        self._splits: dict = {}
+        self._memo: dict = {}
 
     @property
     def training_count(self) -> int:
@@ -275,5 +296,5 @@ class SubsetModelCache:
     def get_or_train(self, s: AttributeSubset) -> TrainedModelHandle:
         handle = self._handles.get(s)
         if handle is None:
-            handle = self._handles[s] = train(self.spec, self.dataset, s, self._splits)
+            handle = self._handles[s] = train(self.spec, self.dataset, s, self._memo)
         return handle

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,22 @@ def five_attributes():
     return dataset_from(x, labels, name="five")
 
 
+@pytest.fixture
+def eight_binary_attributes():
+    """Eight 0/1 attributes, 100 rows, a parity label with flips: forests draw features,
+    and some nodes find no split among the drawn ones."""
+    rng = np.random.default_rng(9)
+    x = rng.integers(0, 2, size=(100, 8)).astype(float)
+    parity = (x[:, 0] > 0) ^ (x[:, 4] > 0) ^ (x[:, 7] > 0)
+    parity[rng.choice(100, size=5, replace=False)] ^= True
+    return dataset_from(x, [str(int(v)) for v in parity], name="eight")
+
+
 SHARED_SPECS = [ModelSpec(kind="decision_tree"),
-                ModelSpec(kind="random_forest", tree_count=6, max_depth=3, seed=4)]
+                ModelSpec(kind="random_forest", tree_count=6, max_depth=3, seed=4),
+                ModelSpec(kind="decision_tree", min_leaf=2, max_depth=3),
+                ModelSpec(kind="random_forest", tree_count=4, min_leaf=2, seed=9)]
+SHARED_SPEC_IDS = ["dt", "rf", "dt-min_leaf2", "rf-min_leaf2-no_depth_cap"]
 
 
 def all_confidences(handle, d):
@@ -248,14 +264,51 @@ class TestSubsetModelCache:
             cache.get_or_train(s)
             assert s in cache and cache.training_count == 1
 
+    @pytest.mark.parametrize("name", ["sort", "_feature_split", "_record", "_leaf"])
+    def test_interrupted_fit_leaves_the_memo_consistent(self, eight_binary_attributes, name,
+                                                         monkeypatch):
+        """An interrupt in any feature draw (``np.sort``), split search, partition
+        or leaf leaves the shared memo as if that step had not started."""
+        import coalex.model
+
+        d = eight_binary_attributes
+        spec = ModelSpec(kind="random_forest", tree_count=4, max_depth=4, seed=1)
+        full, alone = AttributeSubset.full(8), None
+        owner = np if name == "sort" else coalex.model
+        real = getattr(owner, name)
+        for stop in itertools.count(1):  # interrupt the stop-th call, until a fit makes fewer
+            calls = []
+
+            def interrupting(*args, **kwargs):
+                calls.append(name)
+                if len(calls) == stop:
+                    raise KeyboardInterrupt
+                return real(*args, **kwargs)
+
+            cache = SubsetModelCache(spec, d)
+            monkeypatch.setattr(owner, name, interrupting)
+            try:
+                cache.get_or_train(full)
+            except KeyboardInterrupt:
+                assert full not in cache
+            else:
+                break
+            finally:
+                monkeypatch.setattr(owner, name, real)
+            alone = alone or train(spec, d, full)
+            assert_same_model(cache.get_or_train(full), alone, d)
+        assert stop > 3
+
 
 class TestSplitMemo:
-    """Subset models of one cache share split searches and stay bit-identical."""
+    """Subset models of one cache share tree growth and stay bit-identical."""
 
-    @pytest.mark.parametrize("spec", SHARED_SPECS, ids=["dt", "rf"])
+    @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_SPEC_IDS)
     def test_cache_order_does_not_change_models(self, five_attributes, spec):
         d = five_attributes
         subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks]
+        # three classes (frequency leaves), and width-1 subsets, where a forest draws nothing
+        assert d.n_classes == 3 and any(s.size == 1 for s in subsets)
         forward, backward = SubsetModelCache(spec, d), SubsetModelCache(spec, d)
         for s in subsets:
             forward.get_or_train(s)
@@ -265,3 +318,32 @@ class TestSplitMemo:
             alone = train(spec, d, s)
             assert_same_model(forward.get_or_train(s), alone, d)
             assert_same_model(backward.get_or_train(s), alone, d)
+
+    @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_SPEC_IDS)
+    def test_each_leaf_and_split_is_computed_once(self, five_attributes, spec, monkeypatch):
+        import coalex.model
+
+        counts = {"_leaf": 0, "_feature_split": 0}
+        for name in counts:
+            def counting(*args, real=getattr(coalex.model, name), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(coalex.model, name, counting)
+        cache = SubsetModelCache(spec, five_attributes)
+        handles = [cache.get_or_train(AttributeSubset(mask, 5))
+                   for mask in complete_plan(5).masks[1:]]
+        leaves, stack = set(), [root for h in handles for root in h._trees]
+        while stack:
+            node = stack.pop()
+            if node.leaf is not None:
+                leaves.add(id(node))
+            stack += [n for n in (node.left, node.right) if n is not None]
+        assert counts["_leaf"] == len(leaves)  # every leaf is built once, then shared
+        searched, stack = 0, [v[4] for k, v in cache._memo.items() if isinstance(k, int)]
+        while stack:
+            node = stack.pop()
+            for found in node.splits or ():
+                searched += found is not False
+                stack += found[2:] if found else []
+        assert counts["_feature_split"] == searched  # one search per (node, column)
