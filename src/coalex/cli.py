@@ -9,9 +9,7 @@ echoed into every output file for provenance.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import logging
 import sys
@@ -26,6 +24,7 @@ from .errors import ComplexityCapError, ConfigError, DataError
 from .evaluation import (
     MethodConfig,
     build_coalition,
+    config_csv,
     make_synthetic_suite,
     method_influence,
     normalize_grouping_name,
@@ -215,9 +214,17 @@ def _resolve_class(d: Dataset, label: str | None):
     raise ConfigError(f"class {label!r} not in the dataset classes {list(d.class_set)}")
 
 
+def _write(path: Path, write) -> None:
+    """Call ``write(path)``; a path that cannot be written is a configuration error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text.rstrip("\n") + "\n", encoding="utf-8")
+        _write(Path(out), lambda p: p.write_text(text.rstrip("\n") + "\n", encoding="utf-8"))
     else:
         click.echo(text.rstrip("\n"))
 
@@ -316,18 +323,9 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
     """Write one influence vector per selected instance of DATA."""
     cfg, spec = _resolve("explain", config_path, (model_name, trees, max_depth, min_leaf),
                          {"dataset": str(data), "output": out, "method": "complete"}, **flags)
-    method_text = cfg.method
-    if method_text == "kdepth" and cfg.k is not None:
-        method_text = f"kdepth:{cfg.k}"
-    mc = MethodConfig.parse(method_text)
-    if mc.kind == "kdepth" and cfg.k is not None:
-        mc = MethodConfig("kdepth", k=cfg.k)
-    if mc.kind == "coalitional":
-        mc = MethodConfig("coalitional", grouping=mc.grouping,
-                          threshold=cfg.threshold if mc.threshold is None else mc.threshold,
-                          proportion=cfg.proportion if mc.proportion is None else mc.proportion,
-                          delta=cfg.delta if mc.delta is None else mc.delta,
-                          repetitions=cfg.repetitions)
+    mc = MethodConfig.parse(cfg.method, k=cfg.k, threshold=cfg.threshold,
+                            proportion=cfg.proportion, delta=cfg.delta,
+                            repetitions=cfg.repetitions)
 
     d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
     picks = _parse_instances(cfg.instances, d.n_instances)
@@ -347,14 +345,9 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
         doc = {"config": payload_cfg, "influences": [v.to_json(d) for v in vectors]}
         _emit(json.dumps(doc, indent=2), out)
     else:
-        buf = io.StringIO()
-        buf.write("# config: " + json.dumps(payload_cfg, sort_keys=True) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["instance", "class", "method", *d.attribute_names])
-        for v in vectors:
-            writer.writerow([v.instance_index, v.target.class_id,
-                             v.method_tag, *map(repr, v.values)])
-        _emit(buf.getvalue(), out)
+        rows = ([v.instance_index, v.target.class_id, v.method_tag, *v.values] for v in vectors)
+        _emit(config_csv(payload_cfg, ["instance", "class", "method", *d.attribute_names],
+                         rows), out)
 
 
 def _coalition(command: str, data, out, config_path, model_flags: tuple,
@@ -416,6 +409,8 @@ def cmd_benchmark(data, out, config_path, model_name, trees, max_depth, min_leaf
     """Score methods against the exact influence over a dataset grid."""
     cfg, spec = _resolve("benchmark", config_path, (model_name, trees, max_depth, min_leaf),
                          {"dataset": [str(p) for p in data] or None, "output": out}, **flags)
+    if out and Path(out).suffix == ".json":
+        raise ConfigError(f"--out {out} ends in .json, the name of its JSON mirror")
     methods = [MethodConfig.parse(tok) for tok in cfg.method.split(",") if tok.strip()]
     if not methods:
         raise ConfigError("no methods given")
@@ -435,11 +430,10 @@ def cmd_benchmark(data, out, config_path, model_name, trees, max_depth, min_leaf
 
     records = run_benchmark(datasets, methods, spec, seed=cfg.seed, jobs=cfg.jobs, cap=cfg.cap)
     if out:
-        csv_path = Path(out)
-        write_benchmark_csv(records, csv_path, config=cfg.to_dict())
-        write_benchmark_json(records, csv_path.with_suffix(".json"), config=cfg.to_dict())
-        click.echo(f"wrote {len(records)} records to {csv_path} "
-                   f"and {csv_path.with_suffix('.json')}", err=True)
+        csv_path, json_path = Path(out), Path(out).with_suffix(".json")
+        _write(csv_path, lambda p: write_benchmark_csv(records, p, config=cfg.to_dict()))
+        _write(json_path, lambda p: write_benchmark_json(records, p, config=cfg.to_dict()))
+        click.echo(f"wrote {len(records)} records to {csv_path} and {json_path}", err=True)
     else:
         for r in records:
             click.echo(json.dumps(r.to_dict()))

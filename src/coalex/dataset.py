@@ -2,8 +2,8 @@
 
 A :class:`Dataset` is an immutable numeric feature matrix plus categorical
 labels.  :class:`AttributeSubset` is a bit-set over attribute indices used
-everywhere a computation is restricted to some columns (projection,
-per-subset model training, influence sums).
+everywhere a computation is restricted to some columns (per-subset model
+training, influence sums).
 """
 
 from __future__ import annotations
@@ -62,14 +62,8 @@ class AttributeSubset:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.mask >> i & 1)
 
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.n and bool(self.mask >> index & 1)
-
     def without_index(self, index: int) -> "AttributeSubset":
         return AttributeSubset(self.mask & ~(1 << index), self.n)
-
-    def __repr__(self) -> str:
-        return f"AttributeSubset({set(self.indices()) or '{}'} of {self.n})"
 
 
 def subsets_by_size(indices: Sequence[int], max_size: int | None = None) -> Iterator[int]:
@@ -172,31 +166,6 @@ def _distinct_in_order(values: Sequence[ClassId]) -> tuple[ClassId, ...]:
     for v in values:
         seen.setdefault(v, None)
     return tuple(seen)
-
-
-def project(d: Dataset, s: AttributeSubset) -> Dataset:
-    """Dataset restricted to the columns in ``s``; rows and labels unchanged.
-
-    The empty subset yields a zero-column dataset with labels intact.
-    """
-    if s.n != d.n_attributes:
-        raise ValueError(f"subset over {s.n} attributes applied to dataset with {d.n_attributes}")
-    cols = list(s.indices())
-    return Dataset(
-        attribute_names=tuple(d.attribute_names[i] for i in cols),
-        features=d.features[:, cols],
-        labels=d.labels,
-        class_set=d.class_set,
-        name=d.name,
-    )
-
-
-def class_prior(d: Dataset, c: ClassTarget) -> float:
-    """Empirical frequency of class ``c`` among the labels."""
-    if not 0 <= c.index < d.n_classes or d.class_set[c.index] != c.class_id:
-        raise DataError(f"class target {c} does not belong to this dataset")
-    count = sum(1 for y in d.labels if y == c.class_id)
-    return count / d.n_instances
 
 
 def load_csv(

@@ -108,14 +108,13 @@ def make_synthetic_dataset(n_attributes: int, n_instances: int, seed: int) -> Da
     )
 
 
-def make_synthetic_suite(count: int, seed: int, n_range: tuple[int, int] = (2, 8),
-                         m_range: tuple[int, int] = (50, 120)) -> list[Dataset]:
-    """A reproducible list of synthetic datasets spanning the given shape ranges."""
+def make_synthetic_suite(count: int, seed: int) -> list[Dataset]:
+    """A reproducible list of synthetic datasets of 2-8 attributes and 50-120 rows."""
     rng = np.random.default_rng([9218231, seed])
     suite = []
     for k in range(count):
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        m = int(rng.integers(m_range[0], m_range[1] + 1))
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(50, 121))
         suite.append(make_synthetic_dataset(n, m, seed=seed * 1000 + k))
     return suite
 
@@ -158,11 +157,20 @@ class MethodConfig:
                 raise ConfigError("threshold and proportion are mutually exclusive")
 
     @classmethod
-    def parse(cls, text: str) -> "MethodConfig":
+    def parse(cls, text: str, k: int | None = None, threshold: float | None = None,
+              proportion: float | None = None, delta: float | None = None,
+              repetitions: int = 10) -> "MethodConfig":
         """Parse method strings like ``complete``, ``kdepth:2``,
         ``coalitional:spearman:0.25`` (proportion of complete complexity),
         ``coalitional:vif:t=0.3`` (raw threshold) or
-        ``coalitional:model_based:0.1`` (fidelity delta)."""
+        ``coalitional:model_based:0.1`` (fidelity delta).
+
+        The text is checked alone first.  ``k`` then sets a kdepth depth; a
+        coalitional method takes ``threshold``, ``proportion`` and ``delta``
+        where its text gives none, and ``repetitions``.
+        """
+        if text == "kdepth" and k is not None:
+            text = f"kdepth:{k}"
         parts = text.strip().split(":")
         kind = parts[0]
         if kind == "complete":
@@ -173,9 +181,10 @@ class MethodConfig:
             if len(parts) != 2:
                 raise ConfigError(f"method {text!r}: expected kdepth:<k>")
             try:
-                return cls("kdepth", k=int(parts[1]))
+                mc = cls("kdepth", k=int(parts[1]))
             except ValueError:
                 raise ConfigError(f"method {text!r}: k must be an integer") from None
+            return mc if k is None else replace(mc, k=k)
         if kind == "coalitional":
             if len(parts) < 2:
                 raise ConfigError(f"method {text!r}: expected coalitional:<grouping>[:<value>]")
@@ -196,7 +205,9 @@ class MethodConfig:
                     raise ConfigError(f"method {text!r}: bad parameter {value!r}") from None
             elif len(parts) > 3:
                 raise ConfigError(f"method {text!r}: too many ':' segments")
-            return cls("coalitional", **kwargs)
+            flags = {"threshold": threshold, "proportion": proportion, "delta": delta}
+            return replace(cls("coalitional", **kwargs), **(flags | kwargs),
+                           repetitions=repetitions)
         raise ConfigError(f"unknown method {text!r}; expected complete, kdepth:<k> "
                           f"or coalitional:<grouping>[:<value>]")
 
@@ -235,16 +246,6 @@ class BenchmarkRecord:
     seed: int
     model: str = ""
     parallel_timed: bool = False
-
-    def to_row(self) -> list:
-        opt = lambda v: "" if v is None else repr(float(v))
-        return [
-            self.dataset_id, self.method_id, self.param,
-            repr(self.mean_error), repr(self.time_per_instance_s),
-            repr(self.time_ratio_vs_complete),
-            opt(self.complexity_proportion), opt(self.group_count_mean),
-            opt(self.group_size_mean), str(self.seed),
-        ]
 
     def to_dict(self) -> dict:
         return {
@@ -412,16 +413,20 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
     return records
 
 
-def write_benchmark_csv(records: Iterable[BenchmarkRecord], path: str | Path,
-                        config: dict) -> None:
-    path = Path(path)
+def config_csv(config: dict, header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV text of ``header`` and ``rows`` under a ``# config:`` line holding ``config``."""
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(r.to_row())
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_benchmark_csv(records: Iterable[BenchmarkRecord], path: str | Path,
+                        config: dict) -> None:
+    rows = ([r.to_dict()[c] for c in CSV_COLUMNS] for r in records)
+    Path(path).write_text(config_csv(config, CSV_COLUMNS, rows), encoding="utf-8")
 
 
 def write_benchmark_json(records: Iterable[BenchmarkRecord], path: str | Path,

@@ -60,21 +60,7 @@ class Coalition:
         return cls((AttributeSubset.full(n),), n)
 
     def groups_containing(self, index: int) -> tuple[AttributeSubset, ...]:
-        return tuple(g for g in self.groups if index in g)
-
-    def covers_all(self) -> bool:
-        mask = 0
-        for g in self.groups:
-            mask |= g.mask
-        return mask == (1 << self.n) - 1
-
-    def is_partition(self) -> bool:
-        total = 0
-        mask = 0
-        for g in self.groups:
-            total += g.size
-            mask |= g.mask
-        return mask == (1 << self.n) - 1 and total == self.n
+        return tuple(g for g in self.groups if g.mask >> index & 1)
 
     def index_sets(self) -> list[tuple[int, ...]]:
         return [g.indices() for g in self.groups]

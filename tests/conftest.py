@@ -11,6 +11,11 @@ def dataset_from(features, labels, names=None, class_set=(), name="test"):
     return Dataset(tuple(names), features, tuple(labels), tuple(class_set), name=name)
 
 
+def class_prior(d, c):
+    """Frequency of class ``c`` among the labels: the value of the empty subset."""
+    return sum(1 for y in d.labels if y == c.class_id) / d.n_instances
+
+
 @pytest.fixture
 def xor4():
     """Four-point XOR: neither attribute alone carries any signal."""

@@ -28,10 +28,9 @@ from coalex import (
     shapley_penalty,
     subset_eval,
 )
-from coalex.dataset import class_prior
 from coalex.grouping import vif_all
 
-from conftest import dataset_from
+from conftest import class_prior, dataset_from
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=3, seed=0)
 

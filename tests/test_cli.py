@@ -194,6 +194,45 @@ class TestExplain:
         assert set(fits) == {threading.get_ident()}
 
 
+_EXPLAIN_ECHO = {"command": "explain", "target": "y", "repetitions": 10, "seed": 0, "jobs": 1,
+                 "delimiter": ",", "instances": "0", "output_format": "json", "cap": 20,
+                 "model": {"kind": "decision_tree", "tree_count": 100, "max_depth": None,
+                           "min_leaf": 1, "seed": 0}}
+
+
+class TestMethodMerge:
+    """How explain combines --method with --k, --t, --proportion, --delta and --repetitions:
+    the text is checked first, --k replaces its depth, and a coalitional method's
+    inline value wins over the flags, which fill in what it leaves out."""
+
+    @pytest.mark.parametrize("args, expected, tag", [
+        (["kdepth", "--k", "2"], {"method": "kdepth", "k": 2}, "kdepth:2"),
+        (["kdepth:3", "--k", "2"], {"method": "kdepth:3", "k": 2}, "kdepth:2"),
+        (["kdepth:x", "--k", "2"], "method 'kdepth:x': k must be an integer", None),
+        (["kdepth"], "method 'kdepth': expected kdepth:<k>", None),
+        (["coalitional:vif:t=0.3", "--t", "0.2"],
+         {"method": "coalitional:vif:t=0.3", "threshold": 0.3}, "coalitional"),
+        (["coalitional:pca", "--t", "0.2"],
+         {"method": "coalitional:pca", "threshold": 0.2}, "coalitional"),
+        (["coalitional:vif:t=0.3", "--proportion", "0.5"],
+         "threshold and proportion are mutually exclusive", None),
+        (["coalitional:model_based", "--delta", "0.05", "--repetitions", "2"],
+         {"method": "coalitional:model_based", "delta": 0.05, "repetitions": 2}, "coalitional"),
+    ], ids=["kdepth-k", "kdepth3-k", "kdepthx-k", "kdepth-no-k", "inline-t-over-flag",
+            "t-flag-fills", "inline-t-and-proportion", "model-based-flags"])
+    def test_precedence(self, runner, small_csv, args, expected, tag):
+        result = runner.invoke(main, ["explain", str(small_csv), "--target", "y",
+                                      "--model", "dt", "--instances", "0", "--method", *args])
+        if isinstance(expected, str):
+            assert result.exit_code == 2
+            assert f"error: {expected}" in result.output
+            return
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["config"] == _EXPLAIN_ECHO | {"dataset": str(small_csv)} | expected
+        assert [v["method"] for v in doc["influences"]] == [tag]
+
+
 class TestGroups:
     def test_spearman_threshold(self, runner, small_csv):
         result = runner.invoke(main, ["groups", str(small_csv), "--target", "y",
@@ -334,6 +373,19 @@ class TestBenchmark:
         assert result.exit_code == 2
         assert f"--synthetic must be >= 1, got {count}" in result.output
 
+    def test_json_out_exits_2_before_training(self, runner, tmp_path, monkeypatch):
+        import coalex.model
+
+        real_train, fits = coalex.model.train, []
+        monkeypatch.setattr(coalex.model, "train", lambda *a: fits.append(a) or real_train(*a))
+        out = tmp_path / "grid.json"
+        result = runner.invoke(main, ["benchmark", "--synthetic", "1",
+                                      "--methods", "complete,kdepth:1", "--model", "dt",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"error: --out {out} ends in .json" in result.output
+        assert fits == [] and not out.exists()
+
     def test_requires_methods(self, runner):
         result = runner.invoke(main, ["benchmark", "--synthetic", "1"])
         assert result.exit_code == 2
@@ -341,6 +393,22 @@ class TestBenchmark:
     def test_requires_datasets(self, runner):
         result = runner.invoke(main, ["benchmark", "--methods", "complete"])
         assert result.exit_code == 2
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command, args", [
+        ("explain", ["--method", "kdepth:1", "--instances", "0"]),
+        ("groups", ["--method", "pca"]),
+        ("complexity", ["--method", "pca"]),
+        ("benchmark", ["--methods", "kdepth:1"]),
+    ], ids=["explain", "groups", "complexity", "benchmark"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, runner, small_csv, tmp_path, command, args, where):
+        out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+        result = runner.invoke(main, [command, str(small_csv), "--target", "y", "--model", "dt",
+                                      *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"error: cannot write {out}: " in result.output
 
 
 class TestConfigPrecedence:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalex import AttributeSubset, ConfigError, DataError, Dataset, load_csv
-from coalex.dataset import class_prior, project, subsets_by_size
+from coalex.dataset import subsets_by_size
 
-from conftest import dataset_from
+from conftest import class_prior, dataset_from
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -189,64 +189,6 @@ class TestDatasetInvariants:
             xor4.class_target("z")
 
 
-class TestProject:
-    def test_selects_columns_in_order(self):
-        d = dataset_from(np.arange(8.0).reshape(2, 4), ["p", "q"])
-        s = AttributeSubset.from_indices([0, 2], 4)
-        dp = project(d, s)
-        assert dp.attribute_names == ("a0", "a2")
-        np.testing.assert_array_equal(dp.features, [[0.0, 2.0], [4.0, 6.0]])
-        assert dp.labels == d.labels
-
-    def test_full_is_identity(self, xor4):
-        dp = project(xor4, AttributeSubset.full(2))
-        np.testing.assert_array_equal(dp.features, xor4.features)
-        assert dp.attribute_names == xor4.attribute_names
-
-    def test_empty_keeps_rows(self, xor4):
-        dp = project(xor4, AttributeSubset.empty(2))
-        assert dp.n_attributes == 0 and dp.n_instances == 4
-        assert dp.labels == xor4.labels
-
-    def test_universe_mismatch(self, xor4):
-        with pytest.raises(ValueError):
-            project(xor4, AttributeSubset.full(3))
-
-    def test_composition(self):
-        # projecting twice equals projecting by the intersection
-        d = dataset_from(np.arange(10.0).reshape(2, 5), ["p", "q"])
-        s1 = AttributeSubset.from_indices([0, 2, 3], 5)
-        s2 = AttributeSubset.from_indices([2, 3, 4], 5)
-        once = project(d, AttributeSubset(s1.mask & s2.mask, 5))
-        # restrict s2 to positions within project(d, s1)
-        inner_positions = [k for k, i in enumerate(s1.indices()) if i in s2]
-        twice = project(project(d, s1), AttributeSubset.from_indices(inner_positions, s1.size))
-        np.testing.assert_array_equal(once.features, twice.features)
-        assert once.attribute_names == twice.attribute_names
-
-
-class TestClassPrior:
-    def test_half(self):
-        d = dataset_from([[0.0]] * 4, ["p", "p", "q", "q"])
-        assert class_prior(d, d.class_target("p")) == 0.5
-
-    def test_degenerate(self):
-        d = dataset_from([[0.0]], ["p"])
-        assert class_prior(d, d.class_target("p")) == 1.0
-
-    def test_priors_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        labels = rng.choice(["a", "b", "c"], size=101).tolist()
-        d = dataset_from(rng.normal(size=(101, 2)), labels)
-        total = sum(class_prior(d, d.class_target(c)) for c in d.class_set)
-        assert abs(total - 1.0) < 1e-12
-
-    def test_foreign_target_rejected(self, xor4):
-        other = dataset_from([[0.0]], ["z"])
-        with pytest.raises(DataError):
-            class_prior(xor4, other.class_target("z"))
-
-
 class TestAttributeSubset:
     def test_canonical_equality(self):
         a = AttributeSubset.from_indices([2, 0], 4)
@@ -262,7 +204,7 @@ class TestAttributeSubset:
 
     def test_set_operations(self):
         s = AttributeSubset.from_indices([1, 3], 5)
-        assert 3 in s and 0 not in s
+        assert s.indices() == (1, 3)
         assert s.without_index(3).indices() == (1,)
 
     @given(st.sets(st.integers(min_value=0, max_value=7)))

@@ -120,11 +120,11 @@ class TestSyntheticData:
         assert c[0, 1] > 0.6 and c[1, 2] > 0.6
 
     def test_suite_shapes(self):
-        suite = make_synthetic_suite(6, seed=2, n_range=(2, 5), m_range=(30, 60))
+        suite = make_synthetic_suite(6, seed=2)
         assert len(suite) == 6
         for d in suite:
-            assert 2 <= d.n_attributes <= 5
-            assert 30 <= d.n_instances <= 60
+            assert 2 <= d.n_attributes <= 8
+            assert 50 <= d.n_instances <= 120
         names = [d.name for d in suite]
         assert len(set(names)) == 6
 

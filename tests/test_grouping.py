@@ -379,7 +379,7 @@ class TestNormalize:
            st.integers(min_value=6, max_value=6))
     def test_properties(self, raw, n):
         G = normalize(raw, n)
-        assert G.covers_all()
+        assert set().union(*G.index_sets()) == set(range(n))
         for g in G.groups:
             for h in G.groups:
                 assert g == h or g.mask & ~h.mask
@@ -644,8 +644,3 @@ class TestCoalitionType:
         G = Coalition.from_index_sets([[0, 2], [1]], 3)
         doc = G.to_json(d, method="spearman")
         assert doc == {"groups": [["x", "z"], ["y"]], "method": "spearman"}
-
-    def test_partition_detection(self):
-        assert Coalition.from_index_sets([[0, 1], [2]], 3).is_partition()
-        assert not Coalition.from_index_sets([[0, 1], [1, 2]], 3).is_partition()
-        assert not Coalition.from_index_sets([[0, 1]], 3).is_partition()

@@ -25,11 +25,11 @@ from coalex import (
     subset_eval,
 )
 import coalex.influence
-from coalex.dataset import ClassTarget, class_prior
+from coalex.dataset import ClassTarget
 from coalex.evaluation import method_influence
 from coalex.influence import coalitional_plan, complete_plan, kdepth_plan
 
-from conftest import dataset_from
+from conftest import class_prior, dataset_from
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=2, seed=0)
 

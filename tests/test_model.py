@@ -10,10 +10,9 @@ from coalex import (
     SubsetModelCache,
     train,
 )
-from coalex.dataset import class_prior
 from coalex.influence import complete_plan
 
-from conftest import dataset_from
+from conftest import class_prior, dataset_from
 
 
 def tree_shapes(handle):

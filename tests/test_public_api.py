@@ -12,7 +12,8 @@ import pytest
 
 import coalex
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def traced_names():
@@ -30,6 +31,13 @@ def test_every_exported_name_resolves():
 
 def test_export_budget():
     assert len(coalex.__all__) <= 40
+
+
+def test_source_budget():
+    # Raise this bound only together with the change that needs the lines.
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in (ROOT / "src" / "coalex").glob("*.py"))
+    assert lines <= 2334
 
 
 @pytest.mark.parametrize("module, attr",
