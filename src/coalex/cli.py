@@ -222,6 +222,16 @@ def _write(path: Path, write) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(*paths) -> None:
+    """Fail before any work when one of ``paths`` cannot be written (``None`` is
+    stdout); a file that did not exist is removed again."""
+    for path in [Path(p) for p in paths if p]:
+        existed = path.exists()
+        _write(path, lambda p: p.open("a").close())
+        if not existed:
+            path.unlink()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         _write(Path(out), lambda p: p.write_text(text.rstrip("\n") + "\n", encoding="utf-8"))
@@ -258,8 +268,9 @@ def common_options(f, jobs: bool = True):
                      help="Master seed; fully determines all numeric output.")(f)
     if jobs:
         f = click.option("--jobs", type=int, default=None, envvar="COALEX_JOBS",
-                         help="Benchmark cells run at once (default 1 for timing "
-                              "fidelity); explain runs in one thread.")(f)
+                         help="Processes that grow a forest's trees for explain and "
+                              "the benchmark's exact baseline, and benchmark cells run "
+                              "at once (default 1 for timing fidelity).")(f)
     f = click.option("--delimiter", default=None, envvar="COALEX_DELIMITER",
                      help="CSV field delimiter (default ',').")(f)
     return f
@@ -323,6 +334,7 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
     """Write one influence vector per selected instance of DATA."""
     cfg, spec = _resolve("explain", config_path, (model_name, trees, max_depth, min_leaf),
                          {"dataset": str(data), "output": out, "method": "complete"}, **flags)
+    _check_out(out)
     mc = MethodConfig.parse(cfg.method, k=cfg.k, threshold=cfg.threshold,
                             proportion=cfg.proportion, delta=cfg.delta,
                             repetitions=cfg.repetitions)
@@ -338,7 +350,7 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
         coalition, extra = build_coalition(cache, mc, cfg.seed)
 
     targets = None if fixed_class is None else [fixed_class] * len(picks)
-    vectors = method_influence(cache, picks, mc, coalition, targets, cfg.cap)
+    vectors = method_influence(cache, picks, mc, coalition, targets, cfg.cap, cfg.jobs)
 
     payload_cfg = cfg.to_dict() | extra
     if cfg.output_format == "json":
@@ -360,6 +372,7 @@ def _coalition(command: str, data, out, config_path, model_flags: tuple,
     """
     cfg, spec = _resolve(command, config_path, model_flags,
                          {"dataset": str(data), "output": out}, **flags)
+    _check_out(out)
     mc = MethodConfig("coalitional", grouping=normalize_grouping_name(cfg.method),
                       threshold=cfg.threshold, proportion=cfg.proportion,
                       delta=cfg.delta, repetitions=cfg.repetitions)
@@ -411,6 +424,7 @@ def cmd_benchmark(data, out, config_path, model_name, trees, max_depth, min_leaf
                          {"dataset": [str(p) for p in data] or None, "output": out}, **flags)
     if out and Path(out).suffix == ".json":
         raise ConfigError(f"--out {out} ends in .json, the name of its JSON mirror")
+    _check_out(out, out and Path(out).with_suffix(".json"))
     methods = [MethodConfig.parse(tok) for tok in cfg.method.split(",") if tok.strip()]
     if not methods:
         raise ConfigError("no methods given")

@@ -48,10 +48,6 @@ class AttributeSubset:
         return cls(mask, n)
 
     @classmethod
-    def empty(cls, n: int) -> "AttributeSubset":
-        return cls(0, n)
-
-    @classmethod
     def full(cls, n: int) -> "AttributeSubset":
         return cls((1 << n) - 1, n)
 

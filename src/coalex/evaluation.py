@@ -309,17 +309,17 @@ def build_coalition(cache: SubsetModelCache, mc: MethodConfig,
 
 def method_influence(cache: SubsetModelCache, instances: Sequence[int], mc: MethodConfig,
                      coalition: Coalition | None, targets: Sequence[ClassTarget] | None,
-                     cap: int = COMPLETE_ATTRIBUTE_CAP) -> list[InfluenceVector]:
+                     cap: int = COMPLETE_ATTRIBUTE_CAP, jobs: int = 1) -> list[InfluenceVector]:
     """Influence vectors of ``instances`` under ``mc``, one per instance.
 
     ``coalition`` is the one :func:`build_coalition` made for a coalitional
-    method and is ignored otherwise; ``targets`` and ``cap`` are passed on.
+    method and is ignored otherwise; ``targets``, ``cap`` and ``jobs`` are passed on.
     """
     if mc.kind == "complete":
-        return complete_influence(cache, instances, targets, cap=cap)
+        return complete_influence(cache, instances, targets, cap=cap, jobs=jobs)
     if mc.kind == "kdepth":
-        return kdepth_influence(cache, instances, mc.k, targets)
-    return coalitional_influence(cache, instances, coalition, targets)
+        return kdepth_influence(cache, instances, mc.k, targets, jobs=jobs)
+    return coalitional_influence(cache, instances, coalition, targets, jobs=jobs)
 
 
 def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
@@ -364,8 +364,9 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
     method then runs on a fresh cache so its span covers everything it
     needs.  Datasets beyond the attribute cap, and ``kdepth:k`` on a dataset
     with fewer than k attributes, are skipped with a logged reason.
-    ``jobs`` > 1 runs method cells concurrently, each on a cache it owns;
-    their wall-clock shares the machine, so records are marked parallel-timed.
+    ``jobs`` > 1 grows the exact baseline's trees in that many processes, then
+    runs method cells concurrently in threads, each on a cache it owns; their
+    wall-clock shares the machine, so records are marked parallel-timed.
     """
     records: list[BenchmarkRecord] = []
     for d in datasets:
@@ -382,7 +383,8 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
                 runnable.append(mc)
         m = d.n_instances
         started = time.perf_counter()
-        oracle_vectors = complete_influence(SubsetModelCache(spec, d), range(m), cap=cap)
+        oracle_vectors = complete_influence(SubsetModelCache(spec, d), range(m), cap=cap,
+                                            jobs=jobs)
         oracle_tpi = (time.perf_counter() - started) / m
 
         complete_record = BenchmarkRecord(

@@ -51,14 +51,6 @@ class Coalition:
     def from_index_sets(cls, sets: Iterable[Iterable[int]], n: int) -> "Coalition":
         return cls(tuple(AttributeSubset.from_indices(s, n) for s in sets), n)
 
-    @classmethod
-    def singletons(cls, n: int) -> "Coalition":
-        return cls.from_index_sets([[i] for i in range(n)], n)
-
-    @classmethod
-    def full_group(cls, n: int) -> "Coalition":
-        return cls((AttributeSubset.full(n),), n)
-
     def groups_containing(self, index: int) -> tuple[AttributeSubset, ...]:
         return tuple(g for g in self.groups if g.mask >> index & 1)
 

@@ -12,16 +12,23 @@ differences v(S + i) - v(S) over subsets S of the other attributes:
                    factorial mass of those groups.
 
 Each method is a :class:`Plan`, its weight matrix W in sparse form.  The
-value table V[mask, instance] gets one :func:`subset_eval` row per plan
-mask, over blocks of at most ``VALUE_TABLE_CELLS`` values, from a
-:class:`~coalex.model.SubsetModelCache` that trains each subset once.  Each
-attribute's terms are summed left to right with ``np.cumsum``, giving the
+value table V[mask, instance] is filled over blocks of at most
+``VALUE_TABLE_CELLS`` values.  The empty subset's prior, and every model the
+:class:`~coalex.model.SubsetModelCache` already holds, give one
+:func:`subset_eval` row each.  The other rows are filled tree-major: tree t of
+every such model grows from one memo (:func:`~coalex.model.tree_values`), its
+values are summed over the trees, and V is that sum over the tree count.
+Trees are independent, so with ``jobs`` > 1 forked workers grow slices of them.
+Each attribute's terms are summed left to right with ``np.cumsum``, giving the
 floats of a Python ``total +=`` loop; ``np.sum`` sums pairwise and would not.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lgamma
@@ -32,7 +39,7 @@ import numpy as np
 from .dataset import AttributeSubset, ClassTarget, Dataset, subsets_by_size
 from .errors import ComplexityCapError, DataError
 from .grouping import Coalition
-from .model import SubsetModelCache
+from .model import ModelSpec, SubsetModelCache, tree_values
 
 COMPLETE_ATTRIBUTE_CAP = 20
 
@@ -186,11 +193,60 @@ def predicted_classes(cache: SubsetModelCache, instances: Sequence[int]) -> list
     return [d.class_target(d.class_set[k]) for k in np.argmax(full.confidences(X), axis=1)]
 
 
+def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X: np.ndarray,
+                 target_idx: list[int], jobs: int) -> np.ndarray:
+    """Value-table rows of ``subsets``: the sum of their trees' values over the tree count.
+
+    With ``jobs`` > 1, ``os.fork`` and no other thread, worker w of W =
+    min(jobs, trees) is forked to sum trees w, w + W, ... and send back the
+    raw bytes; this process sums trees 0, W, ...  A failed worker or a short
+    table raises; any exception kills and reaps every worker.
+    """
+    T = spec.tree_count if spec.kind == "random_forest" else 1
+    W = min(jobs, T) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    count = lambda w: sum((tree_values(spec, d, t, subsets, X, target_idx)
+                           for t in range(w, T, W)), np.zeros((len(subsets), len(X))))
+    workers = {}  # pid -> the read end of its pipe
+    try:
+        for w in range(1, W):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns, so it runs none of the parent's cleanup
+                status = 1
+                try:
+                    with open(write, "wb") as out:
+                        out.write(count(w).tobytes())
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            workers[pid] = read
+        counts = count(0)
+        for pid, read in list(workers.items()):
+            with open(read, "rb", closefd=False) as f:
+                table = f.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(workers.pop(pid))
+            if status or len(table) != counts.nbytes:
+                raise RuntimeError(f"tree worker {pid} failed: wait status {status}, "
+                                   f"{len(table)} of {counts.nbytes} bytes")
+            counts += np.frombuffer(table).reshape(counts.shape)
+    finally:
+        if workers:
+            from signal import SIGKILL  # here, not at import: most runs fork no worker
+        for pid, read in workers.items():
+            os.close(read)
+            with suppress(OSError):
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return counts / T
+
+
 def _influence(cache: SubsetModelCache, instances: Sequence[int],
                targets: Sequence[ClassTarget] | None, plan: Plan,
-               method_tag: str) -> list[InfluenceVector]:
+               method_tag: str, jobs: int) -> list[InfluenceVector]:
     """``plan`` over the value table of ``instances``, filled in blocks of instances."""
-    d = cache.dataset
+    d, spec = cache.dataset, cache.spec
     X = np.array([d.instance(i) for i in instances]).reshape(-1, d.n_attributes)
     if len(X) == 0:
         return []
@@ -202,13 +258,20 @@ def _influence(cache: SubsetModelCache, instances: Sequence[int],
         if not 0 <= c.index < d.n_classes or d.class_set[c.index] != c.class_id:
             raise DataError(f"class target {c} not in the dataset's class_set")
     target_idx = np.array([c.index for c in targets], dtype=np.intp)
+    subsets = [AttributeSubset(mask, d.n_attributes) for mask in plan.masks]
+    grown = [r for r, s in enumerate(subsets)
+             if s.size and spec.kind != "prior_baseline" and not cache.holds(s)]
+    held = sorted(set(range(len(subsets))).difference(grown))
     values = np.empty((len(X), d.n_attributes))
     block = max(1, VALUE_TABLE_CELLS // len(plan.masks))
     for lo in range(0, len(X), block):
         Xb, idx = X[lo:lo + block], target_idx[lo:lo + block]
         V = np.empty((len(plan.masks), len(Xb)))
-        for r, mask in enumerate(plan.masks):
-            V[r] = subset_eval(cache, AttributeSubset(mask, d.n_attributes), Xb, idx)
+        if grown:
+            V[grown] = _forest_rows(spec, d, [subsets[r] for r in grown], Xb, idx.tolist(), jobs)
+            cache.add_grown(subsets[r] for r in grown)
+        for r in held:
+            V[r] = subset_eval(cache, subsets[r], Xb, idx)
         values[lo:lo + block] = plan.sums(V).T
     return [InfluenceVector(tuple(row), i, c, method_tag)
             for row, i, c in zip(values.tolist(), instances, targets)]
@@ -216,27 +279,31 @@ def _influence(cache: SubsetModelCache, instances: Sequence[int],
 
 def complete_influence(cache: SubsetModelCache, instances: Sequence[int],
                        targets: Sequence[ClassTarget] | None = None,
-                       cap: int = COMPLETE_ATTRIBUTE_CAP) -> list[InfluenceVector]:
+                       cap: int = COMPLETE_ATTRIBUTE_CAP, jobs: int = 1) -> list[InfluenceVector]:
     """Exact Shapley influence, one vector per instance of its class in ``targets`` (``None``:
-    its predicted class).  Costs 2^n subset models: refuses more than ``cap`` attributes."""
+    its predicted class).  Costs 2^n subset models: refuses more than ``cap`` attributes.
+    ``jobs`` > 1 grows a forest's trees in that many processes (see :func:`_forest_rows`)."""
     n = cache.dataset.n_attributes
     if n > cap:
         raise ComplexityCapError(n, cap)
-    return _influence(cache, instances, targets, complete_plan(n), "complete")
+    return _influence(cache, instances, targets, complete_plan(n), "complete", jobs)
 
 
 def kdepth_influence(cache: SubsetModelCache, instances: Sequence[int], k: int,
-                     targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
+                     targets: Sequence[ClassTarget] | None = None,
+                     jobs: int = 1) -> list[InfluenceVector]:
     """Shapley sum truncated to subsets of fewer than k other attributes."""
     plan = kdepth_plan(cache.dataset.n_attributes, k)
-    return _influence(cache, instances, targets, plan, f"kdepth:{k}")
+    return _influence(cache, instances, targets, plan, f"kdepth:{k}", jobs)
 
 
 def coalitional_influence(cache: SubsetModelCache, instances: Sequence[int],
                           coalition: Coalition,
-                          targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
+                          targets: Sequence[ClassTarget] | None = None,
+                          jobs: int = 1) -> list[InfluenceVector]:
     """Influence restricted to the coalition's groups (see :func:`coalitional_plan`)."""
     n = cache.dataset.n_attributes
     if coalition.n != n:
         raise ValueError(f"coalition over {coalition.n} attributes for a dataset with {n}")
-    return _influence(cache, instances, targets, coalitional_plan(coalition), "coalitional")
+    return _influence(cache, instances, targets, coalitional_plan(coalition), "coalitional",
+                      jobs)

@@ -2,12 +2,12 @@
 
 The built-in learners are deliberately self-contained and fully deterministic:
 for a fixed (spec, dataset, subset) every confidence value is bit-reproducible
-across runs and whatever order a cache trains its subsets in.  Influence
-computations retrain a model for every attribute subset they touch, so
-:class:`SubsetModelCache` trains each distinct subset at most once, and its
-models grow their trees from one shared memo: each tree's bootstrap and
-feature draws, and each node's rows, leaf and per-column split search, are
-computed once for all of them.
+across runs and whatever order its trees are grown in.  Influence computations
+need a model for every attribute subset they touch.  :class:`SubsetModelCache`
+trains and holds each distinct subset's model at most once, and
+:func:`tree_values` grows tree t of many subset models from one memo: the
+tree's bootstrap and feature draws, and each node's rows, leaf and per-column
+split search, are computed once for all of them.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ def _grow(memo: dict, spec: ModelSpec, d: Dataset, t: int, cols: tuple) -> _Tree
     record's ``splits[c]`` is False until column c is searched there, then None
     or (cost, threshold), and (cost, threshold, left, right records) once a model
     splits on it.  A model draws, searches and partitions only what none did before.
+    Each write is one assignment, so an interrupt leaves the memo consistent.
     """
     vote, n_classes = spec.kind == "random_forest", d.n_classes
     if t not in memo:
@@ -237,14 +238,12 @@ class TrainedModelHandle:
         return np.argmax(self.confidences(X), axis=1)
 
 
-def train(spec: ModelSpec, d: Dataset, s: AttributeSubset,
-          memo: dict | None = None) -> TrainedModelHandle:
+def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle:
     """Fit ``spec`` on the columns of ``d`` in ``s``.
 
     The empty subset always yields the prior baseline: a constant predictor
     returning each class's empirical frequency.  Degenerate training data
     (a single label value) produces a constant predictor, not an error.
-    Fits of one ``spec`` and ``d`` may share a growth ``memo`` (see :class:`SubsetModelCache`).
     """
     if s.n != d.n_attributes:
         raise ValueError(f"subset over {s.n} attributes for a dataset with {d.n_attributes}")
@@ -253,37 +252,52 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset,
     if s.size == 0 or spec.kind == "prior_baseline":
         prior = _TreeNode(_leaf(d.label_indices(), d.n_classes, vote=False))
         return TrainedModelHandle(s, d.class_set, [prior], vote=False)
-    memo = {} if memo is None else memo
-    vote = spec.kind == "random_forest"
+    memo, vote = {}, spec.kind == "random_forest"
     trees = [_grow(memo, spec, d, t, s.indices()) for t in range(spec.tree_count if vote else 1)]
     return TrainedModelHandle(s, d.class_set, trees, vote)
+
+
+def tree_values(spec: ModelSpec, d: Dataset, t: int, subsets: list[AttributeSubset],
+                X: np.ndarray, target_idx: list[int]) -> np.ndarray:
+    """Tree t of the model on each of ``subsets`` (none empty, ``spec`` not the
+    prior baseline) at the rows of X: entry (i, r) is its value for class
+    ``target_idx[r]``, a forest tree's vote (1 or 0) or a decision tree's class
+    frequency.  Summed over a forest's trees, in any order, and divided by
+    their count, these are ``train``'s confidences bit for bit.
+
+    The trees grow in order from one memo (see ``_grow``), dropped on return.
+    A node is named by the (column, threshold, side) of each split above it.
+    Tree t's rows (all rows, or a bootstrap drawn before any subset-dependent
+    draw) and its j-th feature sample for q-column subsets do not depend on
+    the subset, so a node has the same rows, leaf and column splits in every
+    model, and the memo computes each of them once.
+    """
+    memo, vote = {}, spec.kind == "random_forest"
+    columns, rows = [X[:, j].tolist() for j in range(d.n_attributes)], list(range(len(X)))
+    out = np.empty((len(subsets), len(X)))
+    for i, s in enumerate(subsets):
+        cols, value = s.indices(), [0.0] * len(X)
+        for node, part in _leaves(_grow(memo, spec, d, t, cols), [columns[j] for j in cols], rows):
+            for r in part:
+                value[r] = node.leaf == target_idx[r] if vote else node.leaf[target_idx[r]]
+        out[i] = value
+    return out
 
 
 class SubsetModelCache:
     """At-most-once model training per distinct attribute subset, for one thread.
 
     The cache owns its model spec and dataset: ``get_or_train(s)`` returns
-    ``train(cache.spec, cache.dataset, s)``.  A fit that raises, or is
-    interrupted, leaves no entry; the next call for the subset trains again.
+    ``train(cache.spec, cache.dataset, s)`` and holds it.  A fit that raises, or
+    is interrupted, leaves no entry; the next call for the subset trains again.
     A cache is used by one thread: concurrent work builds a cache each.
-
-    All fits grow their trees from one memo (see ``_grow``).  A node is named by
-    its tree t and the (column, threshold, side) of each split above it.  Tree
-    t's rows (all rows, or a bootstrap drawn before any subset-dependent draw)
-    and its j-th feature sample for q-column subsets do not depend on the
-    subset, so a node has the same rows, leaf and column splits in every model,
-    and output stays bit-identical.  The memo holds each tree's bootstrapped
-    columns and feature samples, one record per node (int32 rows only while it
-    can still split), one entry per split search; models share leaf records.
-    Every write publishes a finished value in one assignment, so an
-    interrupted fit leaves the memo as if its unfinished step had not begun.
+    ``add_grown`` counts subsets a tree pass trained without keeping their models.
     """
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
         self.dataset = dataset
-        self._handles: dict[AttributeSubset, TrainedModelHandle] = {}
-        self._memo: dict = {}
+        self._handles: dict[AttributeSubset, TrainedModelHandle | None] = {}  # None: grown
 
     @property
     def training_count(self) -> int:
@@ -293,8 +307,15 @@ class SubsetModelCache:
     def __contains__(self, s: AttributeSubset) -> bool:
         return s in self._handles
 
+    def holds(self, s: AttributeSubset) -> bool:
+        return self._handles.get(s) is not None
+
+    def add_grown(self, subsets) -> None:
+        for s in subsets:
+            self._handles.setdefault(s, None)
+
     def get_or_train(self, s: AttributeSubset) -> TrainedModelHandle:
         handle = self._handles.get(s)
         if handle is None:
-            handle = self._handles[s] = train(self.spec, self.dataset, s, self._memo)
+            handle = self._handles[s] = train(self.spec, self.dataset, s)
         return handle

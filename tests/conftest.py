@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coalex import Dataset
+from coalex import AttributeSubset, Coalition, Dataset
 
 
 def dataset_from(features, labels, names=None, class_set=(), name="test"):
@@ -9,6 +9,16 @@ def dataset_from(features, labels, names=None, class_set=(), name="test"):
     if names is None:
         names = tuple(f"a{j}" for j in range(features.shape[1]))
     return Dataset(tuple(names), features, tuple(labels), tuple(class_set), name=name)
+
+
+def singletons(n):
+    """The coalition of n one-attribute groups: its influence is depth-1 influence."""
+    return Coalition.from_index_sets([[i] for i in range(n)], n)
+
+
+def full_group(n):
+    """The coalition of one group of all n attributes: its influence is complete influence."""
+    return Coalition((AttributeSubset.full(n),), n)
 
 
 def class_prior(d, c):

@@ -30,7 +30,7 @@ from coalex import (
 )
 from coalex.grouping import vif_all
 
-from conftest import class_prior, dataset_from
+from conftest import class_prior, dataset_from, full_group, singletons
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=3, seed=0)
 
@@ -66,9 +66,9 @@ def equivalence_suite():
                 targets, full_confs,
                 complete_influence(cache, instances, targets),
                 kdepth_influence(cache, instances, n, targets),
-                coalitional_influence(cache, instances, Coalition.full_group(n), targets),
+                coalitional_influence(cache, instances, full_group(n), targets),
                 kdepth_influence(cache, instances, 1, targets),
-                coalitional_influence(cache, instances, Coalition.singletons(n), targets)):
+                coalitional_influence(cache, instances, singletons(n), targets)):
             max_kn = max(max_kn, max(abs(a - b) for a, b in zip(vc.values, vkn.values)))
             max_full = max(max_full, max(abs(a - b) for a, b in zip(vc.values, vfull.values)))
             max_sing = max(max_sing, max(abs(a - b) for a, b in zip(v1.values, vsing.values)))
@@ -132,8 +132,8 @@ def brute_force_closure_count(groups, n):
 
 
 def test_criterion_4_complexity_numbers():
-    singles = len(closure(Coalition.singletons(7)))
-    full = len(closure(Coalition.full_group(7)))
+    singles = len(closure(singletons(7)))
+    full = len(closure(full_group(7)))
     overlap_groups = [{0, 1, 2}, {1, 2, 3}]
     overlap = len(closure(Coalition.from_index_sets(overlap_groups, 4)))
     oracle = brute_force_closure_count(overlap_groups, 4)

@@ -1,12 +1,12 @@
 import csv
 import json
-import threading
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from coalex import AttributeSubset, ModelSpec, SubsetModelCache, load_csv, subset_eval
+from coalex import (AttributeSubset, DataError, ModelSpec, SubsetModelCache, load_csv,
+                    subset_eval)
 from coalex.cli import main
 
 
@@ -175,23 +175,31 @@ class TestExplain:
         b = json.loads(parallel.output)["influences"]
         assert a == b
 
-    def test_jobs_trains_every_model_in_the_invoking_thread(self, runner, small_csv,
-                                                            monkeypatch):
-        import coalex.model
+    @pytest.mark.parametrize("model", ["rf", "dt"])
+    def test_jobs_output_is_byte_identical(self, runner, small_csv, model):
+        args = ["explain", str(small_csv), "--target", "y", "--model", model, "--trees", "5",
+                "--method", "complete", "--instances", "0,1,2"]
+        serial = runner.invoke(main, args + ["--jobs", "1"])
+        forked = runner.invoke(main, args + ["--jobs", "2"])
+        assert serial.exit_code == forked.exit_code == 0, forked.output
+        # only the config echo of the job count differs
+        assert forked.stdout == serial.stdout.replace('"jobs": 1', '"jobs": 2')
 
-        real_train, fits = coalex.model.train, []
+    def test_jobs_parent_grows_only_its_slice_of_trees(self, runner, small_csv, monkeypatch):
+        import coalex.influence
 
-        def recording(*args):
-            fits.append(threading.get_ident())
-            return real_train(*args)
+        real, grown = coalex.influence.tree_values, []
 
-        monkeypatch.setattr(coalex.model, "train", recording)
+        def recording(spec, d, t, *args):
+            grown.append(t)  # a worker's calls are recorded in the worker's copy
+            return real(spec, d, t, *args)
+
+        monkeypatch.setattr(coalex.influence, "tree_values", recording)
         result = runner.invoke(main, ["explain", str(small_csv), "--target", "y",
-                                      "--model", "dt", "--method", "complete",
+                                      "--model", "rf", "--trees", "5", "--method", "complete",
                                       "--instances", "0,1,2", "--jobs", "2"])
         assert result.exit_code == 0, result.output
-        assert len(fits) == 2 ** 3
-        assert set(fits) == {threading.get_ident()}
+        assert grown == [0, 2, 4]
 
 
 _EXPLAIN_ECHO = {"command": "explain", "target": "y", "repetitions": 10, "seed": 0, "jobs": 1,
@@ -403,12 +411,41 @@ class TestOutputPath:
         ("benchmark", ["--methods", "kdepth:1"]),
     ], ids=["explain", "groups", "complexity", "benchmark"])
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-    def test_unwritable_out_exits_2(self, runner, small_csv, tmp_path, command, args, where):
+    def test_unwritable_out_exits_2(self, runner, small_csv, tmp_path, command, args, where,
+                                    monkeypatch):
+        import coalex.influence
+        import coalex.model
+
+        fits = []
+        for module, name in ((coalex.model, "train"), (coalex.influence, "tree_values")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real: fits.append(a) or real(*a))
         out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
         result = runner.invoke(main, [command, str(small_csv), "--target", "y", "--model", "dt",
                                       *args, "--out", str(out)])
         assert result.exit_code == 2
         assert f"error: cannot write {out}: " in result.output
+        assert fits == []  # found before any model is trained
+
+    @pytest.mark.parametrize("command, args", [
+        ("explain", ["--method", "kdepth:1", "--instances", "0"]),
+        ("groups", ["--method", "pca"]),
+        ("benchmark", ["--methods", "kdepth:1"]),
+    ], ids=["explain", "groups", "benchmark"])
+    def test_early_check_leaves_no_file_behind(self, runner, small_csv, tmp_path, command,
+                                               args, monkeypatch):
+        import coalex.cli
+
+        def unreadable(*args, **kwargs):
+            raise DataError("unreadable")
+
+        # the output is checked, then the run fails before it writes anything
+        monkeypatch.setattr(coalex.cli, "load_csv", unreadable)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [command, str(small_csv), "--target", "y", "--model", "dt",
+                                      *args, "--out", str(out)])
+        assert result.exit_code == 3
+        assert list(tmp_path.iterdir()) == [small_csv]
 
 
 class TestConfigPrecedence:

@@ -23,7 +23,7 @@ import coalex.grouping
 from coalex.complexity import BISECTION_EPS, BISECTION_MAX_PROBES, BISECTION_TOL
 from coalex.grouping import GROUPING_METHODS
 
-from conftest import dataset_from
+from conftest import dataset_from, full_group, singletons
 
 
 def brute_force_closure(groups, n):
@@ -39,11 +39,11 @@ def brute_force_closure(groups, n):
 
 class TestClosure:
     def test_singletons_is_linear_cost(self):
-        G = Coalition.singletons(7)
+        G = singletons(7)
         assert len(closure(G)) == 7
 
     def test_full_group_is_complete_cost(self):
-        G = Coalition.full_group(7)
+        G = full_group(7)
         assert len(closure(G)) == 127
 
     def test_two_overlapping_triples(self):
@@ -90,11 +90,11 @@ class TestClosure:
 
 class TestProportion:
     def test_singletons_n4(self):
-        assert complexity_proportion(Coalition.singletons(4)) == pytest.approx(4 / 15)
+        assert complexity_proportion(singletons(4)) == pytest.approx(4 / 15)
 
     def test_full_group_is_one(self):
         for n in (1, 3, 7):
-            assert complexity_proportion(Coalition.full_group(n)) == 1.0
+            assert complexity_proportion(full_group(n)) == 1.0
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(0)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coalex import (
-    Coalition,
     ConfigError,
     InfluenceVector,
     MethodConfig,
@@ -26,7 +25,7 @@ from coalex import (
 from coalex.evaluation import CSV_COLUMNS
 from coalex.grouping import spearman_matrix
 
-from conftest import dataset_from
+from conftest import dataset_from, full_group
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=2, seed=0)
 
@@ -79,7 +78,7 @@ class TestErrorScore:
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
         [oracle] = complete_influence(cache, [0], [target])
-        [approx] = coalitional_influence(cache, [0], Coalition.full_group(3), [target])
+        [approx] = coalitional_influence(cache, [0], full_group(3), [target])
         assert error_score(approx, oracle) <= 1e-12
 
     def test_linear_strictly_positive_on_interactions(self, xor4):

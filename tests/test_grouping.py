@@ -633,7 +633,7 @@ class TestCoalitionType:
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError, match="non-empty"):
-            Coalition((AttributeSubset.empty(3),), 3)
+            Coalition((AttributeSubset(0, 3),), 3)
 
     def test_groups_containing(self):
         G = Coalition.from_index_sets([[0, 1], [1, 2], [3]], 4)

@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import threading
+import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
@@ -26,10 +31,10 @@ from coalex import (
 )
 import coalex.influence
 from coalex.dataset import ClassTarget
-from coalex.evaluation import method_influence
+from coalex.evaluation import method_influence, run_benchmark
 from coalex.influence import coalitional_plan, complete_plan, kdepth_plan
 
-from conftest import class_prior, dataset_from
+from conftest import class_prior, dataset_from, full_group, singletons
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=2, seed=0)
 
@@ -137,7 +142,7 @@ class TestSubsetEval:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        got = value(cache, AttributeSubset.empty(3), 0, target)
+        got = value(cache, AttributeSubset(0, 3), 0, target)
         assert got == class_prior(d, target)
 
     def test_full_subset_on_separable_data(self, separable2):
@@ -279,7 +284,7 @@ class TestCoalitionalInfluence:
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
         v1 = kdepth_influence(cache, [5], 1, [target])[0]
-        vs = coalitional_influence(cache, [5], Coalition.singletons(3), [target])[0]
+        vs = coalitional_influence(cache, [5], singletons(3), [target])[0]
         assert vs.values == v1.values
 
     def test_full_group_equals_complete(self, blob_dataset):
@@ -287,7 +292,7 @@ class TestCoalitionalInfluence:
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("lo")
         vc = complete_influence(cache, [5], [target])[0]
-        vg = coalitional_influence(cache, [5], Coalition.full_group(3), [target])[0]
+        vg = coalitional_influence(cache, [5], full_group(3), [target])[0]
         assert max(abs(a - b) for a, b in zip(vc.values, vg.values)) <= 1e-12
 
     def test_paper_shape_groups(self):
@@ -437,11 +442,11 @@ class TestPlans:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_full_group_is_complete(self, n):
-        assert_same_plan(coalitional_plan(Coalition.full_group(n)), complete_plan(n))
+        assert_same_plan(coalitional_plan(full_group(n)), complete_plan(n))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_singletons_are_depth_one(self, n):
-        assert_same_plan(coalitional_plan(Coalition.singletons(n)), kdepth_plan(n, 1))
+        assert_same_plan(coalitional_plan(singletons(n)), kdepth_plan(n, 1))
 
     def test_masks_are_the_touched_subsets(self):
         assert complete_plan(3).masks == list(range(8))
@@ -555,6 +560,106 @@ class TestBatching:
         with pytest.raises(IndexError):
             complete_influence(cache, [0, blob_dataset.n_instances])
         assert complete_influence(cache, []) == []
+
+
+class TestTreePool:
+    """``jobs`` > 1 forks workers that each grow a slice of a forest's trees."""
+
+    SPEC = ModelSpec(kind="random_forest", tree_count=5, seed=1)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked while the test runs."""
+        pids, real = [], os.fork
+
+        def recording():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def influence(self, d, jobs=1):
+        cache = SubsetModelCache(self.SPEC, d)
+        return cache, complete_influence(cache, [0, 1, 2], [d.class_target("hi")] * 3, jobs=jobs)
+
+    def test_workers_give_the_serial_values(self, blob_dataset, forks):
+        _, serial = self.influence(blob_dataset)
+        assert forks == []  # jobs=1 runs in one process
+        for jobs in (2, 3, 8):
+            assert self.influence(blob_dataset, jobs)[1] == serial
+        assert len(forks) == 1 + 2 + 4  # min(jobs, 5 trees) - 1 workers
+        self.assert_reaped(forks)
+
+    def test_interrupt_kills_and_reaps_every_worker(self, blob_dataset, forks, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a worker still growing its trees
+
+        monkeypatch.setattr(coalex.influence, "tree_values", interrupted)
+        cache, started = SubsetModelCache(self.SPEC, blob_dataset), time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            complete_influence(cache, [0, 1], [blob_dataset.class_target("hi")] * 2, jobs=3)
+        assert time.perf_counter() - started < 30  # killed, not waited for
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+        assert cache.training_count == 0
+
+    @pytest.mark.parametrize("failure", ["raises", "dies", "exits-without-a-table"])
+    def test_failed_worker_makes_the_parent_raise(self, blob_dataset, forks, monkeypatch,
+                                                  failure):
+        parent, real = os.getpid(), coalex.influence.tree_values
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise RuntimeError("worker fault")
+                if failure == "dies":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return real(*args)
+
+        monkeypatch.setattr(coalex.influence, "tree_values", failing)
+        cache = SubsetModelCache(self.SPEC, blob_dataset)
+        with pytest.raises(RuntimeError, match="tree worker .* failed"):
+            complete_influence(cache, [0, 1], [blob_dataset.class_target("hi")] * 2, jobs=2)
+        self.assert_reaped(forks)
+        assert cache.training_count == 0
+
+    def test_no_worker_off_the_only_thread_or_without_fork(self, blob_dataset, forks,
+                                                           monkeypatch):
+        _, serial = self.influence(blob_dataset)
+        in_thread = []
+        thread = threading.Thread(target=lambda: in_thread.append(self.influence(blob_dataset, 2)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert in_thread[0][1] == self.influence(blob_dataset, 2)[1] == serial
+        assert forks == []
+
+    def test_benchmark_forks_only_for_the_exact_baseline(self, blob_dataset, forks):
+        methods = [MethodConfig.parse(m) for m in ("complete", "kdepth:1", "kdepth:2")]
+        untimed = lambda records: [replace(r, time_per_instance_s=0.0, time_ratio_vs_complete=0.0,
+                                           parallel_timed=False) for r in records]
+        serial = run_benchmark([blob_dataset], methods, self.SPEC, jobs=1)
+        assert forks == []
+        forked = run_benchmark([blob_dataset], methods, self.SPEC, jobs=2)
+        assert len(forks) == 1  # the cells run in threads, and fork nothing
+        self.assert_reaped(forks)
+        assert untimed(forked) == untimed(serial)
 
 
 class TestInfluenceVector:

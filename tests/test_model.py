@@ -8,25 +8,28 @@ from coalex import (
     DataError,
     ModelSpec,
     SubsetModelCache,
+    subset_eval,
     train,
 )
 from coalex.influence import complete_plan
+from coalex.model import _grow, tree_values
 
 from conftest import class_prior, dataset_from
 
 
+def tree_shape(root):
+    """A tree's (feature, threshold, leaf value) triples in preorder."""
+    shape, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        leaf = node.leaf.tolist() if isinstance(node.leaf, np.ndarray) else node.leaf
+        shape.append((int(node.feature), node.threshold, leaf))
+        stack += [n for n in (node.right, node.left) if n is not None]
+    return shape
+
+
 def tree_shapes(handle):
-    """Each tree's (feature, threshold, leaf value) triples in preorder."""
-    shapes = []
-    for root in handle._trees:
-        shape, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            leaf = node.leaf.tolist() if isinstance(node.leaf, np.ndarray) else node.leaf
-            shape.append((int(node.feature), node.threshold, leaf))
-            stack += [n for n in (node.right, node.left) if n is not None]
-        shapes.append(shape)
-    return shapes
+    return [tree_shape(root) for root in handle._trees]
 
 
 def assert_same_model(h, ref, d):
@@ -87,7 +90,7 @@ class TestPriorBaseline:
     def test_empty_subset_forces_baseline(self, blob_dataset):
         d = blob_dataset
         spec = ModelSpec(kind="random_forest", tree_count=5)
-        h = train(spec, d, AttributeSubset.empty(d.n_attributes))
+        h = train(spec, d, AttributeSubset(0, d.n_attributes))
         got = h.confidences(d.features[:1])[0]
         expected = [class_prior(d, d.class_target(c)) for c in d.class_set]
         np.testing.assert_array_equal(got, expected)
@@ -267,16 +270,18 @@ class TestSubsetModelCache:
     def test_interrupted_fit_leaves_the_memo_consistent(self, eight_binary_attributes, name,
                                                          monkeypatch):
         """An interrupt in any feature draw (``np.sort``), split search, partition
-        or leaf leaves the shared memo as if that step had not started."""
+        or leaf leaves a tree's memo as if that step had not started: growth from
+        it goes on to the trees a fresh memo grows."""
         import coalex.model
 
         d = eight_binary_attributes
         spec = ModelSpec(kind="random_forest", tree_count=4, max_depth=4, seed=1)
-        full, alone = AttributeSubset.full(8), None
+        cols = [AttributeSubset(mask, 8).indices() for mask in (0xFF, 0b10110101, 0b01111110)]
+        fresh = [[tree_shape(_grow({}, spec, d, t, c)) for c in cols] for t in range(2)]
         owner = np if name == "sort" else coalex.model
         real = getattr(owner, name)
-        for stop in itertools.count(1):  # interrupt the stop-th call, until a fit makes fewer
-            calls = []
+        for stop in itertools.count(1):  # interrupt the stop-th call, until none is left
+            calls, memos = [], [{}, {}]
 
             def interrupting(*args, **kwargs):
                 calls.append(name)
@@ -284,23 +289,24 @@ class TestSubsetModelCache:
                     raise KeyboardInterrupt
                 return real(*args, **kwargs)
 
-            cache = SubsetModelCache(spec, d)
             monkeypatch.setattr(owner, name, interrupting)
             try:
-                cache.get_or_train(full)
+                for t, memo in enumerate(memos):
+                    for c in cols:
+                        _grow(memo, spec, d, t, c)
             except KeyboardInterrupt:
-                assert full not in cache
+                pass
             else:
                 break
             finally:
                 monkeypatch.setattr(owner, name, real)
-            alone = alone or train(spec, d, full)
-            assert_same_model(cache.get_or_train(full), alone, d)
+            assert [[tree_shape(_grow(memo, spec, d, t, c)) for c in cols]
+                    for t, memo in enumerate(memos)] == fresh
         assert stop > 3
 
 
 class TestSplitMemo:
-    """Subset models of one cache share tree growth and stay bit-identical."""
+    """Tree t of many subset models grows from one memo, and every model stays bit-identical."""
 
     @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_SPEC_IDS)
     def test_cache_order_does_not_change_models(self, five_attributes, spec):
@@ -320,29 +326,57 @@ class TestSplitMemo:
 
     @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_SPEC_IDS)
     def test_each_leaf_and_split_is_computed_once(self, five_attributes, spec, monkeypatch):
+        """A tree pass grows tree t of every model from one memo, which builds each
+        leaf and searches each (node, column) split once."""
         import coalex.model
 
-        counts = {"_leaf": 0, "_feature_split": 0}
+        d = five_attributes
+        subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
+        counts, memos = {"_leaf": 0, "_feature_split": 0}, []
         for name in counts:
             def counting(*args, real=getattr(coalex.model, name), name=name):
                 counts[name] += 1
                 return real(*args)
 
             monkeypatch.setattr(coalex.model, name, counting)
-        cache = SubsetModelCache(spec, five_attributes)
-        handles = [cache.get_or_train(AttributeSubset(mask, 5))
-                   for mask in complete_plan(5).masks[1:]]
-        leaves, stack = set(), [root for h in handles for root in h._trees]
-        while stack:
-            node = stack.pop()
-            if node.leaf is not None:
-                leaves.add(id(node))
-            stack += [n for n in (node.left, node.right) if n is not None]
-        assert counts["_leaf"] == len(leaves)  # every leaf is built once, then shared
-        searched, stack = 0, [v[4] for k, v in cache._memo.items() if isinstance(k, int)]
-        while stack:
-            node = stack.pop()
-            for found in node.splits or ():
-                searched += found is not False
-                stack += found[2:] if found else []
-        assert counts["_feature_split"] == searched  # one search per (node, column)
+        monkeypatch.setattr(coalex.model, "_grow",
+                            lambda memo, *args: memos.append(memo) or _grow(memo, *args))
+        for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
+            counts["_leaf"] = counts["_feature_split"] = 0
+            memos.clear()
+            tree_values(spec, d, t, subsets, d.features, [0] * d.n_instances)
+            assert len(memos) == len(subsets) and all(m is memos[0] for m in memos)
+            leaves = searched = 0
+            stack = [memos[0][t][4]]
+            while stack:
+                node = stack.pop()
+                leaves += node.leaf is not None
+                for found in node.splits or ():
+                    searched += found is not False
+                    stack += found[2:] if found else []
+            assert counts["_leaf"] == leaves  # every leaf is built once, then shared
+            assert counts["_feature_split"] == searched  # one search per (node, column)
+
+
+def mask_major_rows(cache, subsets, X, target_idx):
+    """The value-table rows of ``subsets``, one cached model at a time: the path
+    influence took before it grew forests tree by tree, kept as a test oracle."""
+    return np.array([subset_eval(cache, s, X, target_idx) for s in subsets])
+
+
+class TestTreeValues:
+    @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_SPEC_IDS)
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_tree_major_table_equals_the_mask_major_one(self, five_attributes, spec, stride):
+        """Summed in slices of trees t = w, w + stride, ... and divided once, tree
+        values give the cache's confidences bit for bit, in either subset order."""
+        d = five_attributes
+        subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
+        idx = [r % 3 for r in range(d.n_instances)]  # all three classes
+        T = spec.tree_count if spec.kind == "random_forest" else 1
+        counts = sum(tree_values(spec, d, t, subsets, d.features, idx)
+                     for w in range(stride) for t in range(w, T, stride))
+        oracle = mask_major_rows(SubsetModelCache(spec, d), subsets, d.features, idx)
+        assert (counts / T == oracle).all()
+        backward = tree_values(spec, d, 0, subsets[::-1], d.features, idx)
+        assert (backward[::-1] == tree_values(spec, d, 0, subsets, d.features, idx)).all()
