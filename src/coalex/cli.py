@@ -268,9 +268,9 @@ def common_options(f, jobs: bool = True):
                      help="Master seed; fully determines all numeric output.")(f)
     if jobs:
         f = click.option("--jobs", type=int, default=None, envvar="COALEX_JOBS",
-                         help="Processes that grow a forest's trees for explain and "
-                              "the benchmark's exact baseline, and benchmark cells run "
-                              "at once (default 1 for timing fidelity).")(f)
+                         help="Processes that grow a forest's trees for complete "
+                              "influence (explain, the benchmark's exact baseline), and "
+                              "benchmark cells run at once (default 1 for timing fidelity).")(f)
     f = click.option("--delimiter", default=None, envvar="COALEX_DELIMITER",
                      help="CSV field delimiter (default ',').")(f)
     return f

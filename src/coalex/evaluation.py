@@ -313,13 +313,14 @@ def method_influence(cache: SubsetModelCache, instances: Sequence[int], mc: Meth
     """Influence vectors of ``instances`` under ``mc``, one per instance.
 
     ``coalition`` is the one :func:`build_coalition` made for a coalitional
-    method and is ignored otherwise; ``targets``, ``cap`` and ``jobs`` are passed on.
+    method and is ignored otherwise; ``targets`` is passed on, and ``cap`` and
+    ``jobs`` to complete influence.
     """
     if mc.kind == "complete":
         return complete_influence(cache, instances, targets, cap=cap, jobs=jobs)
     if mc.kind == "kdepth":
-        return kdepth_influence(cache, instances, mc.k, targets, jobs=jobs)
-    return coalitional_influence(cache, instances, coalition, targets, jobs=jobs)
+        return kdepth_influence(cache, instances, mc.k, targets)
+    return coalitional_influence(cache, instances, coalition, targets)
 
 
 def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,

@@ -16,9 +16,10 @@ value table V[mask, instance] is filled over blocks of at most
 ``VALUE_TABLE_CELLS`` values.  The empty subset's prior, and every model the
 :class:`~coalex.model.SubsetModelCache` already holds, give one
 :func:`subset_eval` row each.  The other rows are filled tree-major: tree t of
-every such model grows from one memo (:func:`~coalex.model.tree_values`), its
-values are summed over the trees, and V is that sum over the tree count.
-Trees are independent, so with ``jobs`` > 1 forked workers grow slices of them.
+every such model grows from one memo (:func:`~coalex.model.tree_values`), and
+V is the sum of its values over the trees over the tree count; complete
+influence with ``jobs`` > 1 forks workers that grow slices of the trees.  A
+table of many blocks holds those models instead (``cache.train_all``).
 Each attribute's terms are summed left to right with ``np.cumsum``, giving the
 floats of a Python ``total +=`` loop; ``np.sum`` sums pairwise and would not.
 """
@@ -264,10 +265,13 @@ def _influence(cache: SubsetModelCache, instances: Sequence[int],
     held = sorted(set(range(len(subsets))).difference(grown))
     values = np.empty((len(X), d.n_attributes))
     block = max(1, VALUE_TABLE_CELLS // len(plan.masks))
+    if grown and len(X) > block:  # a tree pass per block would regrow every tree: hold them
+        cache.train_all([subsets[r] for r in grown])
+        grown, held = [], range(len(subsets))
     for lo in range(0, len(X), block):
         Xb, idx = X[lo:lo + block], target_idx[lo:lo + block]
         V = np.empty((len(plan.masks), len(Xb)))
-        if grown:
+        if grown:  # one block
             V[grown] = _forest_rows(spec, d, [subsets[r] for r in grown], Xb, idx.tolist(), jobs)
             cache.add_grown(subsets[r] for r in grown)
         for r in held:
@@ -290,20 +294,17 @@ def complete_influence(cache: SubsetModelCache, instances: Sequence[int],
 
 
 def kdepth_influence(cache: SubsetModelCache, instances: Sequence[int], k: int,
-                     targets: Sequence[ClassTarget] | None = None,
-                     jobs: int = 1) -> list[InfluenceVector]:
+                     targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
     """Shapley sum truncated to subsets of fewer than k other attributes."""
     plan = kdepth_plan(cache.dataset.n_attributes, k)
-    return _influence(cache, instances, targets, plan, f"kdepth:{k}", jobs)
+    return _influence(cache, instances, targets, plan, f"kdepth:{k}", 1)
 
 
 def coalitional_influence(cache: SubsetModelCache, instances: Sequence[int],
                           coalition: Coalition,
-                          targets: Sequence[ClassTarget] | None = None,
-                          jobs: int = 1) -> list[InfluenceVector]:
+                          targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
     """Influence restricted to the coalition's groups (see :func:`coalitional_plan`)."""
     n = cache.dataset.n_attributes
     if coalition.n != n:
         raise ValueError(f"coalition over {coalition.n} attributes for a dataset with {n}")
-    return _influence(cache, instances, targets, coalitional_plan(coalition), "coalitional",
-                      jobs)
+    return _influence(cache, instances, targets, coalitional_plan(coalition), "coalitional", 1)

@@ -3,11 +3,10 @@
 The built-in learners are deliberately self-contained and fully deterministic:
 for a fixed (spec, dataset, subset) every confidence value is bit-reproducible
 across runs and whatever order its trees are grown in.  Influence computations
-need a model for every attribute subset they touch.  :class:`SubsetModelCache`
-trains and holds each distinct subset's model at most once, and
-:func:`tree_values` grows tree t of many subset models from one memo: the
-tree's bootstrap and feature draws, and each node's rows, leaf and per-column
-split search, are computed once for all of them.
+need a model for every attribute subset they touch; :class:`SubsetModelCache`
+holds them.  :func:`grow_trees` grows tree t of many subset models from one
+memo: the tree's bootstrap and feature draws, and each node's rows, leaf and
+per-column split search, are computed once for all of them.
 """
 
 from __future__ import annotations
@@ -223,9 +222,10 @@ class TrainedModelHandle:
         m, n_classes = X.shape[0], len(self.class_set)
         columns, rows = [X[:, j].tolist() for j in self.subset.indices()], list(range(m))
         if not self._vote:
-            probs = {r: node.leaf for node, part in _leaves(self._trees[0], columns, rows)
-                     for r in part}
-            return np.array([probs[r] for r in rows], dtype=np.float64).reshape(m, n_classes)
+            probs = np.empty((m, n_classes))
+            for node, part in _leaves(self._trees[0], columns, rows):
+                probs[part] = node.leaf
+            return probs
         votes = [[0] * n_classes for _ in rows]
         for tree in self._trees:
             for node, part in _leaves(tree, columns, rows):
@@ -252,46 +252,58 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
     if s.size == 0 or spec.kind == "prior_baseline":
         prior = _TreeNode(_leaf(d.label_indices(), d.n_classes, vote=False))
         return TrainedModelHandle(s, d.class_set, [prior], vote=False)
-    memo, vote = {}, spec.kind == "random_forest"
-    trees = [_grow(memo, spec, d, t, s.indices()) for t in range(spec.tree_count if vote else 1)]
-    return TrainedModelHandle(s, d.class_set, trees, vote)
+    return train_many(spec, d, [s])[0]
 
 
-def tree_values(spec: ModelSpec, d: Dataset, t: int, subsets: list[AttributeSubset],
-                X: np.ndarray, target_idx: list[int]) -> np.ndarray:
-    """Tree t of the model on each of ``subsets`` (none empty, ``spec`` not the
-    prior baseline) at the rows of X: entry (i, r) is its value for class
-    ``target_idx[r]``, a forest tree's vote (1 or 0) or a decision tree's class
-    frequency.  Summed over a forest's trees, in any order, and divided by
-    their count, these are ``train``'s confidences bit for bit.
+def grow_trees(spec: ModelSpec, d: Dataset, t: int, subsets: list[AttributeSubset]):
+    """Yield tree t of the model on each of ``subsets`` (none empty, ``spec``
+    not the prior baseline), in order, grown from one memo (see ``_grow``).
 
-    The trees grow in order from one memo (see ``_grow``), dropped on return.
     A node is named by the (column, threshold, side) of each split above it.
     Tree t's rows (all rows, or a bootstrap drawn before any subset-dependent
     draw) and its j-th feature sample for q-column subsets do not depend on
     the subset, so a node has the same rows, leaf and column splits in every
     model, and the memo computes each of them once.
     """
-    memo, vote = {}, spec.kind == "random_forest"
-    columns, rows = [X[:, j].tolist() for j in range(d.n_attributes)], list(range(len(X)))
-    out = np.empty((len(subsets), len(X)))
-    for i, s in enumerate(subsets):
-        cols, value = s.indices(), [0.0] * len(X)
-        for node, part in _leaves(_grow(memo, spec, d, t, cols), [columns[j] for j in cols], rows):
-            for r in part:
-                value[r] = node.leaf == target_idx[r] if vote else node.leaf[target_idx[r]]
-        out[i] = value
-    return out
+    memo = {}
+    for s in subsets:
+        yield _grow(memo, spec, d, t, s.indices())
+
+
+def train_many(spec: ModelSpec, d: Dataset,
+               subsets: list[AttributeSubset]) -> list[TrainedModelHandle]:
+    """``train`` on each of ``subsets`` (none empty, ``spec`` not the prior
+    baseline), tree-major: tree t of every model grows from one memo."""
+    vote = spec.kind == "random_forest"
+    trees = [[] for _ in subsets]
+    for t in range(spec.tree_count if vote else 1):
+        for model, tree in zip(trees, grow_trees(spec, d, t, subsets)):
+            model.append(tree)
+    return [TrainedModelHandle(s, d.class_set, model, vote) for s, model in zip(subsets, trees)]
+
+
+def tree_values(spec: ModelSpec, d: Dataset, t: int, subsets: list[AttributeSubset],
+                X: np.ndarray, target_idx: list[int]) -> np.ndarray:
+    """Tree t of the model on each of ``subsets`` (see :func:`grow_trees`) at
+    the rows of X: entry (i, r) is its confidence for class ``target_idx[r]``,
+    a forest tree's vote (1 or 0) or a decision tree's class frequency.  Summed
+    over a forest's trees and divided by their count, these are ``train``'s
+    confidences bit for bit.  The memo is dropped on return."""
+    vote, rows, idx = spec.kind == "random_forest", np.arange(len(X)), np.asarray(target_idx)
+    values = [TrainedModelHandle(s, d.class_set, [tree], vote).confidences(X)[rows, idx]
+              for s, tree in zip(subsets, grow_trees(spec, d, t, subsets))]
+    return np.array(values).reshape(len(subsets), len(X))
 
 
 class SubsetModelCache:
     """At-most-once model training per distinct attribute subset, for one thread.
 
     The cache owns its model spec and dataset: ``get_or_train(s)`` returns
-    ``train(cache.spec, cache.dataset, s)`` and holds it.  A fit that raises, or
-    is interrupted, leaves no entry; the next call for the subset trains again.
-    A cache is used by one thread: concurrent work builds a cache each.
-    ``add_grown`` counts subsets a tree pass trained without keeping their models.
+    ``train(cache.spec, cache.dataset, s)`` and holds it; ``train_all`` holds
+    :func:`train_many`'s models.  A fit that raises, or is interrupted, leaves
+    no entry.  A cache is used by one thread: concurrent work builds a cache
+    each.  ``add_grown`` counts subsets a tree pass trained without keeping
+    their models, so ``get_or_train`` trains such a subset again if asked.
     """
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
@@ -301,7 +313,7 @@ class SubsetModelCache:
 
     @property
     def training_count(self) -> int:
-        """Number of distinct subsets trained so far."""
+        """Number of distinct subsets trained so far, whether held or only grown."""
         return len(self._handles)
 
     def __contains__(self, s: AttributeSubset) -> bool:
@@ -313,6 +325,11 @@ class SubsetModelCache:
     def add_grown(self, subsets) -> None:
         for s in subsets:
             self._handles.setdefault(s, None)
+
+    def train_all(self, subsets: list[AttributeSubset]) -> None:
+        """Hold a model for each of ``subsets`` (none empty); all are added or none."""
+        todo = [s for s in subsets if not self.holds(s)]
+        self._handles.update(zip(todo, train_many(self.spec, self.dataset, todo)))
 
     def get_or_train(self, s: AttributeSubset) -> TrainedModelHandle:
         handle = self._handles.get(s)

@@ -532,6 +532,29 @@ class TestBatching:
         assert ([v.values for v in fn(rf_cache, instances, fixed)]
                 == [fn(rf_cache, [i], fixed[:1])[0].values for i in instances])
 
+    @pytest.mark.parametrize("cells", [None, 15], ids=["one-block", "blocks-of-one"])
+    def test_each_tree_grows_once_per_call(self, blob_dataset, rf_cache, monkeypatch, cells):
+        import coalex.model
+
+        d, grown, passes = blob_dataset, [], []
+        real_grow, real_values = coalex.model._grow, coalex.influence.tree_values
+        monkeypatch.setattr(coalex.model, "_grow", lambda memo, spec, d, t, cols:
+                            grown.append((t, cols)) or real_grow(memo, spec, d, t, cols))
+        monkeypatch.setattr(coalex.influence, "tree_values",
+                            lambda *args: passes.append(args[2]) or real_values(*args))
+        if cells is not None:
+            monkeypatch.setattr(coalex.influence, "VALUE_TABLE_CELLS", cells)
+        complete_influence(rf_cache, range(d.n_instances))
+        trees = [(t, AttributeSubset(m, 3).indices()) for t in range(5) for m in range(1, 8)]
+        assert sorted(grown) == sorted(trees)  # the full model too, for the predictions
+        assert passes == ([0, 1, 2, 3, 4] if cells is None else [])
+        assert rf_cache.training_count == 8
+        assert all(rf_cache.holds(AttributeSubset(m, 3)) for m in range(8)) == (cells is not None)
+        grown.clear()
+        complete_influence(rf_cache, range(d.n_instances))
+        # grown models are not held, so a second call grows them again; held ones are read
+        assert len(grown) == (30 if cells is None else 0)
+
     def test_rejects_foreign_class(self, blob_dataset):
         cache = SubsetModelCache(SPEC, blob_dataset)
         foreign = dataset_from([[0.0]], ["z"]).class_target("z")
