@@ -12,16 +12,15 @@ differences v(S + i) - v(S) over subsets S of the other attributes:
                    factorial mass of those groups.
 
 Each method is a :class:`Plan`, its weight matrix W in sparse form.  The
-value table V[mask, instance] is filled over blocks of at most
-``VALUE_TABLE_CELLS`` values.  The empty subset's prior, and every model the
-:class:`~coalex.model.SubsetModelCache` already holds, give one
-:func:`subset_eval` row each.  The other rows are filled tree-major: tree t of
-every such model grows from one memo (:func:`~coalex.model.tree_values`), and
-V is the sum of its values over the trees over the tree count; complete
-influence with ``jobs`` > 1 forks workers that grow slices of the trees.  A
-table of many blocks holds those models instead (``cache.train_all``).
-Each attribute's terms are summed left to right with ``np.cumsum``, giving the
-floats of a Python ``total +=`` loop; ``np.sum`` sums pairwise and would not.
+value table V[mask, instance] is filled in one pass over all instances.  The
+empty subset's prior, and every model the :class:`~coalex.model.SubsetModelCache`
+already holds, give one :func:`subset_eval` row each.  The other rows are
+filled tree-major: tree t of every such model grows from one memo
+(:func:`~coalex.model.tree_values`), and a row is the sum of its trees' values
+over the tree count; complete influence with ``jobs`` > 1 forks workers that
+grow slices of the trees.  Each attribute's terms are summed left to right
+with ``np.cumsum``, giving the floats of a Python ``total +=`` loop; ``np.sum``
+sums pairwise and would not.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ COMPLETE_ATTRIBUTE_CAP = 20
 # Exact rational weights up to this many attributes; log-gamma beyond.
 _EXACT_LIMIT = 20
 
-# Value-table cells per instance block: at most 32 MB of float64 in V (not in the plan).
+# Values per instance block of Plan.sums: its temporaries hold at most 32 MB of float64.
 VALUE_TABLE_CELLS = 1 << 22
 
 
@@ -124,11 +123,18 @@ class Plan:
     terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def sums(self, V: np.ndarray) -> np.ndarray:
-        """W . V as attributes x instances, for V with one row per mask."""
-        out = np.empty((len(self.terms), V.shape[1]))
-        for i, (plus, minus, weights) in enumerate(self.terms):
-            steps = weights[:, None] * (V[plus] - V[minus])
-            out[i] = np.cumsum(np.concatenate([np.zeros((1, V.shape[1])), steps]), axis=0)[-1]
+        """W . V as attributes x instances, for V with one row per mask, in blocks of
+        instances whose temporaries hold at most ``VALUE_TABLE_CELLS`` values."""
+        out = np.zeros((len(self.terms), V.shape[1]))
+        block = max(1, VALUE_TABLE_CELLS // len(self.masks))
+        for lo in range(0, V.shape[1], block):
+            Vb = V[:, lo:lo + block]
+            for i, (plus, minus, weights) in enumerate(self.terms):
+                steps = Vb[plus]
+                steps -= Vb[minus]
+                steps *= weights[:, None]
+                # added to 0.0, as a loop starting from ``total = 0.0`` would
+                out[i, lo:lo + block] += np.cumsum(steps, axis=0, out=steps)[-1]
         return out
 
 
@@ -195,18 +201,18 @@ def predicted_classes(cache: SubsetModelCache, instances: Sequence[int]) -> list
 
 
 def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X: np.ndarray,
-                 target_idx: list[int], jobs: int) -> np.ndarray:
-    """Value-table rows of ``subsets``: the sum of their trees' values over the tree count.
+                 target_idx: list[int], jobs: int, V: np.ndarray, rows: list[int]) -> None:
+    """Fill the zero rows ``rows`` of V with the value-table rows of ``subsets``:
+    the sum of their trees' values over the tree count.
 
     With ``jobs`` > 1, ``os.fork`` and no other thread, worker w of W =
     min(jobs, trees) is forked to sum trees w, w + W, ... and send back the
-    raw bytes; this process sums trees 0, W, ...  A failed worker or a short
-    table raises; any exception kills and reaps every worker.
+    raw bytes; this process sums trees 0, W, ... into V.  A failed worker or
+    a short table raises; any exception kills and reaps every worker.
     """
     T = spec.tree_count if spec.kind == "random_forest" else 1
     W = min(jobs, T) if hasattr(os, "fork") and threading.active_count() == 1 else 1
-    count = lambda w: sum((tree_values(spec, d, t, subsets, X, target_idx)
-                           for t in range(w, T, W)), np.zeros((len(subsets), len(X))))
+    shape = (len(subsets), len(X))
     workers = {}  # pid -> the read end of its pipe
     try:
         for w in range(1, W):
@@ -215,23 +221,28 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
             if pid == 0:  # the worker never returns, so it runs none of the parent's cleanup
                 status = 1
                 try:
+                    table = np.zeros(shape)
+                    for t in range(w, T, W):
+                        tree_values(spec, d, t, subsets, X, target_idx, table, range(len(subsets)))
                     with open(write, "wb") as out:
-                        out.write(count(w).tobytes())
+                        out.write(table.tobytes())
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write)
             workers[pid] = read
-        counts = count(0)
+        for t in range(0, T, W):
+            tree_values(spec, d, t, subsets, X, target_idx, V, rows)
         for pid, read in list(workers.items()):
             with open(read, "rb", closefd=False) as f:
                 table = f.read()
             status = os.waitpid(pid, 0)[1]
             os.close(workers.pop(pid))
-            if status or len(table) != counts.nbytes:
+            if status or len(table) != 8 * math.prod(shape):
                 raise RuntimeError(f"tree worker {pid} failed: wait status {status}, "
-                                   f"{len(table)} of {counts.nbytes} bytes")
-            counts += np.frombuffer(table).reshape(counts.shape)
+                                   f"{len(table)} bytes for a {shape} float64 table")
+            for r, values in zip(rows, np.frombuffer(table).reshape(shape)):
+                V[r] += values
     finally:
         if workers:
             from signal import SIGKILL  # here, not at import: most runs fork no worker
@@ -240,13 +251,14 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
             with suppress(OSError):
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return counts / T
+    for r in rows:
+        V[r] /= T
 
 
 def _influence(cache: SubsetModelCache, instances: Sequence[int],
                targets: Sequence[ClassTarget] | None, plan: Plan,
                method_tag: str, jobs: int) -> list[InfluenceVector]:
-    """``plan`` over the value table of ``instances``, filled in blocks of instances."""
+    """``plan`` over the value table of ``instances``, filled in one pass."""
     d, spec = cache.dataset, cache.spec
     X = np.array([d.instance(i) for i in instances]).reshape(-1, d.n_attributes)
     if len(X) == 0:
@@ -258,27 +270,18 @@ def _influence(cache: SubsetModelCache, instances: Sequence[int],
     for c in set(targets):
         if not 0 <= c.index < d.n_classes or d.class_set[c.index] != c.class_id:
             raise DataError(f"class target {c} not in the dataset's class_set")
-    target_idx = np.array([c.index for c in targets], dtype=np.intp)
+    target_idx = [c.index for c in targets]
     subsets = [AttributeSubset(mask, d.n_attributes) for mask in plan.masks]
     grown = [r for r, s in enumerate(subsets)
              if s.size and spec.kind != "prior_baseline" and not cache.holds(s)]
-    held = sorted(set(range(len(subsets))).difference(grown))
-    values = np.empty((len(X), d.n_attributes))
-    block = max(1, VALUE_TABLE_CELLS // len(plan.masks))
-    if grown and len(X) > block:  # a tree pass per block would regrow every tree: hold them
-        cache.train_all([subsets[r] for r in grown])
-        grown, held = [], range(len(subsets))
-    for lo in range(0, len(X), block):
-        Xb, idx = X[lo:lo + block], target_idx[lo:lo + block]
-        V = np.empty((len(plan.masks), len(Xb)))
-        if grown:  # one block
-            V[grown] = _forest_rows(spec, d, [subsets[r] for r in grown], Xb, idx.tolist(), jobs)
-            cache.add_grown(subsets[r] for r in grown)
-        for r in held:
-            V[r] = subset_eval(cache, subsets[r], Xb, idx)
-        values[lo:lo + block] = plan.sums(V).T
+    V = np.zeros((len(subsets), len(X)))
+    if grown:
+        _forest_rows(spec, d, [subsets[r] for r in grown], X, target_idx, jobs, V, grown)
+        cache.add_grown(subsets[r] for r in grown)
+    for r in sorted(set(range(len(subsets))).difference(grown)):
+        V[r] = subset_eval(cache, subsets[r], X, target_idx)
     return [InfluenceVector(tuple(row), i, c, method_tag)
-            for row, i, c in zip(values.tolist(), instances, targets)]
+            for row, i, c in zip(plan.sums(V).T.tolist(), instances, targets)]
 
 
 def complete_influence(cache: SubsetModelCache, instances: Sequence[int],
@@ -287,6 +290,8 @@ def complete_influence(cache: SubsetModelCache, instances: Sequence[int],
     """Exact Shapley influence, one vector per instance of its class in ``targets`` (``None``:
     its predicted class).  Costs 2^n subset models: refuses more than ``cap`` attributes.
     ``jobs`` > 1 grows a forest's trees in that many processes (see :func:`_forest_rows`)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     n = cache.dataset.n_attributes
     if n > cap:
         raise ComplexityCapError(n, cap)

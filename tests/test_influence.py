@@ -534,6 +534,8 @@ class TestBatching:
 
     @pytest.mark.parametrize("cells", [None, 15], ids=["one-block", "blocks-of-one"])
     def test_each_tree_grows_once_per_call(self, blob_dataset, rf_cache, monkeypatch, cells):
+        """Whatever the block count, one tree pass grows each (tree, subset) the
+        cache does not hold once, and holds none of the models it grows."""
         import coalex.model
 
         d, grown, passes = blob_dataset, [], []
@@ -542,18 +544,20 @@ class TestBatching:
                             grown.append((t, cols)) or real_grow(memo, spec, d, t, cols))
         monkeypatch.setattr(coalex.influence, "tree_values",
                             lambda *args: passes.append(args[2]) or real_values(*args))
-        if cells is not None:
+        if cells is not None:  # blocks of one instance in Plan.sums
             monkeypatch.setattr(coalex.influence, "VALUE_TABLE_CELLS", cells)
         complete_influence(rf_cache, range(d.n_instances))
         trees = [(t, AttributeSubset(m, 3).indices()) for t in range(5) for m in range(1, 8)]
         assert sorted(grown) == sorted(trees)  # the full model too, for the predictions
-        assert passes == ([0, 1, 2, 3, 4] if cells is None else [])
+        assert passes == [0, 1, 2, 3, 4]
         assert rf_cache.training_count == 8
-        assert all(rf_cache.holds(AttributeSubset(m, 3)) for m in range(8)) == (cells is not None)
+        # only the prior and the full model, which the predictions trained, are held
+        held = [rf_cache.holds(AttributeSubset(m, 3)) for m in range(8)]
+        assert held == [True] + [False] * 6 + [True]
         grown.clear()
         complete_influence(rf_cache, range(d.n_instances))
         # grown models are not held, so a second call grows them again; held ones are read
-        assert len(grown) == (30 if cells is None else 0)
+        assert sorted(grown) == sorted(t for t in trees if len(t[1]) < 3)
 
     def test_rejects_foreign_class(self, blob_dataset):
         cache = SubsetModelCache(SPEC, blob_dataset)
@@ -622,6 +626,23 @@ class TestTreePool:
             assert self.influence(blob_dataset, jobs)[1] == serial
         assert len(forks) == 1 + 2 + 4  # min(jobs, 5 trees) - 1 workers
         self.assert_reaped(forks)
+
+    def test_workers_fill_a_table_of_many_sums_blocks(self, blob_dataset, forks, monkeypatch):
+        _, serial = self.influence(blob_dataset)
+        monkeypatch.setattr(coalex.influence, "VALUE_TABLE_CELLS", 8)  # one instance per block
+        assert self.influence(blob_dataset, 2)[1] == serial
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_refused(self, blob_dataset, forks, jobs):
+        cache = SubsetModelCache(self.SPEC, blob_dataset)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            complete_influence(cache, [0], jobs=jobs)
+        methods = [MethodConfig.parse(m) for m in ("complete", "kdepth:1")]
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_benchmark([blob_dataset], methods, self.SPEC, jobs=jobs)
+        assert forks == [] and cache.training_count == 0
 
     def test_interrupt_kills_and_reaps_every_worker(self, blob_dataset, forks, monkeypatch):
         parent = os.getpid()

@@ -344,7 +344,8 @@ class TestSplitMemo:
         for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
             counts["_leaf"] = counts["_feature_split"] = 0
             memos.clear()
-            tree_values(spec, d, t, subsets, d.features, [0] * d.n_instances)
+            tree_values(spec, d, t, subsets, d.features, [0] * d.n_instances,
+                        np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
             assert len(memos) == len(subsets) and all(m is memos[0] for m in memos)
             leaves = searched = 0
             stack = [memos[0][t][4]]
@@ -374,9 +375,15 @@ class TestTreeValues:
         subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
         idx = [r % 3 for r in range(d.n_instances)]  # all three classes
         T = spec.tree_count if spec.kind == "random_forest" else 1
-        counts = sum(tree_values(spec, d, t, subsets, d.features, idx)
-                     for w in range(stride) for t in range(w, T, stride))
+
+        def table(trees, order=subsets, rows=range(len(subsets))):
+            out = np.zeros((len(subsets), d.n_instances))
+            for t in trees:
+                tree_values(spec, d, t, order, d.features, idx, out, rows)
+            return out
+
+        counts = sum(table(range(w, T, stride)) for w in range(stride))
         oracle = mask_major_rows(SubsetModelCache(spec, d), subsets, d.features, idx)
         assert (counts / T == oracle).all()
-        backward = tree_values(spec, d, 0, subsets[::-1], d.features, idx)
-        assert (backward[::-1] == tree_values(spec, d, 0, subsets, d.features, idx)).all()
+        backward = table([0], subsets[::-1], range(len(subsets))[::-1])
+        assert (backward == table([0])).all()
