@@ -15,8 +15,8 @@ Each method is a :class:`Plan`, its weight matrix W in sparse form.  The
 value table V[mask, instance] is filled in one pass over all instances.  The
 empty subset's prior, and every model the :class:`~coalex.model.SubsetModelCache`
 already holds, give one :func:`subset_eval` row each.  The other rows are
-filled tree-major: tree t of every such model grows from one memo
-(:func:`~coalex.model.tree_values`), and a row is the sum of its trees' values
+filled tree-major (:func:`~coalex.model.tree_values`): tree t of every such
+model grows in one lockstep pass, and a row is the sum of its trees' values
 over the tree count; complete influence with ``jobs`` > 1 forks workers that
 grow slices of the trees.  Each attribute's terms are summed left to right
 with ``np.cumsum``, giving the floats of a Python ``total +=`` loop; ``np.sum``
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import traceback
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,8 +208,9 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
 
     With ``jobs`` > 1, ``os.fork`` and no other thread, worker w of W =
     min(jobs, trees) is forked to sum trees w, w + W, ... and send back the
-    raw bytes; this process sums trees 0, W, ... into V.  A failed worker or
-    a short table raises; any exception kills and reaps every worker.
+    raw bytes; this process sums trees 0, W, ... into V.  A failed worker
+    prints its error and makes this process raise; any exception here kills
+    and reaps every worker.
     """
     T = spec.tree_count if spec.kind == "random_forest" else 1
     W = min(jobs, T) if hasattr(os, "fork") and threading.active_count() == 1 else 1
@@ -227,6 +229,8 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
                     with open(write, "wb") as out:
                         out.write(table.tobytes())
                     status = 0
+                except Exception:  # os._exit skips the printing of an uncaught error
+                    traceback.print_exc()
                 finally:
                     os._exit(status)
             os.close(write)

@@ -4,13 +4,14 @@ The built-in learners are deliberately self-contained and fully deterministic:
 for a fixed (spec, dataset, subset) every confidence value is bit-reproducible
 across runs and whatever order its trees are grown in.  Influence computations
 need a model for every attribute subset they touch; :class:`SubsetModelCache`
-holds them.  :func:`tree_values` grows tree t of many subset models from one
-memo: the tree's bootstrap and feature draws, and each node's rows, leaf and
-per-column split search, are computed once for all of them.
+holds them.  :func:`tree_values` grows tree t of many subset models in one
+lockstep pass: each round advances every model's walk one node and runs one
+split search for all of them, and each node is computed once for all models.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .dataset import AttributeSubset, Dataset
 from .errors import DataError
 
 MODEL_KINDS = ("random_forest", "decision_tree", "prior_baseline")
+_NO_ROWS = np.empty(0, dtype=np.intp)  # shared by the many memo nodes no row of X reaches
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class _TreeNode:
     """Binary CART node; ``leaf`` is a forest leaf's vote, a class-frequency vector, or None."""
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf")
-    rows = splits = None  # see _Record
 
     def __init__(self, leaf=None, feature=-1, threshold=0.0):
         self.feature, self.threshold, self.leaf = feature, threshold, leaf
@@ -57,126 +58,170 @@ class _TreeNode:
 
 
 class _Record(_TreeNode):
-    """A node that can still split, as a growth memo records it: its ``rows``, and
-    ``splits[c]``, dataset column c's split there once searched (see ``_grow``)."""
+    """A memo node of tree t: its depth, leaf, training ``rows`` (None if it cannot
+    split), rows ``ex`` of X, and ``splits[c]``: False until column c is searched,
+    then None or [cost, threshold], extended by the child records once used."""
 
-    __slots__ = ("rows", "splits")
+    __slots__ = ("depth", "rows", "ex", "splits")
 
 
-def _feature_split(col: np.ndarray, y: np.ndarray, classes: np.ndarray, min_leaf: int):
-    """Lowest-Gini-cost (cost, threshold) split of a column or None; ties go left."""
-    m = col.shape[0]
-    order = np.argsort(col, kind="stable")
-    xs = col[order]
-    ys = y[order]
-    if xs[0] == xs[-1]:
-        return None
-    cum = np.cumsum(ys[:, None] == classes, axis=0)  # (m, C) prefix counts
-    sizes = np.arange(1, m)                          # left side sizes
-    left = cum[:-1]
-    right = cum[-1] - left
-    # weighted Gini cost; minimizing it maximizes sum(l^2)/|l| + sum(r^2)/|r|
+def _records(parts: list, exs: list, depths: list, yb: np.ndarray, spec: ModelSpec,
+             n_classes: int, width: int) -> list[_Record]:
+    """The records of the nodes with training rows ``parts[i]``, rows of X ``exs[i]``
+    and depth ``depths[i]``; a forest leaf votes for its lowest most frequent label."""
+    lens = np.array([len(rows) for rows in parts])
+    cells = np.repeat(np.arange(len(parts)) * n_classes, lens) + yb[np.concatenate(parts)]
+    counts = np.bincount(cells, minlength=len(parts) * n_classes).reshape(-1, n_classes)
+    leaves = (counts.argmax(axis=1).tolist() if spec.kind == "random_forest"
+              else counts / counts.sum(axis=1)[:, None])
+    nodes = [_Record(leaf) for leaf in leaves]
+    for node, rows, ex, depth, pure in zip(nodes, parts, exs, depths,
+                                           (counts.max(axis=1) == lens).tolist()):
+        node.depth, node.ex, node.rows, node.splits = depth, ex, rows, [False] * width
+        if pure or len(rows) < 2 * spec.min_leaf or depth == spec.max_depth:
+            node.rows = node.splits = None
+    return nodes
+
+
+def _split_search(pairs: list, X: np.ndarray, yb: np.ndarray, n_classes: int, min_leaf: int):
+    """Set ``record.splits[c]`` for each (record, c) of ``pairs`` to the lowest-Gini-cost
+    [cost, threshold] split of the record's rows on column c, or None.
+
+    One segmented scan does per segment what a one-column search does, in the same
+    integer and float operations: a stable sort, prefix class counts, the cost ``1 -
+    (sum l^2/|l| + sum r^2/|r|) / m`` at each gap between distinct values, the first
+    minimum, and its midpoint, or its right value if that rounds down to the left."""
+    lens = np.array([len(node.rows) for node, _ in pairs])
+    seg = np.repeat(np.arange(len(pairs)), lens)
+    cat = np.concatenate([node.rows for node, _ in pairs])
+    values = X[cat, np.repeat([c for _, c in pairs], lens)]
+    order = np.lexsort((values, seg))
+    xs, labels = values[order], yb[cat[order]][:, None] == np.arange(n_classes)
+    cum = np.cumsum(labels, axis=0)
+    starts = np.cumsum(lens) - lens
+    g = np.flatnonzero(seg[1:] == seg[:-1])  # gap g lies between sorted values g and g + 1
+    gs = seg[g]
+    base = (cum[starts] - labels[starts])[gs]  # counts before the segment
+    left = cum[g] - base
+    right = cum[starts + lens - 1][gs] - base - left
+    sizes, m = g - starts[gs] + 1, lens[gs]
     purity = (left * left).sum(axis=1) / sizes + (right * right).sum(axis=1) / (m - sizes)
-    cost = 1.0 - purity / m
-    valid = (xs[:-1] < xs[1:]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
-    if not valid.any():
-        return None
-    cost = np.where(valid, cost, math.inf)
-    pos = int(np.argmin(cost))  # first minimum -> lowest threshold
+    valid = (xs[g] < xs[g + 1]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
+    cost = np.where(valid, 1.0 - purity / m, math.inf)
+    best = np.minimum.reduceat(cost, starts - np.arange(len(pairs)))
+    hit = np.flatnonzero(cost == best[gs])
+    pos = g[hit[np.searchsorted(gs[hit], np.arange(len(pairs)))]]  # first minima
     thr = (xs[pos] + xs[pos + 1]) / 2.0
-    if thr <= xs[pos]:  # midpoint rounded down to the left value
-        thr = xs[pos + 1]
-    return float(cost[pos]), float(thr)
+    thr = np.where(thr <= xs[pos], xs[pos + 1], thr)
+    for (node, c), low, at in zip(pairs, best.tolist(), thr.tolist()):
+        node.splits[c] = [low, at] if low < math.inf else None
 
 
-def _leaf(ys: np.ndarray, n_classes: int, vote: bool):
-    counts = np.bincount(ys, minlength=n_classes)
-    return int(np.argmax(counts)) if vote else counts / counts.sum()
+def _cut(parts: list, X: np.ndarray, cols: list, thresholds: list) -> list:
+    """For each index array ``parts[i]``, its rows r with ``X[r, cols[i]] <
+    thresholds[i]``, then its other rows, each in order."""
+    seg = np.repeat(np.arange(len(parts)), [len(rows) for rows in parts])
+    cat = np.concatenate(parts)
+    side = 2 * seg + (X[cat, np.array(cols)[seg]] >= np.array(thresholds)[seg])
+    ends = np.cumsum(np.bincount(side, minlength=2 * len(parts))).tolist()
+    cat = cat[np.argsort(side, kind="stable")]
+    return [cat[a:b] if a < b else _NO_ROWS for a, b in zip([0] + ends, ends)]
 
 
-def _record(rows: np.ndarray, yb: np.ndarray, depth: int, spec: ModelSpec, n_classes: int,
-            vote: bool, width: int) -> _TreeNode:
-    """A node's memo record: its leaf if it cannot split, else a node keeping its rows."""
-    ys = yb[rows]
-    deep = spec.max_depth is not None and depth >= spec.max_depth
-    if deep or ys.shape[0] < 2 * spec.min_leaf or (ys == ys[0]).all():
-        return _TreeNode(_leaf(ys, n_classes, vote))
-    node = _Record()
-    node.rows, node.splits = rows, [False] * width
-    return node
+class _Walk:
+    """One model's walk of tree t: index, columns, sample size k (0: no draws), samples
+    used, a stack of (holder, key, parent, side) for ``holder[key]``, rows of X left."""
+
+    __slots__ = ("i", "cols", "k", "drawn", "stack", "pending")
 
 
-def _grow(memo: dict, spec: ModelSpec, d: Dataset, t: int, cols: tuple) -> _TreeNode:
-    """Tree t of the model over dataset columns ``cols``, grown from ``memo``.
+def _grow(spec: ModelSpec, d: Dataset, t: int, cols_list: list, X=None, write=None):
+    """Tree t of the model over each of ``cols_list``, grown in lockstep from one memo.
+    Without X, returns the trees.  With X, builds none, and calls ``write(events)``
+    once per round with a (walk index, leaf record) pair for each leaf rows of X reach.
 
-    ``memo[t]``: tree t's dataset columns over its rows (all rows, or its
-    bootstrap), their labels, its generator, the generator's state after the
-    bootstrap, and its root record.  ``memo[t, q]``: the sorted feature samples
-    tree t has drawn for q-column subsets, and the state after them.  A
-    record's ``splits[c]`` is False until column c is searched there, then None
-    or (cost, threshold), and (cost, threshold, left, right records) once a model
-    splits on it.  A model draws, searches and partitions only what none did before.
-    Each write is one assignment, so an interrupt leaves the memo consistent.
-    """
-    vote, n_classes = spec.kind == "random_forest", d.n_classes
-    if t not in memo:
-        yb, XT, rng, state = d.label_indices(), d.features.T, None, None
-        if vote:  # the bootstrap is drawn first, so tree t's rows do not depend on the subset
-            rng = np.random.default_rng([spec.seed, t])
-            boot = rng.integers(0, d.n_instances, size=d.n_instances)
-            XT, yb, state = d.features[boot].T, yb[boot], rng.bit_generator.state
-        root = _record(np.arange(d.n_instances, dtype=np.int32), yb, 0, spec, n_classes, vote,
-                       d.n_attributes)
-        memo[t] = np.ascontiguousarray(XT), yb, rng, state, root
-    XT, yb, rng, state, root = memo[t]
-    q = len(cols)
-    k = max(1, math.isqrt(q)) if vote else q
-    samples, state = memo.get((t, q), ((), state))
-    classes, drawn, top = np.arange(n_classes), 0, _TreeNode()
-    # (record, depth, parent, side); children are pushed right-then-left so the
-    # left subtree is grown first, in the order the feature samples are drawn.
-    stack = [(root, 0, top, "left")]
-    while stack:
-        node, depth, parent, side = stack.pop()
-        rows, splits = node.rows, node.splits
-        if rows is not None:
-            if k < q:
-                if drawn == len(samples):
-                    # draw from the stored state, then publish samples and state in
-                    # one assignment: an interrupted draw leaves the memo unchanged
-                    rng.bit_generator.state = state
-                    sample = np.sort(rng.choice(q, size=k, replace=False)).tolist()
-                    memo[t, q] = samples, state = samples + (sample,), rng.bit_generator.state
-                features = samples[drawn]
-                drawn += 1
-            else:
-                features = range(q)
-            # ascending features, strict improvements: ties go to the lowest column
-            best_cost, best, ys = math.inf, None, None
-            for f in features:
-                found = splits[cols[f]]
-                if found is False:
-                    ys = yb[rows] if ys is None else ys
-                    found = splits[cols[f]] = _feature_split(XT[cols[f]][rows], ys,
-                                                             classes, spec.min_leaf)
-                if found is not None and found[0] < best_cost:
-                    best_cost, best = found[0], f
+    Tree t's rows (all rows, or a bootstrap drawn before any subset-dependent draw)
+    and its j-th feature sample for q-column subsets do not depend on the subset,
+    so a node, named by the (column, threshold, side) of each split above it, has
+    the same rows, leaf and column splits in every model: the memo computes each
+    once.  A round moves every walk, depth first and left first, to its next
+    splittable record; searches the (record, column) pairs its sample asks for and
+    none did before, in one ``_split_search``; takes each walk's best split; and
+    cuts the rows of each new (record, column) split.  A walk stops once its rows of
+    X are in leaves, and one that draws no features skips subtrees they miss; one
+    that draws must grow those, as their draws shift its later samples."""
+    vote, n_classes, width = spec.kind == "random_forest", d.n_classes, d.n_attributes
+    yb, Xb, rng = d.label_indices(), d.features, None
+    if vote:  # the bootstrap is drawn first, so tree t's rows do not depend on the subset
+        rng = np.random.default_rng([spec.seed, t])
+        boot = rng.integers(0, d.n_instances, size=d.n_instances)
+        Xb, yb = d.features[boot], yb[boot]
+    roots = _records([np.arange(d.n_instances, dtype=np.int32)],
+                     [None if X is None else np.arange(len(X))], [0], yb, spec, n_classes, width)
+    samples = {q: ([], copy.deepcopy(rng)) for q in {len(cols) for cols in cols_list}}
+    tops, walks = [_TreeNode() for _ in cols_list], [_Walk() for _ in cols_list]
+    pending = -1 if X is None else len(X)
+    for i, (w, cols) in enumerate(zip(walks, cols_list)):
+        k = max(1, math.isqrt(len(cols))) if vote else 0
+        w.i, w.cols, w.k, w.drawn, w.pending = i, cols, k * (k < len(cols)), 0, pending
+        w.stack = [(roots, 0, None if X is not None else tops[i], "left")]
+
+    def place(w, node, parent, side):  # hang a leaf on the tree, or note the rows of X there
+        if parent is not None:
+            setattr(parent, side, node)
+        elif len(node.ex):
+            events.append((w.i, node))
+            w.pending -= len(node.ex)  # at 0, the rest of the tree changes no value
+
+    while walks:
+        at, pairs, cuts, events = [], [], [], []
+        for w in walks:  # to the next splittable record, placing leaves on the way
+            while w.stack and w.pending:
+                holder, key, parent, side = w.stack.pop()
+                node, cols = holder[key], w.cols
+                if node.rows is None or not (w.k or X is None or len(node.ex)):
+                    place(w, node, parent, side)  # a leaf, or a subtree no row of X reaches
+                    continue
+                features = range(len(cols))
+                if w.k:
+                    drawn, gen = samples[len(cols)]
+                    if w.drawn == len(drawn):
+                        drawn.append(np.sort(gen.choice(len(cols), w.k, replace=False)).tolist())
+                    features = drawn[w.drawn]
+                    w.drawn += 1
+                for f in features:
+                    if node.splits[cols[f]] is False:
+                        node.splits[cols[f]] = None  # searched in this round
+                        pairs.append((node, cols[f]))
+                at.append((w, node, parent, side, features))
+                break
+        if pairs:
+            _split_search(pairs, Xb, yb, n_classes, spec.min_leaf)
+        for w, node, parent, side, features in at:
+            splits, cols = node.splits, w.cols  # the lowest cost; on ties the lowest column
+            best = min(((splits[cols[f]][0], f) for f in features if splits[cols[f]] is not None),
+                       default=(None, None))[1]
             if best is None:
-                if node.leaf is None:
-                    node.leaf = _leaf(yb[rows], n_classes, vote)
-            else:
-                c = cols[best]
-                found = splits[c]
-                if len(found) == 2:  # the first split here on column c: partition
-                    go_left = XT[c][rows] < found[1]
-                    found = splits[c] = found + tuple(
-                        _record(part, yb, depth + 1, spec, n_classes, vote, len(splits))
-                        for part in (rows[go_left], rows[~go_left]))
-                node = _TreeNode(feature=best, threshold=found[1])
-                stack.append((found[3], depth + 1, node, "right"))
-                stack.append((found[2], depth + 1, node, "left"))
-        setattr(parent, side, node)
-    return top.left
+                place(w, node, parent, side)
+                continue
+            found = splits[cols[best]]
+            if len(found) == 2:  # the first split here on this column: cut below
+                cuts.append((node, cols[best], found))
+                found += [None, None]
+            if parent is not None:
+                setattr(parent, side, parent := _TreeNode(feature=best, threshold=found[1]))
+            w.stack += [(found, 3, parent, "right"), (found, 2, parent, "left")]
+        if cuts:
+            nodes, cs, thr = zip(*[(node, c, found[1]) for node, c, found in cuts])
+            exs = [None] * 2 * len(cuts) if X is None else _cut([n.ex for n in nodes], X, cs, thr)
+            kids = _records(_cut([n.rows for n in nodes], Xb, cs, thr), exs,
+                            [n.depth + 1 for n in nodes for _ in "lr"], yb, spec, n_classes, width)
+            for j, (*_, found) in enumerate(cuts):
+                found[2:] = kids[2 * j:2 * j + 2]
+        if events:
+            write(events)
+        walks = [w for w in walks if w.stack and w.pending]
+    return [top.left for top in tops]
 
 
 def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
@@ -250,10 +295,10 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
     if d.n_classes < 2:
         raise DataError("training requires at least 2 classes")
     if s.size == 0 or spec.kind == "prior_baseline":
-        prior = _TreeNode(_leaf(d.label_indices(), d.n_classes, vote=False))
+        prior = _TreeNode(np.bincount(d.label_indices(), minlength=d.n_classes) / d.n_instances)
         return TrainedModelHandle(s, d.class_set, [prior], vote=False)
     vote = spec.kind == "random_forest"
-    trees = [_grow({}, spec, d, t, s.indices()) for t in range(spec.tree_count if vote else 1)]
+    trees = [_grow(spec, d, t, [s.indices()])[0] for t in range(spec.tree_count if vote else 1)]
     return TrainedModelHandle(s, d.class_set, trees, vote)
 
 
@@ -264,27 +309,18 @@ def tree_values(spec: ModelSpec, d: Dataset, t: int, subsets: list[AttributeSubs
     confidence for class ``target_idx[r]`` at row r, a forest tree's vote (1 or
     0) or a decision tree's class frequency, to ``out[rows[i], r]``.  Summed
     over a forest's trees and divided by their count, these are ``train``'s
-    confidences bit for bit.
+    confidences bit for bit.  All subsets grow in one lockstep pass (``_grow``)."""
+    vote, tidx, rows = spec.kind == "random_forest", np.asarray(target_idx), np.asarray(rows)
 
-    The trees grow, in order, from one memo, dropped on return.  A node is
-    named by the (column, threshold, side) of each split above it.  Tree t's
-    rows (all rows, or a bootstrap drawn before any subset-dependent draw) and
-    its j-th feature sample for q-column subsets do not depend on the subset,
-    so a node has the same rows, leaf and column splits in every model, and
-    the memo computes each of them once (see ``_grow``).
-    """
-    vote, memo = spec.kind == "random_forest", {}
-    onehot = np.eye(d.n_classes).tolist()
-    columns, every_row = X.T.tolist(), list(range(len(X)))
-    for s, row in zip(subsets, rows, strict=True):
-        cols = s.indices()
-        values = [0.0] * len(every_row)
-        for node, part in _leaves(_grow(memo, spec, d, t, cols), [columns[j] for j in cols],
-                                  every_row):
-            leaf = onehot[node.leaf] if vote else node.leaf.tolist()
-            for r in part:
-                values[r] = leaf[target_idx[r]]
-        out[row] += values
+    def write(events):  # a round's (walk, leaf) pairs: the leaf's value at each of its rows
+        walks, leaves = zip(*events)
+        ex = np.concatenate([leaf.ex for leaf in leaves])
+        which = np.repeat(np.arange(len(leaves)), [len(leaf.ex) for leaf in leaves])
+        found = np.array([leaf.leaf for leaf in leaves])[which]
+        values = (found == tidx[ex]).astype(float) if vote else found[np.arange(len(ex)), tidx[ex]]
+        out[rows[list(walks)][which], ex] += values
+
+    _grow(spec, d, t, [s.indices() for s in subsets], X, write)
 
 
 class SubsetModelCache:

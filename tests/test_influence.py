@@ -534,14 +534,15 @@ class TestBatching:
 
     @pytest.mark.parametrize("cells", [None, 15], ids=["one-block", "blocks-of-one"])
     def test_each_tree_grows_once_per_call(self, blob_dataset, rf_cache, monkeypatch, cells):
-        """Whatever the block count, one tree pass grows each (tree, subset) the
+        """Whatever the block count, one tree pass walks each (tree, subset) the
         cache does not hold once, and holds none of the models it grows."""
         import coalex.model
 
         d, grown, passes = blob_dataset, [], []
         real_grow, real_values = coalex.model._grow, coalex.influence.tree_values
-        monkeypatch.setattr(coalex.model, "_grow", lambda memo, spec, d, t, cols:
-                            grown.append((t, cols)) or real_grow(memo, spec, d, t, cols))
+        monkeypatch.setattr(coalex.model, "_grow", lambda spec, d, t, cols_list, *args:
+                            grown.extend((t, cols) for cols in cols_list)
+                            or real_grow(spec, d, t, cols_list, *args))
         monkeypatch.setattr(coalex.influence, "tree_values",
                             lambda *args: passes.append(args[2]) or real_values(*args))
         if cells is not None:  # blocks of one instance in Plan.sums
@@ -663,7 +664,7 @@ class TestTreePool:
 
     @pytest.mark.parametrize("failure", ["raises", "dies", "exits-without-a-table"])
     def test_failed_worker_makes_the_parent_raise(self, blob_dataset, forks, monkeypatch,
-                                                  failure):
+                                                  capfd, failure):
         parent, real = os.getpid(), coalex.influence.tree_values
 
         def failing(*args):
@@ -681,6 +682,8 @@ class TestTreePool:
             complete_influence(cache, [0, 1], [blob_dataset.class_target("hi")] * 2, jobs=2)
         self.assert_reaped(forks)
         assert cache.training_count == 0
+        if failure == "raises":  # the worker's own error reaches stderr
+            assert "worker fault" in capfd.readouterr().err
 
     def test_no_worker_off_the_only_thread_or_without_fork(self, blob_dataset, forks,
                                                            monkeypatch):

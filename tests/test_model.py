@@ -1,4 +1,4 @@
-import itertools
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from coalex import (
     train,
 )
 from coalex.influence import complete_plan
-from coalex.model import _grow, tree_values
+from coalex.model import tree_values
 
 from conftest import class_prior, dataset_from
 
@@ -266,44 +266,6 @@ class TestSubsetModelCache:
             cache.get_or_train(s)
             assert s in cache and cache.training_count == 1
 
-    @pytest.mark.parametrize("name", ["sort", "_feature_split", "_record", "_leaf"])
-    def test_interrupted_fit_leaves_the_memo_consistent(self, eight_binary_attributes, name,
-                                                         monkeypatch):
-        """An interrupt in any feature draw (``np.sort``), split search, partition
-        or leaf leaves a tree's memo as if that step had not started: growth from
-        it goes on to the trees a fresh memo grows."""
-        import coalex.model
-
-        d = eight_binary_attributes
-        spec = ModelSpec(kind="random_forest", tree_count=4, max_depth=4, seed=1)
-        cols = [AttributeSubset(mask, 8).indices() for mask in (0xFF, 0b10110101, 0b01111110)]
-        fresh = [[tree_shape(_grow({}, spec, d, t, c)) for c in cols] for t in range(2)]
-        owner = np if name == "sort" else coalex.model
-        real = getattr(owner, name)
-        for stop in itertools.count(1):  # interrupt the stop-th call, until none is left
-            calls, memos = [], [{}, {}]
-
-            def interrupting(*args, **kwargs):
-                calls.append(name)
-                if len(calls) == stop:
-                    raise KeyboardInterrupt
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, interrupting)
-            try:
-                for t, memo in enumerate(memos):
-                    for c in cols:
-                        _grow(memo, spec, d, t, c)
-            except KeyboardInterrupt:
-                pass
-            else:
-                break
-            finally:
-                monkeypatch.setattr(owner, name, real)
-            assert [[tree_shape(_grow(memo, spec, d, t, c)) for c in cols]
-                    for t, memo in enumerate(memos)] == fresh
-        assert stop > 3
-
 
 class TestSplitMemo:
     """Tree t of many subset models grows from one memo, and every model stays bit-identical."""
@@ -324,39 +286,190 @@ class TestSplitMemo:
             assert_same_model(forward.get_or_train(s), alone, d)
             assert_same_model(backward.get_or_train(s), alone, d)
 
-    @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_SPEC_IDS)
-    def test_each_leaf_and_split_is_computed_once(self, five_attributes, spec, monkeypatch):
-        """A tree pass grows tree t of every model from one memo, which builds each
-        leaf and searches each (node, column) split once."""
+    # (split searches, records built) for each tree when every row is explained, as
+    # the per-subset grower that preceded the lockstep pass counted them: it searched
+    # only the columns some model's feature sample asked for, each once per node.
+    PARENT_COUNTS = [[(1221, 1067)],
+                     [(62, 115), (97, 167), (104, 181), (86, 147), (47, 87), (86, 149)],
+                     [(122, 157)],
+                     [(281, 405), (409, 573), (372, 565), (352, 547)]]
+
+    @pytest.mark.parametrize("spec, counts", list(zip(SHARED_SPECS, PARENT_COUNTS)),
+                             ids=SHARED_SPEC_IDS)
+    def test_each_leaf_and_split_is_computed_once(self, five_attributes, spec, counts,
+                                                  monkeypatch):
+        """A tree pass builds each record (a leaf or a node) once, and searches each
+        (record, column) pair once; since the counts equal the per-subset grower's,
+        it searches no pair that no model's feature sample asked for."""
         import coalex.model
 
         d = five_attributes
         subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
-        counts, memos = {"_leaf": 0, "_feature_split": 0}, []
-        for name in counts:
-            def counting(*args, real=getattr(coalex.model, name), name=name):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(coalex.model, name, counting)
-        monkeypatch.setattr(coalex.model, "_grow",
-                            lambda memo, *args: memos.append(memo) or _grow(memo, *args))
-        for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
-            counts["_leaf"] = counts["_feature_split"] = 0
-            memos.clear()
+        built, searched = [], []
+        records, search = coalex.model._records, coalex.model._split_search
+        monkeypatch.setattr(coalex.model, "_records", lambda parts, *args:
+                            built.extend(records(parts, *args)) or built[len(built) - len(parts):])
+        monkeypatch.setattr(coalex.model, "_split_search", lambda pairs, *args:
+                            searched.extend(pairs) or search(pairs, *args))
+        for t, (searches, builds) in enumerate(counts):
+            built.clear()
+            searched.clear()
             tree_values(spec, d, t, subsets, d.features, [0] * d.n_instances,
                         np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
-            assert len(memos) == len(subsets) and all(m is memos[0] for m in memos)
-            leaves = searched = 0
-            stack = [memos[0][t][4]]
+            assert len(built) == len(set(map(id, built))) == builds
+            assert len(searched) == len({(id(n), c) for n, c in searched}) == searches
+            # the memo below the root holds exactly the built records and searched pairs
+            reached, found, stack = [], [], [built[0]]
             while stack:
                 node = stack.pop()
-                leaves += node.leaf is not None
-                for found in node.splits or ():
-                    searched += found is not False
-                    stack += found[2:] if found else []
-            assert counts["_leaf"] == leaves  # every leaf is built once, then shared
-            assert counts["_feature_split"] == searched  # one search per (node, column)
+                reached.append(id(node))
+                for c, split in enumerate(node.splits or ()):
+                    found += [(id(node), c)] if split is not False else []
+                    stack += split[2:] if split else []
+            assert sorted(reached) == sorted(map(id, built))
+            assert sorted(found) == sorted((id(n), c) for n, c in searched)
+
+
+def one_column_split(col, y, n_classes, min_leaf):
+    """The per-column split search the segmented one replaced, kept as its reference:
+    the lowest-Gini-cost (cost, threshold) split of one column, or None."""
+    m = col.shape[0]
+    order = np.argsort(col, kind="stable")
+    xs, ys = col[order], y[order]
+    cum = np.cumsum(ys[:, None] == np.arange(n_classes), axis=0)
+    sizes = np.arange(1, m)
+    left = cum[:-1]
+    right = cum[-1] - left
+    purity = (left * left).sum(axis=1) / sizes + (right * right).sum(axis=1) / (m - sizes)
+    valid = (xs[:-1] < xs[1:]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
+    if not valid.any():
+        return None
+    pos = int(np.argmin(np.where(valid, 1.0 - purity / m, np.inf)))  # the first minimum
+    thr = (xs[pos] + xs[pos + 1]) / 2.0
+    return float((1.0 - purity / m)[pos]), float(xs[pos + 1] if thr <= xs[pos] else thr)
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_segmented_search_equals_a_search_per_column(self, min_leaf, n_classes):
+        """One segmented search over many (record, column) pairs gives each pair the
+        floats of a search of that column alone: rounded values make ties in value
+        and in cost, one column is constant, and one holds two adjacent doubles,
+        whose midpoint rounds down to the lower one."""
+        from coalex.model import _Record, _split_search
+
+        rng = np.random.default_rng(100 * min_leaf + n_classes)
+        X = np.round(rng.normal(size=(60, 6)), 1)
+        X[:, 5] = 1.0
+        X[:, 3] = np.where(rng.random(60) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+        X[:, 4] = rng.integers(0, 2, size=60)
+        y = rng.integers(0, n_classes, size=60)
+        pairs = []
+        for size in (2, 3, 5, 8, 13, 40, 60):
+            node = _Record()
+            node.rows = np.sort(rng.choice(60, size=size, replace=False)).astype(np.int32)
+            node.splits = [False] * 6
+            pairs += [(node, c) for c in rng.permutation(6)[:4].tolist()]
+        _split_search(pairs, X, y, n_classes, min_leaf)
+        for node, c in pairs:
+            want = one_column_split(X[node.rows, c], y[node.rows], n_classes, min_leaf)
+            got = node.splits[c]
+            assert (got if got is None else tuple(got)) == want
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("spec", [ModelSpec(kind="decision_tree"),
+                                      ModelSpec(kind="random_forest", tree_count=3, seed=2)],
+                             ids=["dt", "rf-no_depth_cap"])
+    def test_a_few_rows_give_the_columns_of_all_rows(self, five_attributes, spec,
+                                                     monkeypatch):
+        """A value at a row does not depend on the other rows of X, so a table over a
+        few rows equals those columns of the table over all rows, bit for bit.  A walk
+        that draws no features (all of a decision tree's) searches only nodes those
+        rows reach; one that draws (a forest's over 2 or more columns) stops once its
+        rows are in leaves, so it searches fewer (record, column) pairs than for all."""
+        import coalex.model
+
+        d = five_attributes
+        subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
+        drawing = [s for s in subsets if s.size > 1] if spec.kind == "random_forest" else subsets
+        X = np.vstack([d.features, [[9.0, -9.0, 0.05, 0.0, 0.33]]])  # last: not a training row
+        idx = [r % 3 for r in range(len(X))]
+        search, searched = coalex.model._split_search, []
+        monkeypatch.setattr(coalex.model, "_split_search", lambda pairs, *args:
+                            searched.extend(pairs) or search(pairs, *args))
+
+        def table(rows, subsets):
+            out = np.zeros((len(subsets), len(rows)))
+            searched.clear()
+            for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
+                tree_values(spec, d, t, subsets, X[rows], [idx[r] for r in rows], out,
+                            range(len(subsets)))
+            return out, list(searched)
+
+        every, _ = table(list(range(len(X))), subsets)
+        searches = len(table(list(range(len(X))), drawing)[1])
+        for rows in ([len(X) - 1], [7], [3, 17, len(X) - 1]):
+            few, pairs = table(rows, subsets)
+            assert (few == every[:, rows]).all()
+            if spec.kind == "decision_tree":
+                assert all(len(node.ex) for node, _ in pairs)
+            assert len(table(rows, drawing)[1]) < searches
+
+
+@pytest.fixture
+def four_classes():
+    """Four attributes and four classes, for frequency leaves of four entries."""
+    rng = np.random.default_rng(44)
+    x = np.round(rng.normal(size=(60, 4)), 1)
+    score = x[:, 0] - x[:, 1] + x[:, 2] * x[:, 3]
+    return dataset_from(x, ["abcd"[int(v)] for v in np.digitize(score, [-1.0, 0.0, 1.0])],
+                        name="four")
+
+
+def model_digest(spec, d):
+    """sha1 over every subset model's tree shapes and confidences, as ``train`` fits
+    them, and over ``tree_values`` tables of all rows and of rows 0-2."""
+    digest, n = hashlib.sha1(), d.n_attributes
+    masks = complete_plan(n).masks
+    for mask in masks:
+        h = train(spec, d, AttributeSubset(mask, n))
+        digest.update(repr(tree_shapes(h)).encode())
+        digest.update(h.confidences(d.features).tobytes())
+    subsets = [AttributeSubset(mask, n) for mask in masks[1:]]
+    idx = [r % d.n_classes for r in range(d.n_instances)]
+    for X, target in ((d.features, idx), (d.features[:3], idx[:3])):
+        out = np.zeros((len(subsets), len(X)))
+        for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
+            tree_values(spec, d, t, subsets, X, target, out, range(len(subsets)))
+        digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
+# Digests of the models and tables grown by the per-subset grower that preceded the
+# lockstep tree pass (each subset's tree grown by its own walk, one split search per
+# (node, column)): an oracle that does not run through the code it checks.
+PINNED_DIGESTS = {
+    "five_attributes/dt": "792e5b5ddd8ef450d060312405f539f168a56a3b",
+    "five_attributes/rf": "8406bcaf733419b22d873d41a6b03141e6abce3f",
+    "five_attributes/dt-min_leaf2": "2068f71b7fefe5d6f146d0df2a7ae4d11765220e",
+    "five_attributes/rf-min_leaf2-no_depth_cap": "ba958da336bfb7c8669b7d69ecba6bb2b210aab1",
+    "eight_binary_attributes/rf-min_leaf3-no_depth_cap": "71b361f107e9793ccfd57e37558dd582c5e8556c",
+    "four_classes/dt-four_classes": "879d36f97a444c258933b44a7463239a34943996",
+}
+DIGEST_CASES = ([("five_attributes", spec, i) for spec, i in zip(SHARED_SPECS, SHARED_SPEC_IDS)]
+                + [("eight_binary_attributes",
+                    ModelSpec(kind="random_forest", tree_count=4, min_leaf=3, seed=2),
+                    "rf-min_leaf3-no_depth_cap"),
+                   ("four_classes", ModelSpec(kind="decision_tree"), "dt-four_classes")])
+
+
+@pytest.mark.parametrize("fixture, spec", [c[:2] for c in DIGEST_CASES],
+                         ids=[c[2] for c in DIGEST_CASES])
+def test_models_match_the_pinned_digests(request, fixture, spec):
+    case = f"{fixture}/{request.node.callspec.id}"
+    assert model_digest(spec, request.getfixturevalue(fixture)) == PINNED_DIGESTS[case]
 
 
 def mask_major_rows(cache, subsets, X, target_idx):
