@@ -27,7 +27,6 @@ from .evaluation import (
 )
 from .grouping import (
     Coalition,
-    fidelity,
     group_model_based,
     group_pca,
     group_rev_spearman,
@@ -55,10 +54,10 @@ __all__ = [
     "AttributeSubset", "Coalition", "ComplexityCapError", "ComplexityReport", "ConfigError",
     "DataError", "Dataset", "InfluenceVector", "MethodConfig", "ModelSpec",
     "SubsetModelCache", "closure", "coalition_penalty", "coalitional_influence",
-    "complete_influence", "complexity_proportion", "error_score", "fidelity",
-    "find_threshold", "group_model_based", "group_pca", "group_rev_spearman",
-    "group_rev_vif", "group_spearman", "group_vif", "influence_distance",
-    "kdepth_influence", "kdepth_penalty", "load_csv", "make_synthetic_dataset",
-    "make_synthetic_suite", "normalize", "predicted_classes", "run_benchmark",
-    "shapley_penalty", "subset_eval", "train", "write_benchmark_csv", "write_benchmark_json",
+    "complete_influence", "complexity_proportion", "error_score", "find_threshold",
+    "group_model_based", "group_pca", "group_rev_spearman", "group_rev_vif",
+    "group_spearman", "group_vif", "influence_distance", "kdepth_influence",
+    "kdepth_penalty", "load_csv", "make_synthetic_dataset", "make_synthetic_suite",
+    "normalize", "predicted_classes", "run_benchmark", "shapley_penalty", "subset_eval",
+    "train", "write_benchmark_csv", "write_benchmark_json",
 ]

@@ -316,23 +316,6 @@ GROUPING_METHODS = {
 # model-based grouping
 
 
-def _as_partition(grouping, n: int) -> list[tuple[int, ...]]:
-    if isinstance(grouping, Coalition):
-        sets = grouping.index_sets()
-    else:
-        sets = [tuple(sorted(g.indices() if isinstance(g, AttributeSubset) else g))
-                for g in grouping]
-    seen: set[int] = set()
-    for g in sets:
-        for i in g:
-            if i in seen or not 0 <= i < n:
-                raise ValueError("grouping must be a partition of the attributes")
-            seen.add(i)
-    if seen != set(range(n)):
-        raise ValueError("grouping must cover every attribute")
-    return sorted((tuple(sorted(g)) for g in sets))
-
-
 def _randomized_fidelity(d: Dataset, model: TrainedModelHandle, pred: np.ndarray,
                          class_groups: Sequence[Sequence[int]],
                          uniform_attrs: Sequence[int],
@@ -370,22 +353,6 @@ def _randomized_fidelity(d: Dataset, model: TrainedModelHandle, pred: np.ndarray
         randomized[:, free_cols] = X[draws[:, k:], free_cols]
         scores.append(float(np.mean(model.predict_classes(randomized) == pred)))
     return float(np.mean(scores))
-
-
-def fidelity(d: Dataset, model: TrainedModelHandle, grouping,
-             repetitions: int = 10, seed: int = 0) -> float:
-    """Fraction of instances whose predicted class survives group randomization.
-
-    ``grouping`` must be a partition of the attributes.  Groups of two or
-    more attributes are swapped jointly with a donor instance of the same
-    predicted class; singleton attributes are swapped with uniformly random
-    instances.
-    """
-    parts = _as_partition(grouping, d.n_attributes)
-    class_groups = [g for g in parts if len(g) >= 2]
-    uniform_attrs = [g[0] for g in parts if len(g) == 1]
-    return _randomized_fidelity(d, model, model.predict_classes(d.features), class_groups,
-                                uniform_attrs, repetitions, seed)
 
 
 def group_model_based(cache: SubsetModelCache, delta: float,

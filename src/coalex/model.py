@@ -5,8 +5,11 @@ for a fixed (spec, dataset, subset) every confidence value is bit-reproducible
 across runs and whatever order its trees are grown in.  Influence computations
 need a model for every attribute subset they touch; :class:`SubsetModelCache`
 holds them.  :func:`tree_values` grows tree t of many subset models in one
-lockstep pass: each round advances every model's walk one node and runs one
-split search for all of them, and each node is computed once for all models.
+lockstep pass: each round advances every model's walk, a walk that draws no
+features over its whole frontier and one that draws by one node, and runs one
+split search for all of them (up to ``ROUND_ROWS`` rows), and each node is
+computed once for all models.  The search sorts one integer key per row,
+segment x N + the row's rank in its column, ranked once per tree.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import DataError
 
 MODEL_KINDS = ("random_forest", "decision_tree", "prior_baseline")
 _NO_ROWS = np.empty(0, dtype=np.intp)  # shared by the many memo nodes no row of X reaches
+ROUND_ROWS = 1 << 17  # a round takes no more records once it searches and places this many rows
 
 
 @dataclass(frozen=True)
@@ -83,29 +87,41 @@ def _records(parts: list, exs: list, depths: list, yb: np.ndarray, spec: ModelSp
     return nodes
 
 
-def _split_search(pairs: list, X: np.ndarray, yb: np.ndarray, n_classes: int, min_leaf: int):
+def _presort(Xb: np.ndarray, yb: np.ndarray):
+    """Per column c, ``rank[c, r]``: row r's position in a stable argsort of
+    ``Xb[:, c]``; and the column's values and labels in that order, flat."""
+    order = np.argsort(Xb, axis=0, kind="stable").T
+    rank = np.empty_like(order)
+    rank[np.arange(len(order))[:, None], order] = np.arange(len(Xb))
+    return rank, np.take_along_axis(Xb.T, order, 1).ravel(), yb[order].ravel()
+
+
+def _split_search(pairs: list, presort, n_classes: int, min_leaf: int):
     """Set ``record.splits[c]`` for each (record, c) of ``pairs`` to the lowest-Gini-cost
     [cost, threshold] split of the record's rows on column c, or None.
 
     One segmented scan does per segment what a one-column search does, in the same
-    integer and float operations: a stable sort, prefix class counts, the cost ``1 -
-    (sum l^2/|l| + sum r^2/|r|) / m`` at each gap between distinct values, the first
-    minimum, and its midpoint, or its right value if that rounds down to the left."""
-    lens = np.array([len(node.rows) for node, _ in pairs])
-    seg = np.repeat(np.arange(len(pairs)), lens)
-    cat = np.concatenate([node.rows for node, _ in pairs])
-    values = X[cat, np.repeat([c for _, c in pairs], lens)]
-    order = np.lexsort((values, seg))
-    xs, labels = values[order], yb[cat[order]][:, None] == np.arange(n_classes)
-    cum = np.cumsum(labels, axis=0)
+    integer and float operations: a stable sort (one integer key per row, segment x N
+    + its ``_presort`` rank), prefix class counts, the cost ``1 - (sum l^2/|l| + sum
+    r^2/|r|) / m`` at each gap between distinct values, the first minimum, and its
+    midpoint, or its right value if that rounds down to the left."""
+    rank, sorted_x, sorted_y = presort
+    lens, cols = np.array([len(node.rows) for node, _ in pairs]), [c for _, c in pairs]
+    seg, size = np.repeat(np.arange(len(pairs)), lens), rank.shape[1]
+    key = np.sort(seg * size + rank[np.repeat(cols, lens), np.concatenate(
+        [node.rows for node, _ in pairs])])  # a segment's rows in its column's order
+    flat = key + np.repeat((np.array(cols) - np.arange(len(pairs))) * size, lens)
+    xs, ys = sorted_x[flat], sorted_y[flat]
     starts = np.cumsum(lens) - lens
     g = np.flatnonzero(seg[1:] == seg[:-1])  # gap g lies between sorted values g and g + 1
     gs = seg[g]
-    base = (cum[starts] - labels[starts])[gs]  # counts before the segment
-    left = cum[g] - base
-    right = cum[starts + lens - 1][gs] - base - left
-    sizes, m = g - starts[gs] + 1, lens[gs]
-    purity = (left * left).sum(axis=1) / sizes + (right * right).sum(axis=1) / (m - sizes)
+    first, m = starts[gs], lens[gs]
+    sizes, left_sq, right_sq = g - first + 1, 0, 0
+    for k in range(n_classes):  # sum l^2 and sum r^2 in integers, one class at a time
+        cum = np.concatenate([[0], np.cumsum(ys == k)])
+        left = cum[g + 1] - cum[first]
+        left_sq, right_sq = left_sq + left * left, right_sq + (cum[first + m] - cum[g + 1]) ** 2
+    purity = left_sq / sizes + right_sq / (m - sizes)
     valid = (xs[g] < xs[g + 1]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
     cost = np.where(valid, 1.0 - purity / m, math.inf)
     best = np.minimum.reduceat(cost, starts - np.arange(len(pairs)))
@@ -145,17 +161,22 @@ def _grow(spec: ModelSpec, d: Dataset, t: int, cols_list: list, X=None, write=No
     so a node, named by the (column, threshold, side) of each split above it, has
     the same rows, leaf and column splits in every model: the memo computes each
     once.  A round moves every walk, depth first and left first, to its next
-    splittable record; searches the (record, column) pairs its sample asks for and
-    none did before, in one ``_split_search``; takes each walk's best split; and
-    cuts the rows of each new (record, column) split.  A walk stops once its rows of
-    X are in leaves, and one that draws no features skips subtrees they miss; one
-    that draws must grow those, as their draws shift its later samples."""
+    splittable record, or, if it draws no features, to every record on its stack,
+    as its splits do not depend on the order it visits them in; searches the
+    (record, column) pairs the walks' samples ask for and none did before, in one
+    ``_split_search`` over tree t's ``_presort``; takes each walk's best split; and
+    cuts the rows of each new (record, column) split.  A round takes no more
+    records once it has ``ROUND_ROWS`` rows to search or to place in leaves; the
+    rest wait for the next round.  A walk stops once its rows of X are in leaves,
+    and one that draws no features skips subtrees they miss; one that draws must
+    grow those, as their draws shift its later samples."""
     vote, n_classes, width = spec.kind == "random_forest", d.n_classes, d.n_attributes
     yb, Xb, rng = d.label_indices(), d.features, None
     if vote:  # the bootstrap is drawn first, so tree t's rows do not depend on the subset
         rng = np.random.default_rng([spec.seed, t])
         boot = rng.integers(0, d.n_instances, size=d.n_instances)
         Xb, yb = d.features[boot], yb[boot]
+    presort = _presort(Xb, yb)
     roots = _records([np.arange(d.n_instances, dtype=np.int32)],
                      [None if X is None else np.arange(len(X))], [0], yb, spec, n_classes, width)
     samples = {q: ([], copy.deepcopy(rng)) for q in {len(cols) for cols in cols_list}}
@@ -169,18 +190,20 @@ def _grow(spec: ModelSpec, d: Dataset, t: int, cols_list: list, X=None, write=No
     def place(w, node, parent, side):  # hang a leaf on the tree, or note the rows of X there
         if parent is not None:
             setattr(parent, side, node)
-        elif len(node.ex):
+            return 0
+        if len(node.ex):
             events.append((w.i, node))
             w.pending -= len(node.ex)  # at 0, the rest of the tree changes no value
+        return len(node.ex)
 
     while walks:
-        at, pairs, cuts, events = [], [], [], []
-        for w in walks:  # to the next splittable record, placing leaves on the way
-            while w.stack and w.pending:
+        at, pairs, cuts, events, load = [], [], [], [], 0
+        for w in walks:  # to the next splittable records, placing leaves on the way
+            while w.stack and w.pending and load < ROUND_ROWS:
                 holder, key, parent, side = w.stack.pop()
                 node, cols = holder[key], w.cols
                 if node.rows is None or not (w.k or X is None or len(node.ex)):
-                    place(w, node, parent, side)  # a leaf, or a subtree no row of X reaches
+                    load += place(w, node, parent, side)  # a leaf, or a subtree no X reaches
                     continue
                 features = range(len(cols))
                 if w.k:
@@ -193,10 +216,12 @@ def _grow(spec: ModelSpec, d: Dataset, t: int, cols_list: list, X=None, write=No
                     if node.splits[cols[f]] is False:
                         node.splits[cols[f]] = None  # searched in this round
                         pairs.append((node, cols[f]))
+                        load += len(node.rows)
                 at.append((w, node, parent, side, features))
-                break
+                if w.k:  # a drawing walk's j-th sample is for its j-th record, depth first
+                    break
         if pairs:
-            _split_search(pairs, Xb, yb, n_classes, spec.min_leaf)
+            _split_search(pairs, presort, n_classes, spec.min_leaf)
         for w, node, parent, side, features in at:
             splits, cols = node.splits, w.cols  # the lowest cost; on ties the lowest column
             best = min(((splits[cols[f]][0], f) for f in features if splits[cols[f]] is not None),
@@ -316,8 +341,8 @@ def tree_values(spec: ModelSpec, d: Dataset, t: int, subsets: list[AttributeSubs
         walks, leaves = zip(*events)
         ex = np.concatenate([leaf.ex for leaf in leaves])
         which = np.repeat(np.arange(len(leaves)), [len(leaf.ex) for leaf in leaves])
-        found = np.array([leaf.leaf for leaf in leaves])[which]
-        values = (found == tidx[ex]).astype(float) if vote else found[np.arange(len(ex)), tidx[ex]]
+        found = np.array([leaf.leaf for leaf in leaves])
+        values = (found[which] == tidx[ex]).astype(float) if vote else found[which, tidx[ex]]
         out[rows[list(walks)][which], ex] += values
 
     _grow(spec, d, t, [s.indices() for s in subsets], X, write)

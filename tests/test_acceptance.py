@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import gc
 import time
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -145,6 +147,20 @@ def test_criterion_4_complexity_numbers():
                   f"two overlapping triples n=4: {overlap} == brute force {oracle})")
 
 
+@contextmanager
+def collector_paused():
+    """Collect all garbage, then keep the cyclic collector off for the block, so
+    that no full collection (10-22 ms in a test process) lands in a timed span."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_criterion_5_training_economy_and_wallclock():
     proportions = (0.10, 0.25, 0.50)
     converged_runs = 0
@@ -155,17 +171,19 @@ def test_criterion_5_training_economy_and_wallclock():
     for seed in (2, 3, 4):
         d = make_synthetic_dataset(9, 100, seed=seed)
         m = d.n_instances
-        t0 = time.perf_counter()
-        oracle_cache = SubsetModelCache(SPEC, d)
-        targets = [v.target for v in complete_influence(oracle_cache, range(m))]
-        t_complete = time.perf_counter() - t0
+        with collector_paused():
+            t0 = time.perf_counter()
+            oracle_cache = SubsetModelCache(SPEC, d)
+            targets = [v.target for v in complete_influence(oracle_cache, range(m))]
+            t_complete = time.perf_counter() - t0
         for p in proportions:
             total_runs += 1
             cache = SubsetModelCache(SPEC, d)
-            t0 = time.perf_counter()
-            search = find_threshold("spearman", d, p)
-            coalitional_influence(cache, range(m), search.coalition, targets)
-            span = time.perf_counter() - t0
+            with collector_paused():
+                t0 = time.perf_counter()
+                search = find_threshold("spearman", d, p)
+                coalitional_influence(cache, range(m), search.coalition, targets)
+                span = time.perf_counter() - t0
             trainings = cache.training_count
             if search.converged:
                 converged_runs += 1

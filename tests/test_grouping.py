@@ -9,7 +9,6 @@ from coalex import (
     ModelSpec,
     SubsetModelCache,
     closure,
-    fidelity,
     find_threshold,
     group_model_based,
     group_pca,
@@ -405,6 +404,14 @@ class TestMonotonicity:
                 f"{name} complexity not monotone: {sizes}"
 
 
+def fidelity(d, model, partition, repetitions, seed):
+    """Fraction of instances whose predicted class survives randomizing ``partition``:
+    its groups of two or more attributes swap jointly with a same-class donor, its
+    singletons with uniformly random instances."""
+    return coalex.grouping._randomized_fidelity(d, model, model.predict_classes(d.features),
+                                                *split(partition), repetitions, seed)
+
+
 class TestFidelity:
     def test_full_group_perfect_for_deterministic_model(self, blob_dataset):
         d = blob_dataset
@@ -432,12 +439,6 @@ class TestFidelity:
         c = fidelity(d, h, [(0, 1), (2,)], repetitions=1, seed=10)
         assert a != c or True  # different seed may legitimately coincide
 
-    def test_accepts_coalition_partition(self, blob_dataset):
-        d = blob_dataset
-        h = train(ModelSpec(kind="decision_tree"), d, AttributeSubset.full(3))
-        G = Coalition.from_index_sets([[0, 1], [2]], 3)
-        assert 0.0 <= fidelity(d, h, G, repetitions=2, seed=1) <= 1.0
-
     def test_single_member_class_donates_to_itself(self, separable2):
         # each predicted class has exactly one member, so joint swaps always
         # reuse the instance's own row
@@ -445,14 +446,6 @@ class TestFidelity:
         assert fidelity(separable2, h, [(0,)], repetitions=2, seed=0) <= 1.0
         rng_free = fidelity(separable2, h, [(0,)], repetitions=50, seed=1)
         assert 0.0 < rng_free < 1.0  # uniform donors do flip predictions
-
-    def test_rejects_non_partition(self, blob_dataset):
-        d = blob_dataset
-        h = train(ModelSpec(kind="decision_tree"), d, AttributeSubset.full(3))
-        with pytest.raises(ValueError, match="partition"):
-            fidelity(d, h, [(0, 1), (1, 2)], repetitions=1, seed=0)
-        with pytest.raises(ValueError, match="cover"):
-            fidelity(d, h, [(0, 1)], repetitions=1, seed=0)
 
     def test_rejects_zero_repetitions(self, blob_dataset):
         d = blob_dataset
@@ -509,7 +502,7 @@ PARTITIONS = [pytest.param(p, id=name) for name, p in (
 
 
 def split(partition):
-    """The class groups and the free attributes ``fidelity`` makes of a partition."""
+    """The class groups and the free attributes of a partition."""
     return [g for g in partition if len(g) >= 2], [g[0] for g in partition if len(g) == 1]
 
 

@@ -8,6 +8,7 @@ from coalex import (
     DataError,
     ModelSpec,
     SubsetModelCache,
+    complete_influence,
     subset_eval,
     train,
 )
@@ -356,8 +357,10 @@ class TestSplitSearch:
         """One segmented search over many (record, column) pairs gives each pair the
         floats of a search of that column alone: rounded values make ties in value
         and in cost, one column is constant, and one holds two adjacent doubles,
-        whose midpoint rounds down to the lower one."""
-        from coalex.model import _Record, _split_search
+        whose midpoint rounds down to the lower one.  A bootstrap of the rows, as a
+        forest tree trains on, repeats rows: equal values and labels at distinct
+        positions."""
+        from coalex.model import _Record, _presort, _split_search
 
         rng = np.random.default_rng(100 * min_leaf + n_classes)
         X = np.round(rng.normal(size=(60, 6)), 1)
@@ -365,17 +368,19 @@ class TestSplitSearch:
         X[:, 3] = np.where(rng.random(60) < 0.5, 1.0, np.nextafter(1.0, 2.0))
         X[:, 4] = rng.integers(0, 2, size=60)
         y = rng.integers(0, n_classes, size=60)
-        pairs = []
-        for size in (2, 3, 5, 8, 13, 40, 60):
-            node = _Record()
-            node.rows = np.sort(rng.choice(60, size=size, replace=False)).astype(np.int32)
-            node.splits = [False] * 6
-            pairs += [(node, c) for c in rng.permutation(6)[:4].tolist()]
-        _split_search(pairs, X, y, n_classes, min_leaf)
-        for node, c in pairs:
-            want = one_column_split(X[node.rows, c], y[node.rows], n_classes, min_leaf)
-            got = node.splits[c]
-            assert (got if got is None else tuple(got)) == want
+        boot = rng.integers(0, 60, size=60)
+        for Xs, ys in ((X, y), (X[boot], y[boot])):
+            pairs = []
+            for size in (2, 3, 5, 8, 13, 40, 60):
+                node = _Record()
+                node.rows = np.sort(rng.choice(60, size=size, replace=False)).astype(np.int32)
+                node.splits = [False] * 6
+                pairs += [(node, c) for c in rng.permutation(6)[:4].tolist()]
+            _split_search(pairs, _presort(Xs, ys), n_classes, min_leaf)
+            for node, c in pairs:
+                want = one_column_split(Xs[node.rows, c], ys[node.rows], n_classes, min_leaf)
+                got = node.splits[c]
+                assert (got if got is None else tuple(got)) == want
 
 
 class TestEarlyStop:
@@ -416,6 +421,52 @@ class TestEarlyStop:
             if spec.kind == "decision_tree":
                 assert all(len(node.ex) for node, _ in pairs)
             assert len(table(rows, drawing)[1]) < searches
+
+
+class TestRounds:
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_a_tree_of_depth_d_searches_in_d_rounds(self, five_attributes, depth,
+                                                    monkeypatch):
+        """A walk that draws no features takes every record on its stack in one
+        round, so a decision tree of depth d searches in at most d rounds, alone
+        (``train``) or in lockstep with every subset model (``tree_values``)."""
+        import coalex.model
+
+        d = five_attributes
+        spec = ModelSpec(kind="decision_tree", max_depth=depth)
+        subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
+        search, rounds = coalex.model._split_search, []
+        monkeypatch.setattr(coalex.model, "_split_search", lambda pairs, *args:
+                            rounds.append(len(pairs)) or search(pairs, *args))
+        tree = train(spec, d, AttributeSubset.full(5))._trees[0]
+        assert 0 < len(rounds) <= depth < len(tree_shape(tree))
+        rounds.clear()
+        tree_values(spec, d, 0, subsets, d.features, [0] * d.n_instances,
+                    np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
+        assert 0 < len(rounds) <= depth
+
+    @pytest.mark.parametrize("spec", [ModelSpec(kind="decision_tree"),
+                                      ModelSpec(kind="random_forest", tree_count=3, seed=2)],
+                             ids=["dt", "rf-no_depth_cap"])
+    def test_a_round_cap_of_a_few_rows_gives_the_same_vectors(self, five_attributes, spec,
+                                                              monkeypatch):
+        """Records past ``ROUND_ROWS`` wait for a later round.  No walk depends on
+        the order it takes its records in, so influence keeps its bits, in one
+        process and in forked workers."""
+        import coalex.model
+
+        d = five_attributes
+        search, rounds = coalex.model._split_search, []
+        monkeypatch.setattr(coalex.model, "_split_search", lambda pairs, *args:
+                            rounds.append(len(pairs)) or search(pairs, *args))
+        want = complete_influence(SubsetModelCache(spec, d), range(d.n_instances))
+        uncapped = len(rounds)
+        monkeypatch.setattr(coalex.model, "ROUND_ROWS", 5)
+        for jobs in (1, 2):
+            rounds.clear()
+            got = complete_influence(SubsetModelCache(spec, d), range(d.n_instances), jobs=jobs)
+            assert got == want
+            assert jobs > 1 or len(rounds) > uncapped
 
 
 @pytest.fixture
