@@ -269,8 +269,8 @@ def common_options(f, jobs: bool = True):
     if jobs:
         f = click.option("--jobs", type=int, default=None, envvar="COALEX_JOBS",
                          help="Processes that grow a forest's trees for complete "
-                              "influence (explain, the benchmark's exact baseline), and "
-                              "benchmark cells run at once (default 1 for timing fidelity).")(f)
+                              "influence (explain, the benchmark's exact baseline; "
+                              "default 1).")(f)
     f = click.option("--delimiter", default=None, envvar="COALEX_DELIMITER",
                      help="CSV field delimiter (default ',').")(f)
     return f

@@ -16,8 +16,7 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -234,8 +233,8 @@ class MethodConfig:
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
-    dataset_id: str
-    method_id: str
+    dataset: str
+    method: str
     param: str
     mean_error: float
     time_per_instance_s: float
@@ -245,23 +244,9 @@ class BenchmarkRecord:
     group_size_mean: float | None
     seed: int
     model: str = ""
-    parallel_timed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset_id,
-            "method": self.method_id,
-            "param": self.param,
-            "mean_error": self.mean_error,
-            "time_per_instance_s": self.time_per_instance_s,
-            "time_ratio_vs_complete": self.time_ratio_vs_complete,
-            "complexity_proportion": self.complexity_proportion,
-            "group_count_mean": self.group_count_mean,
-            "group_size_mean": self.group_size_mean,
-            "seed": self.seed,
-            "model": self.model,
-            "parallel_timed": self.parallel_timed,
-        }
+        return asdict(self)
 
 
 def _kdepth_proportion(n: int, k: int) -> float:
@@ -324,8 +309,9 @@ def method_influence(cache: SubsetModelCache, instances: Sequence[int], mc: Meth
 
 
 def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
-              oracle_vectors: list[InfluenceVector]) -> BenchmarkRecord:
-    """Time one (dataset, method) cell against the oracle vectors and their targets."""
+              oracle_vectors: list[InfluenceVector], oracle_tpi: float) -> BenchmarkRecord:
+    """Time one (dataset, method) cell against the oracle vectors and their targets;
+    ``oracle_tpi`` is the exact baseline's time per instance."""
     m = d.n_instances
     cache = SubsetModelCache(spec, d)
     G = None
@@ -340,12 +326,12 @@ def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
     elapsed = time.perf_counter() - started
     mean_err = float(np.mean([error_score(v, o) for v, o in zip(vectors, oracle_vectors)]))
     return BenchmarkRecord(
-        dataset_id=d.name,
-        method_id=mc.method_id,
+        dataset=d.name,
+        method=mc.method_id,
         param=mc.param_label,
         mean_error=mean_err,
         time_per_instance_s=elapsed / m,
-        time_ratio_vs_complete=math.nan,  # filled by the caller
+        time_ratio_vs_complete=elapsed / m / oracle_tpi,
         complexity_proportion=(_kdepth_proportion(d.n_attributes, mc.k) if report is None
                                else report.proportion),
         group_count_mean=None if report is None else float(report.group_count),
@@ -365,9 +351,7 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
     method then runs on a fresh cache so its span covers everything it
     needs.  Datasets beyond the attribute cap, and ``kdepth:k`` on a dataset
     with fewer than k attributes, are skipped with a logged reason.
-    ``jobs`` > 1 grows the exact baseline's trees in that many processes, then
-    runs method cells concurrently in threads, each on a cache it owns; their
-    wall-clock shares the machine, so records are marked parallel-timed.
+    ``jobs`` > 1 grows the exact baseline's trees in that many processes.
     """
     records: list[BenchmarkRecord] = []
     for d in datasets:
@@ -388,31 +372,17 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
                                             jobs=jobs)
         oracle_tpi = (time.perf_counter() - started) / m
 
-        complete_record = BenchmarkRecord(
-            dataset_id=d.name, method_id="complete", param="",
-            mean_error=0.0, time_per_instance_s=oracle_tpi,
-            time_ratio_vs_complete=1.0, complexity_proportion=1.0,
-            group_count_mean=None, group_size_mean=None, seed=seed,
-            model=_spec_id(spec),
-        )
-
-        pending = [mc for mc in runnable if mc.kind != "complete"]
-        if jobs > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                cells = list(pool.map(lambda mc: _run_cell(d, mc, spec, seed, oracle_vectors),
-                                      pending))
-            cells = [replace(c, parallel_timed=True) for c in cells]
-        else:
-            cells = [_run_cell(d, mc, spec, seed, oracle_vectors) for mc in pending]
-
-        by_config = iter(cells)
         for mc in runnable:
             if mc.kind == "complete":
-                records.append(complete_record)
+                records.append(BenchmarkRecord(
+                    dataset=d.name, method="complete", param="",
+                    mean_error=0.0, time_per_instance_s=oracle_tpi,
+                    time_ratio_vs_complete=1.0, complexity_proportion=1.0,
+                    group_count_mean=None, group_size_mean=None, seed=seed,
+                    model=_spec_id(spec),
+                ))
             else:
-                cell = next(by_config)
-                records.append(replace(
-                    cell, time_ratio_vs_complete=cell.time_per_instance_s / oracle_tpi))
+                records.append(_run_cell(d, mc, spec, seed, oracle_vectors, oracle_tpi))
     return records
 
 

@@ -252,9 +252,8 @@ def _grow(spec: ModelSpec, d: Dataset, t: int, cols_list: list, X=None, write=No
 def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
     """Yield (leaf, rows) for every leaf that some of ``rows`` descend to;
     ``columns[f][r]`` is feature f of row r."""
-    # Plain lists, not index arrays: the calls see few rows, where a list costs
-    # no more than numpy indexing and, unlike it, never releases the
-    # interpreter lock to a concurrent benchmark cell.
+    # Plain lists, not index arrays: the calls see few rows, where a list is
+    # faster than numpy indexing.
     stack = [(root, rows)]
     while stack:
         node, rows = stack.pop()
@@ -353,10 +352,9 @@ class SubsetModelCache:
 
     The cache owns its model spec and dataset: ``get_or_train(s)`` returns
     ``train(cache.spec, cache.dataset, s)`` and holds it.  A fit that raises, or
-    is interrupted, leaves no entry.  A cache is used by one thread: concurrent
-    work builds a cache each.  ``add_grown`` counts subsets a tree pass trained
-    without keeping their models, so ``get_or_train`` trains such a subset again
-    if asked.
+    is interrupted, leaves no entry.  ``add_grown`` counts subsets a tree pass
+    trained without keeping their models, so ``get_or_train`` trains such a
+    subset again if asked.
     """
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):

@@ -1,5 +1,6 @@
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from coalex import (
     write_benchmark_csv,
     write_benchmark_json,
 )
+import coalex.evaluation
 from coalex.evaluation import CSV_COLUMNS
 from coalex.grouping import spearman_matrix
 
@@ -194,7 +196,7 @@ class TestRunBenchmark:
                    ("complete", "kdepth:2", "coalitional:spearman:0.4")]
         records = run_benchmark(suite, methods, SPEC, seed=1)
         assert len(records) == 6
-        assert [r.method_id for r in records[:3]] == \
+        assert [r.method for r in records[:3]] == \
             ["complete", "kdepth", "coalitional:spearman"]
         csv_path = tmp_path / "bench.csv"
         write_benchmark_csv(records, csv_path, config={"seed": 1})
@@ -240,13 +242,19 @@ class TestRunBenchmark:
             records = run_benchmark([big, small], [MethodConfig.parse("complete")],
                                     SPEC, seed=0)
         assert len(records) == 1
-        assert records[0].dataset_id == small.name
+        assert records[0].dataset == small.name
         assert any("exceed" in msg for msg in caplog.messages)
 
-    def test_parallel_cells_marked(self):
+    def test_cells_run_on_the_calling_thread(self, monkeypatch):
         d = make_synthetic_dataset(4, 20, seed=6)
         methods = [MethodConfig.parse("kdepth:1"), MethodConfig.parse("kdepth:2")]
+        real, threads = coalex.evaluation._run_cell, []
+
+        def run_cell(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(coalex.evaluation, "_run_cell", run_cell)
         records = run_benchmark([d], methods, SPEC, seed=6, jobs=2)
-        assert all(r.parallel_timed for r in records)
-        serial = run_benchmark([d], methods, SPEC, seed=6)
-        assert [r.mean_error for r in records] == [r.mean_error for r in serial]
+        assert threads == [threading.get_ident()] * 2
+        assert [r.method for r in records] == ["kdepth", "kdepth"]

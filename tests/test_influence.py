@@ -699,12 +699,12 @@ class TestTreePool:
 
     def test_benchmark_forks_only_for_the_exact_baseline(self, blob_dataset, forks):
         methods = [MethodConfig.parse(m) for m in ("complete", "kdepth:1", "kdepth:2")]
-        untimed = lambda records: [replace(r, time_per_instance_s=0.0, time_ratio_vs_complete=0.0,
-                                           parallel_timed=False) for r in records]
+        untimed = lambda records: [replace(r, time_per_instance_s=0.0, time_ratio_vs_complete=0.0)
+                                   for r in records]
         serial = run_benchmark([blob_dataset], methods, self.SPEC, jobs=1)
         assert forks == []
         forked = run_benchmark([blob_dataset], methods, self.SPEC, jobs=2)
-        assert len(forks) == 1  # the cells run in threads, and fork nothing
+        assert len(forks) == 1  # the method cells fork nothing
         self.assert_reaped(forks)
         assert untimed(forked) == untimed(serial)
 
