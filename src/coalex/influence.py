@@ -15,10 +15,11 @@ Each method is a :class:`Plan`, its weight matrix W in sparse form.  The
 value table V[mask, instance] is filled in one pass over all instances.  The
 empty subset's prior, and every model the :class:`~coalex.model.SubsetModelCache`
 already holds, give one :func:`subset_eval` row each.  The other rows are
-filled tree-major (:func:`~coalex.model.tree_values`): tree t of every such
-model grows in one lockstep pass, and a row is the sum of its trees' values
-over the tree count; complete influence with ``jobs`` > 1 forks workers that
-grow slices of the trees.  Each attribute's terms are summed left to right
+filled tree-major (:func:`~coalex.model.tree_values`): every tree of every such
+model grows in one lockstep pass (or a few, under the model's memory budget),
+and a row is the sum of its trees' values over the tree count; complete
+influence with ``jobs`` > 1 forks workers that each grow a slice of the trees
+in one call.  Each attribute's terms are summed left to right
 with ``np.cumsum``, giving the floats of a Python ``total +=`` loop; ``np.sum``
 sums pairwise and would not.
 """
@@ -208,7 +209,8 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
 
     With ``jobs`` > 1, ``os.fork`` and no other thread, worker w of W =
     min(jobs, trees) is forked to sum trees w, w + W, ... and send back the
-    raw bytes; this process sums trees 0, W, ... into V.  A failed worker
+    raw bytes; this process sums trees 0, W, ... into V.  Each slice is one
+    ``tree_values`` call, which grows its trees together.  A failed worker
     prints its error and makes this process raise; any exception here kills
     and reaps every worker.
     """
@@ -224,8 +226,8 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
                 status = 1
                 try:
                     table = np.zeros(shape)
-                    for t in range(w, T, W):
-                        tree_values(spec, d, t, subsets, X, target_idx, table, range(len(subsets)))
+                    tree_values(spec, d, range(w, T, W), subsets, X, target_idx, table,
+                                range(len(subsets)))
                     with open(write, "wb") as out:
                         out.write(table.tobytes())
                     status = 0
@@ -235,8 +237,7 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
                     os._exit(status)
             os.close(write)
             workers[pid] = read
-        for t in range(0, T, W):
-            tree_values(spec, d, t, subsets, X, target_idx, V, rows)
+        tree_values(spec, d, range(0, T, W), subsets, X, target_idx, V, rows)
         for pid, read in list(workers.items()):
             with open(read, "rb", closefd=False) as f:
                 table = f.read()

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,16 +194,16 @@ class TestExplain:
 
         real, grown = coalex.influence.tree_values, []
 
-        def recording(spec, d, t, *args):
-            grown.append(t)  # a worker's calls are recorded in the worker's copy
-            return real(spec, d, t, *args)
+        def recording(spec, d, trees, *args):
+            grown.append(list(trees))  # a worker's calls are recorded in the worker's copy
+            return real(spec, d, trees, *args)
 
         monkeypatch.setattr(coalex.influence, "tree_values", recording)
         result = runner.invoke(main, ["explain", str(small_csv), "--target", "y",
                                       "--model", "rf", "--trees", "5", "--method", "complete",
                                       "--instances", "0,1,2", "--jobs", "2"])
         assert result.exit_code == 0, result.output
-        assert grown == [0, 2, 4]
+        assert grown == [[0, 2, 4]]  # one call for the parent's whole slice
 
 
 _EXPLAIN_ECHO = {"command": "explain", "target": "y", "repetitions": 10, "seed": 0, "jobs": 1,
@@ -579,3 +583,26 @@ class TestConfigPrecedence:
         a = runner.invoke(main, args)
         b = runner.invoke(main, args)
         assert json.loads(a.output)["influences"] == json.loads(b.output)["influences"]
+
+
+# Runs the CLI in a fresh interpreter and reports, at exit, whether numpy.ma was imported.
+_LAZY_IMPORT_PROBE = ("import atexit, runpy, sys\n"
+                      "atexit.register(lambda: print('numpy.ma' in sys.modules, file=sys.stderr))\n"
+                      "sys.argv[0] = 'coalex'\n"
+                      "runpy.run_module('coalex.cli', run_name='__main__')\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["explain", "--model", "rf", "--trees", "4", "--method", "complete", "--instances", "0,1"],
+    ["benchmark", "--model", "dt", "--methods", "complete,kdepth:2,coalitional:spearman:0.25"],
+], ids=["explain-rf-complete", "benchmark-dt"])
+def test_a_run_does_not_import_numpy_ma(small_csv, tmp_path, args):
+    """``np.unique`` on integers imports numpy.ma on its first call, some milliseconds of
+    every fresh process: the tree pass finds distinct values by sorting instead."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE, args[0], str(small_csv),
+                             "--target", "y", *args[1:], "--out", str(tmp_path / "out.csv")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "False"

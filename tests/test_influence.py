@@ -534,23 +534,26 @@ class TestBatching:
 
     @pytest.mark.parametrize("cells", [None, 15], ids=["one-block", "blocks-of-one"])
     def test_each_tree_grows_once_per_call(self, blob_dataset, rf_cache, monkeypatch, cells):
-        """Whatever the block count, one tree pass walks each (tree, subset) the
-        cache does not hold once, and holds none of the models it grows."""
+        """Whatever the block count, each tree is grown in exactly one pass per call,
+        which walks each (tree, subset) the cache does not hold once, and holds none of
+        the models it grows."""
         import coalex.model
 
-        d, grown, passes = blob_dataset, [], []
+        d, grown, passes, calls = blob_dataset, [], [], []
         real_grow, real_values = coalex.model._grow, coalex.influence.tree_values
-        monkeypatch.setattr(coalex.model, "_grow", lambda spec, d, t, cols_list, *args:
-                            grown.extend((t, cols) for cols in cols_list)
-                            or real_grow(spec, d, t, cols_list, *args))
+        monkeypatch.setattr(coalex.model, "_grow", lambda spec, d, trees, cols_list, *args:
+                            passes.append(list(trees))
+                            or grown.extend((t, cols) for t in trees for cols in cols_list)
+                            or real_grow(spec, d, trees, cols_list, *args))
         monkeypatch.setattr(coalex.influence, "tree_values",
-                            lambda *args: passes.append(args[2]) or real_values(*args))
+                            lambda *args: calls.append(list(args[2])) or real_values(*args))
         if cells is not None:  # blocks of one instance in Plan.sums
             monkeypatch.setattr(coalex.influence, "VALUE_TABLE_CELLS", cells)
         complete_influence(rf_cache, range(d.n_instances))
         trees = [(t, AttributeSubset(m, 3).indices()) for t in range(5) for m in range(1, 8)]
         assert sorted(grown) == sorted(trees)  # the full model too, for the predictions
-        assert passes == [0, 1, 2, 3, 4]
+        assert calls == [[0, 1, 2, 3, 4]]
+        assert passes == [[0, 1, 2, 3, 4]] * 2  # the full model's, then the value table's
         assert rf_cache.training_count == 8
         # only the prior and the full model, which the predictions trained, are held
         held = [rf_cache.holds(AttributeSubset(m, 3)) for m in range(8)]

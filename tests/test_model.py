@@ -299,36 +299,37 @@ class TestSplitMemo:
                              ids=SHARED_SPEC_IDS)
     def test_each_leaf_and_split_is_computed_once(self, five_attributes, spec, counts,
                                                   monkeypatch):
-        """A tree pass builds each record (a leaf or a node) once, and searches each
-        (record, column) pair once; since the counts equal the per-subset grower's,
-        it searches no pair that no model's feature sample asked for."""
+        """A tree pass builds each node (a leaf or not) once, and searches each (node,
+        column) pair once; since the counts equal the per-subset grower's, it searches
+        no pair that no model's feature sample asked for."""
         import coalex.model
 
         d = five_attributes
         subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
-        built, searched = [], []
-        records, search = coalex.model._records, coalex.model._split_search
-        monkeypatch.setattr(coalex.model, "_records", lambda parts, *args:
-                            built.extend(records(parts, *args)) or built[len(built) - len(parts):])
-        monkeypatch.setattr(coalex.model, "_split_search", lambda pairs, *args:
-                            searched.extend(pairs) or search(pairs, *args))
+        memos, built, searched = [], [], []
+        grow, add, search = coalex.model._grow, coalex.model._Memo.add, coalex.model._split_search
+        monkeypatch.setattr(coalex.model, "_grow", lambda *args: memos.append(grow(*args))
+                            or memos[-1])
+        monkeypatch.setattr(coalex.model._Memo, "add", lambda memo, rows, lens, *args:
+                            built.append(len(lens)) or add(memo, rows, lens, *args))
+        monkeypatch.setattr(coalex.model, "_split_search", lambda cols, *args:
+                            searched.append(len(cols)) or search(cols, *args))
         for t, (searches, builds) in enumerate(counts):
+            memos.clear()
             built.clear()
             searched.clear()
             tree_values(spec, d, t, subsets, d.features, [0] * d.n_instances,
                         np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
-            assert len(built) == len(set(map(id, built))) == builds
-            assert len(searched) == len({(id(n), c) for n, c in searched}) == searches
-            # the memo below the root holds exactly the built records and searched pairs
-            reached, found, stack = [], [], [built[0]]
-            while stack:
-                node = stack.pop()
-                reached.append(id(node))
-                for c, split in enumerate(node.splits or ()):
-                    found += [(id(node), c)] if split is not False else []
-                    stack += split[2:] if split else []
-            assert sorted(reached) == sorted(map(id, built))
-            assert sorted(found) == sorted((id(n), c) for n, c in searched)
+            [(memo, _)] = memos
+            tables = memo.tables
+            cost, kid = tables.cost[:tables.n], tables.kid[:tables.n]
+            assert sum(built) == memo.nodes.n == builds
+            assert sum(searched) == np.count_nonzero(~np.isnan(cost)) == searches
+            # every node but the root is a child of exactly one cut (node, column) pair,
+            # and every cut pair was searched and has a split
+            cut = kid[kid >= 0]
+            assert sorted(np.concatenate([cut, cut + 1]).tolist()) == list(range(1, builds))
+            assert np.isfinite(cost[kid >= 0]).all()
 
 
 def one_column_split(col, y, n_classes, min_leaf):
@@ -360,7 +361,7 @@ class TestSplitSearch:
         whose midpoint rounds down to the lower one.  A bootstrap of the rows, as a
         forest tree trains on, repeats rows: equal values and labels at distinct
         positions."""
-        from coalex.model import _Record, _presort, _split_search
+        from coalex.model import _presort, _split_search
 
         rng = np.random.default_rng(100 * min_leaf + n_classes)
         X = np.round(rng.normal(size=(60, 6)), 1)
@@ -368,19 +369,18 @@ class TestSplitSearch:
         X[:, 3] = np.where(rng.random(60) < 0.5, 1.0, np.nextafter(1.0, 2.0))
         X[:, 4] = rng.integers(0, 2, size=60)
         y = rng.integers(0, n_classes, size=60)
-        boot = rng.integers(0, 60, size=60)
-        for Xs, ys in ((X, y), (X[boot], y[boot])):
-            pairs = []
+        for boot in (np.arange(60), rng.integers(0, 60, size=60)):
+            cols, parts = [], []
             for size in (2, 3, 5, 8, 13, 40, 60):
-                node = _Record()
-                node.rows = np.sort(rng.choice(60, size=size, replace=False)).astype(np.int32)
-                node.splits = [False] * 6
-                pairs += [(node, c) for c in rng.permutation(6)[:4].tolist()]
-            _split_search(pairs, _presort(Xs, ys), n_classes, min_leaf)
-            for node, c in pairs:
-                want = one_column_split(Xs[node.rows, c], ys[node.rows], n_classes, min_leaf)
-                got = node.splits[c]
-                assert (got if got is None else tuple(got)) == want
+                rows = boot[np.sort(rng.choice(60, size=size, replace=False))]
+                for c in rng.permutation(6)[:4].tolist():
+                    cols.append(c)
+                    parts.append(rows)
+            found = _split_search(np.array(cols), np.array([len(rows) for rows in parts]),
+                                  np.concatenate(parts), _presort(X, y), n_classes, min_leaf)
+            for c, rows, low, at in zip(cols, parts, *(a.tolist() for a in found)):
+                want = one_column_split(X[rows, c], y[rows], n_classes, min_leaf)
+                assert (None if low == np.inf else (low, at)) == want
 
 
 class TestEarlyStop:
@@ -393,7 +393,7 @@ class TestEarlyStop:
         few rows equals those columns of the table over all rows, bit for bit.  A walk
         that draws no features (all of a decision tree's) searches only nodes those
         rows reach; one that draws (a forest's over 2 or more columns) stops once its
-        rows are in leaves, so it searches fewer (record, column) pairs than for all."""
+        rows are in leaves, so it searches fewer (node, column) pairs than for all."""
         import coalex.model
 
         d = five_attributes
@@ -401,26 +401,35 @@ class TestEarlyStop:
         drawing = [s for s in subsets if s.size > 1] if spec.kind == "random_forest" else subsets
         X = np.vstack([d.features, [[9.0, -9.0, 0.05, 0.0, 0.33]]])  # last: not a training row
         idx = [r % 3 for r in range(len(X))]
-        search, searched = coalex.model._split_search, []
-        monkeypatch.setattr(coalex.model, "_split_search", lambda pairs, *args:
-                            searched.extend(pairs) or search(pairs, *args))
+        grow, search, memos, searched = coalex.model._grow, coalex.model._split_search, [], []
+        monkeypatch.setattr(coalex.model, "_grow", lambda *args: memos.append(grow(*args)[0])
+                            or (memos[-1], []))
+        monkeypatch.setattr(coalex.model, "_split_search", lambda cols, *args:
+                            searched.append(len(cols)) or search(cols, *args))
 
         def table(rows, subsets):
             out = np.zeros((len(subsets), len(rows)))
+            memos.clear()
             searched.clear()
             for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
                 tree_values(spec, d, t, subsets, X[rows], [idx[r] for r in rows], out,
                             range(len(subsets)))
-            return out, list(searched)
+            return out, sum(searched)
+
+        def searched_nodes_have_rows_of_x():
+            for memo in memos:
+                tab, exn = memo.nodes.tab[:memo.nodes.n], memo.nodes.exn[:memo.nodes.n]
+                asked = ~np.isnan(memo.tables.cost[:memo.tables.n]).all(axis=1)
+                assert (exn[tab >= 0][asked[tab[tab >= 0]]] > 0).all()
 
         every, _ = table(list(range(len(X))), subsets)
-        searches = len(table(list(range(len(X))), drawing)[1])
+        searches = table(list(range(len(X))), drawing)[1]
         for rows in ([len(X) - 1], [7], [3, 17, len(X) - 1]):
-            few, pairs = table(rows, subsets)
+            few, _ = table(rows, subsets)
             assert (few == every[:, rows]).all()
             if spec.kind == "decision_tree":
-                assert all(len(node.ex) for node, _ in pairs)
-            assert len(table(rows, drawing)[1]) < searches
+                searched_nodes_have_rows_of_x()
+            assert table(rows, drawing)[1] < searches
 
 
 class TestRounds:
@@ -467,6 +476,31 @@ class TestRounds:
             got = complete_influence(SubsetModelCache(spec, d), range(d.n_instances), jobs=jobs)
             assert got == want
             assert jobs > 1 or len(rounds) > uncapped
+
+    @pytest.mark.parametrize("spec", [ModelSpec(kind="decision_tree"),
+                                      ModelSpec(kind="random_forest", tree_count=3, seed=2)],
+                             ids=["dt", "rf-no_depth_cap"])
+    def test_a_budget_of_one_tree_per_pass_gives_the_same_vectors(self, five_attributes, spec,
+                                                                   monkeypatch):
+        """A pass takes as many trees as fit ``PASS_BYTES``; the trees of a slice are
+        independent, so one tree per pass keeps influence's bits, in one process and in
+        forked workers, and makes more passes where there are several trees."""
+        import coalex.model
+
+        d = five_attributes
+        grow, passes = coalex.model._grow, []
+        monkeypatch.setattr(coalex.model, "_grow", lambda spec, d, trees, *args:
+                            passes.append(len(trees)) or grow(spec, d, trees, *args))
+        want = complete_influence(SubsetModelCache(spec, d), range(d.n_instances))
+        together = list(passes)
+        monkeypatch.setattr(coalex.model, "PASS_BYTES", 1)
+        for jobs in (1, 2):
+            passes.clear()
+            got = complete_influence(SubsetModelCache(spec, d), range(d.n_instances), jobs=jobs)
+            assert got == want
+            assert set(passes) == {1}
+            if jobs == 1 and spec.kind == "random_forest":
+                assert len(passes) > len(together) and max(together) > 1
 
 
 @pytest.fixture
@@ -551,3 +585,21 @@ class TestTreeValues:
         assert (counts / T == oracle).all()
         backward = table([0], subsets[::-1], range(len(subsets))[::-1])
         assert (backward == table([0])).all()
+
+    def test_one_call_over_many_trees_adds_every_tree(self, five_attributes):
+        """Trees of one pass place leaves in the same rounds: with one split per tree,
+        several trees reach the same (subset, row) at once, and each adds its vote."""
+        d = five_attributes
+        spec = ModelSpec(kind="random_forest", tree_count=6, max_depth=1, seed=4)
+        subsets = [AttributeSubset(mask, 5) for mask in complete_plan(5).masks[1:]]
+        idx = [r % 3 for r in range(d.n_instances)]
+
+        def table(slices):
+            out = np.zeros((len(subsets), d.n_instances))
+            for trees in slices:
+                tree_values(spec, d, trees, subsets, d.features, idx, out, range(len(subsets)))
+            return out
+
+        together = table([range(6)])
+        assert (together == table(range(6))).all()
+        assert together.max() > 1
