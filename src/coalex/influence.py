@@ -190,8 +190,10 @@ def subset_eval(cache: SubsetModelCache, s: AttributeSubset, X: np.ndarray,
                 target_idx) -> np.ndarray:
     """One value-table row: at each row r of X, the confidence for class index
     ``target_idx[r]`` of the model trained on s (the class prior when s is empty)."""
-    rows = cache.get_or_train(s).confidences(X).tolist()  # few rows: lists, as in model._leaves
-    return np.array([row[k] for row, k in zip(rows, target_idx, strict=True)])
+    conf = cache.get_or_train(s).confidences(X)
+    if len(target_idx) != len(conf):
+        raise ValueError(f"{len(target_idx)} target classes for {len(conf)} rows")
+    return conf[np.arange(len(conf)), target_idx]
 
 
 def predicted_classes(cache: SubsetModelCache, instances: Sequence[int]) -> list[ClassTarget]:

@@ -12,7 +12,8 @@ features by one node and one that draws none over its whole frontier, and runs
 one split search for all trees and models (up to ``ROUND_ROWS`` rows).  The
 search sorts one integer key per row, segment x N + the dataset row's rank in
 its column, ranked once per pass.  A pass takes as many trees as its memo
-holds in about ``PASS_BYTES`` (``_passes``).
+holds in about ``PASS_BYTES`` (``_passes``).  A trained model keeps its passes'
+node arrays as flat-array trees, and descends all of them at once.
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ class ModelSpec:
             raise ValueError("min_leaf must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-class _TreeNode:
-    """Binary CART node; ``leaf`` is a forest leaf's vote, a class-frequency vector, or None."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "leaf")
-
-    def __init__(self, leaf=None, feature=-1, threshold=0.0):
-        self.feature, self.threshold, self.leaf = feature, threshold, leaf
-        self.left = self.right = None
 
 
 class _Grown:
@@ -154,7 +145,8 @@ class _Memo:
     ``nodes.ex*`` of X; a node that can split owns table row ``nodes.tab[i]`` (-1
     for a leaf) with its depth, its training rows (dataset rows) and, per column c,
     ``cost``/``thr`` of its best split on c (NaN until searched, inf if none) and
-    ``kid``, its left child there (the right one is next), -1 until cut."""
+    ``kid``, its left child there (the right one is next), -1 until cut.  The
+    trees of the pass start at nodes ``roots``."""
 
     def __init__(self, spec: ModelSpec, d: Dataset, X):
         self.spec, self.F, self.y = spec, d.features, d.label_indices()
@@ -204,9 +196,9 @@ class _Memo:
 
 def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, write=None):
     """Trees ``trees`` of the model over each of ``cols_list``, grown in one lockstep
-    pass from one memo; returns the memo and, without X, the trees, tree-major.  With
-    X, builds none, and calls ``write(subsets, rows, leaves)`` once per round with the
-    subset index, row of X and leaf value of each row of X that reached a leaf.
+    pass from one memo, which it returns.  With X, it calls ``write(subsets, rows,
+    leaves)`` once per round with the subset index, row of X and leaf value of each row
+    of X that reached a leaf.
 
     Tree t's rows (all rows, or a bootstrap drawn before any subset-dependent draw)
     and its j-th feature sample for q-column subsets do not depend on the subset,
@@ -234,27 +226,21 @@ def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, wri
     gens = [np.random.default_rng([spec.seed, t]) if vote else None for t in trees]
     boots = [rng.integers(0, N, size=N) if vote else np.arange(N) for rng in gens]
     nx = 0 if X is None else len(X)
-    roots = memo.add(np.concatenate(boots), np.full(T, N), np.tile(np.arange(nx), T),
-                     np.full(T, nx), np.zeros(T, dtype=np.intp))
+    memo.roots = memo.add(np.concatenate(boots), np.full(T, N), np.tile(np.arange(nx), T),
+                          np.full(T, nx), np.zeros(T, dtype=np.intp))
     sub, tree = np.tile(np.arange(S), T), np.repeat(np.arange(T), S)  # walk i's model and tree
     wk, wq, drawn = k[sub], q[sub], np.zeros(T * S, dtype=np.intp)
     pending = np.full(T * S, -1 if X is None else nx)  # rows of X not yet in a leaf
     group = tree * (width + 1) + wq  # walks of one tree and subset size share their samples
     samples = np.zeros((0, T * (width + 1), k.max()), dtype=np.intp)  # [j, group]: j-th sample
     made, gen_of = np.zeros(T * (width + 1), dtype=np.intp), {}
-    tops = [_TreeNode() for _ in range(T * S)] if X is None else []
-    pw = pr = ps = taken = np.empty(0, dtype=np.intp)  # the walks' stacks, grouped by walk
-    w, r, s, leaf = np.arange(T * S), roots[tree], np.arange(T * S), np.zeros(T * S, dtype=bool)
-    while True:  # place the leaves (w, r, s) and push the other nodes onto the stacks
+    pw = pr = taken = np.empty(0, dtype=np.intp)  # the walks' stacks, grouped by walk
+    w, r, leaf = np.arange(T * S), memo.roots[tree], np.zeros(T * S, dtype=bool)
+    while True:  # place the leaves (w, r) and push the other nodes onto the stacks
         grow = (memo.nodes.tab[r] >= 0) & ~leaf
         if X is not None:
             grow &= (wk[w] > 0) | (memo.nodes.exn[r] > 0)
-        at, lw, lr = s[~grow].tolist(), w[~grow], r[~grow]
-        if X is None:
-            found = memo.nodes.leaf[lr]
-            for slot, value in zip(at, found.argmax(axis=1).tolist() if vote else found):
-                tops[slot].leaf = value
-        else:
+            lw, lr = w[~grow], r[~grow]
             n = memo.nodes.exn[lr]
             which = np.repeat(np.arange(len(lr)), n)
             write(sub[lw[which]], _runs(memo.exs.v, memo.nodes.ex0[lr], n),
@@ -262,12 +248,12 @@ def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, wri
             np.subtract.at(pending, lw, n)  # at 0, the rest of the tree changes no value
         keep = np.ones(len(pw), dtype=bool)
         keep[taken] = False
-        pw, pr, ps = (np.concatenate([a[keep], b[grow]]) for a, b in ((pw, w), (pr, r), (ps, s)))
+        pw, pr = (np.concatenate([a[keep], b[grow]]) for a, b in ((pw, w), (pr, r)))
         order = np.argsort(pw, kind="stable")
         order = order[pending[pw[order]] != 0]
-        pw, pr, ps = pw[order], pr[order], ps[order]
+        pw, pr = pw[order], pr[order]
         if not len(pw):
-            return memo, tops[:T * S]
+            return memo
         top = np.ones(len(pw), dtype=bool)
         top[:-1] = pw[1:] != pw[:-1]
         taken = np.flatnonzero(top | (wk[pw] == 0))
@@ -303,8 +289,7 @@ def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, wri
         load = load[:len(taken)] + np.bincount(ce[pairs], memo.tables.size[ct[pairs]],
                                                minlength=len(taken))
         m = np.count_nonzero(np.cumsum(load) - load < ROUND_ROWS)
-        taken, w, r, s, t, pos, valid, cols = (a[:m] for a in (taken, w, r, ps[taken], t, pos,
-                                                               valid, cols))
+        taken, w, r, t, valid, cols = (a[:m] for a in (taken, w, r, t, valid, cols))
         drawn[w[wk[w] > 0]] += 1
         pairs, c = pairs[ce[pairs] < m], np.searchsorted(ce, m)
         if len(pairs):
@@ -324,71 +309,46 @@ def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, wri
         if len(fresh):
             memo.cut(r[e[fresh]], sc[fresh], memo.tables.thr[st[fresh], sc[fresh]])
         kid = memo.tables.kid[st, sc]
-        kids = len(tops) + np.arange(2 * len(e))
-        if X is None:  # hang the splits on the trees, with new nodes for the children
-            for slot, f, at in zip(s[e].tolist(), pos[e, best[e]].tolist(),
-                                   memo.tables.thr[st, sc].tolist()):
-                node = tops[slot]
-                node.feature, node.threshold = f, at
-                node.right, node.left = _TreeNode(), _TreeNode()
-                tops += [node.right, node.left]
         w = np.concatenate([w[leaf], np.repeat(w[e], 2)])  # right child under left, per walk
         r = np.concatenate([r[leaf], np.stack([kid + 1, kid], axis=1).ravel()])
-        s = np.concatenate([s[leaf], kids])
         leaf = np.concatenate([np.ones(m - len(e), dtype=bool), np.zeros(2 * len(e), dtype=bool)])
 
 
-def _passes(spec: ModelSpec, d: Dataset, trees, cols_list: list, X=None, write=None) -> list:
+def _passes(spec: ModelSpec, d: Dataset, trees, cols_list: list, X=None, write=None):
     """Grow ``trees`` (see ``_grow``) in passes whose memo holds about ``PASS_BYTES``,
-    so that deep trees of many subset models do not all share one memo.  The first pass
-    takes as many trees as fit a bound on one tree's memo: each walk builds at most 2N
-    nodes (2^(d+1) at depth cap d), each with 24 bytes per column.  Each later pass
-    takes as many as fit the bytes per tree measured on the pass before.  Returns
-    ``train``'s trees, tree-major."""
-    trees, grown, reach = list(trees), [], 2 * d.n_instances
+    so that deep trees of many subset models do not all share one memo, and yield
+    each pass's memo.  The first pass takes as many trees as fit a bound on one
+    tree's memo: each walk builds at most 2N nodes (2^(d+1) at depth cap d), each with
+    24 bytes per column.  Each later pass takes as many as fit the bytes per tree
+    measured on the pass before."""
+    trees, reach = list(trees), 2 * d.n_instances
     if spec.max_depth is not None:
         reach = min(reach, 2 << spec.max_depth)
     size = PASS_BYTES / (len(cols_list) * reach * 24 * d.n_attributes)
     while trees:
         size = max(1, int(size))
-        memo, tops = _grow(spec, d, trees[:size], cols_list, X, write)
-        grown += tops
+        memo = _grow(spec, d, trees[:size], cols_list, X, write)
+        yield memo
         trees, size = trees[size:], PASS_BYTES * size / memo.nbytes
-    return grown
-
-
-def _leaves(root: _TreeNode, columns: list[list[float]], rows: list[int]):
-    """Yield (leaf, rows) for every leaf that some of ``rows`` descend to;
-    ``columns[f][r]`` is feature f of row r."""
-    # Plain lists, not index arrays: the calls see few rows, where a list is
-    # faster than numpy indexing.
-    stack = [(root, rows)]
-    while stack:
-        node, rows = stack.pop()
-        if node.leaf is not None:
-            yield node, rows
-            continue
-        col, thr = columns[node.feature], node.threshold
-        for child, go_left in ((node.right, False), (node.left, True)):
-            part = [r for r in rows if (col[r] < thr) == go_left]
-            if part:
-                stack.append((child, part))
 
 
 class TrainedModelHandle:
-    """A fitted classifier for one attribute subset.
+    """A fitted classifier for one attribute subset: flat-array trees, as its passes'
+    memos grew them.  Node i splits on dataset column ``feature[i]`` (-1 for a leaf)
+    at ``thr[i]``; a row below it goes to node ``left[i]``, any other to
+    ``left[i] + 1``.  ``leaf[i]`` is its class frequencies, or a forest tree's vote
+    one-hot, and the trees start at ``roots``.  The prior baseline is one leaf.
 
-    ``confidences`` reads the subset's columns of full dataset rows.  One tree
-    (the prior baseline is a one-leaf tree) gives its leaf's class frequencies,
-    a forest each class's share of the tree votes: entries in [0, 1] summing to 1.
+    ``confidences`` reads the subset's columns of full dataset rows and gives the
+    mean over the trees of the leaves the rows reach: entries in [0, 1] summing to 1.
     """
 
-    def __init__(self, subset: AttributeSubset, class_set: tuple, trees: list[_TreeNode],
-                 vote: bool):
+    def __init__(self, subset: AttributeSubset, class_set: tuple, feature, thr, left, leaf,
+                 roots):
         self.subset = subset
         self.class_set = class_set
-        self._trees = trees
-        self._vote = vote
+        self._feature, self._thr, self._left, self._leaf, self._roots = (
+            feature, thr, left, leaf, roots)
 
     def confidences(self, X) -> np.ndarray:
         """Rows x classes confidences for a rows x n matrix, columns ordered by class_set."""
@@ -396,19 +356,17 @@ class TrainedModelHandle:
         if X.ndim != 2 or X.shape[1] != self.subset.n:
             raise ValueError(f"instances of shape {X.shape}; expected rows of "
                              f"{self.subset.n} values")
-        m, n_classes = X.shape[0], len(self.class_set)
-        columns, rows = [X[:, j].tolist() for j in self.subset.indices()], list(range(m))
-        if not self._vote:
-            probs = np.empty((m, n_classes))
-            for node, part in _leaves(self._trees[0], columns, rows):
-                probs[part] = node.leaf
-            return probs
-        votes = [[0] * n_classes for _ in rows]
-        for tree in self._trees:
-            for node, part in _leaves(tree, columns, rows):
-                for r in part:
-                    votes[r][node.leaf] += 1
-        return np.array(votes, dtype=np.float64).reshape(m, n_classes) / len(self._trees)
+        T, feature, out = len(self._roots), self._feature, np.empty((len(X), len(self.class_set)))
+        step = max(1, ROUND_ROWS // T)
+        for lo in range(0, len(X), step):  # blocks of about ROUND_ROWS (tree, row) pairs
+            x = X[lo:lo + step]
+            node = np.repeat(self._roots, len(x))  # pair p: tree p // len(x) at row p % len(x)
+            at = np.arange(len(node))
+            while len(at := at[feature[node[at]] >= 0]):  # the pairs not at a leaf go down
+                n = node[at]
+                node[at] = self._left[n] + ~(x[at % len(x), feature[n]] < self._thr[n])
+            out[lo:lo + step] = self._leaf[node].reshape(T, len(x), -1).sum(axis=0) / T
+        return out
 
     def predict_classes(self, X) -> np.ndarray:
         """Index of each row's most-confident class; ties go to the lowest index."""
@@ -427,11 +385,20 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
     if d.n_classes < 2:
         raise DataError("training requires at least 2 classes")
     if s.size == 0 or spec.kind == "prior_baseline":
-        prior = _TreeNode(np.bincount(d.label_indices(), minlength=d.n_classes) / d.n_instances)
-        return TrainedModelHandle(s, d.class_set, [prior], vote=False)
-    vote = spec.kind == "random_forest"
-    trees = _passes(spec, d, range(spec.tree_count if vote else 1), [s.indices()])
-    return TrainedModelHandle(s, d.class_set, trees, vote)
+        prior = np.bincount(d.label_indices(), minlength=d.n_classes) / d.n_instances
+        zero = np.zeros(1, dtype=np.intp)  # one tree: a leaf at node 0
+        return TrainedModelHandle(s, d.class_set, zero - 1, np.zeros(1), zero, prior[None], zero)
+    trees, at = [], 0
+    for memo in _passes(spec, d, range(spec.tree_count if spec.kind == "random_forest" else 1),
+                        [s.indices()]):
+        n, tables = memo.nodes.n, memo.tables
+        feature, thr, left = np.full(n, -1), np.zeros(n), np.zeros(n, dtype=np.intp)
+        t, c = np.nonzero(tables.kid[:tables.n] >= 0)  # one walk per tree: one cut at most
+        node = np.flatnonzero(memo.nodes.tab[:n] >= 0)[t]  # tables are added in node order
+        feature[node], thr[node], left[node] = c, tables.thr[t, c], tables.kid[t, c] + at
+        trees.append((feature, thr, left, memo.nodes.leaf[:n], memo.roots + at))
+        at += n
+    return TrainedModelHandle(s, d.class_set, *(np.concatenate(a) for a in zip(*trees)))
 
 
 def tree_values(spec: ModelSpec, d: Dataset, trees, subsets: list[AttributeSubset],
@@ -442,14 +409,15 @@ def tree_values(spec: ModelSpec, d: Dataset, trees, subsets: list[AttributeSubse
     forest tree's vote (1 or 0) or a decision tree's class frequency, to ``out[rows[i],
     r]``.  Summed over a forest's trees and divided by their count, these are
     ``train``'s confidences bit for bit.  All the trees of all subsets grow in lockstep
-    passes (``_passes``)."""
+    passes (``_passes``), one memo at a time."""
     tidx, rows = np.asarray(target_idx), np.asarray(rows)
 
     def write(subs, ex, leaves):  # np.add.at: two trees may reach one (subset, row) in a round
         np.add.at(out, (rows[subs], ex), leaves[np.arange(len(ex)), tidx[ex]])
 
-    _passes(spec, d, [trees] if isinstance(trees, int) else trees,
-            [s.indices() for s in subsets], X, write)
+    for _ in _passes(spec, d, [trees] if isinstance(trees, int) else trees,
+                     [s.indices() for s in subsets], X, write):
+        pass
 
 
 class SubsetModelCache:

@@ -161,6 +161,14 @@ class TestSubsetEval:
         assert a == b
         assert cache.training_count == 1
 
+    def test_one_target_class_per_row(self, blob_dataset):
+        d = blob_dataset
+        cache = SubsetModelCache(SPEC, d)
+        s = AttributeSubset.full(3)
+        for target_idx in ([0], [0, 1, 0]):  # one class would broadcast over both rows
+            with pytest.raises(ValueError, match="target classes for 2 rows"):
+                subset_eval(cache, s, d.features[:2], target_idx)
+
 
 class TestCompleteInfluence:
     def test_single_attribute(self, separable2):

@@ -18,23 +18,30 @@ from coalex.model import tree_values
 from conftest import class_prior, dataset_from
 
 
-def tree_shape(root):
-    """A tree's (feature, threshold, leaf value) triples in preorder."""
-    shape, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        leaf = node.leaf.tolist() if isinstance(node.leaf, np.ndarray) else node.leaf
-        shape.append((int(node.feature), node.threshold, leaf))
-        stack += [n for n in (node.right, node.left) if n is not None]
-    return shape
+def tree_shapes(handle, spec):
+    """Each tree's (feature, threshold, leaf value) triples in preorder: a split's
+    feature is its position in the subset and its leaf value None, a leaf is (-1, 0.0,
+    its class frequencies), or its vote in a forest."""
+    vote = spec.kind == "random_forest" and handle.subset.size > 0
+    position = {c: i for i, c in enumerate(handle.subset.indices())}
+    feature, left = handle._feature.tolist(), handle._left.tolist()
+    shapes = []
+    for root in handle._roots.tolist():
+        shape, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            if feature[i] >= 0:
+                shape.append((position[feature[i]], float(handle._thr[i]), None))
+                stack += [left[i] + 1, left[i]]
+            else:
+                leaf = handle._leaf[i]
+                shape.append((-1, 0.0, int(leaf.argmax()) if vote else leaf.tolist()))
+        shapes.append(shape)
+    return shapes
 
 
-def tree_shapes(handle):
-    return [tree_shape(root) for root in handle._trees]
-
-
-def assert_same_model(h, ref, d):
-    assert tree_shapes(h) == tree_shapes(ref)
+def assert_same_model(h, ref, d, spec):
+    assert tree_shapes(h, spec) == tree_shapes(ref, spec)
     got, want = all_confidences(h, d), all_confidences(ref, d)
     assert got.tobytes() == want.tobytes()
 
@@ -108,6 +115,8 @@ class TestDecisionTree:
         assert confidence(h, [0.0], separable2.class_target("p")) == 1.0
         assert confidence(h, [0.0], separable2.class_target("q")) == 0.0
         assert confidence(h, [1.0], separable2.class_target("q")) == 1.0
+        # a row at the threshold goes right, as the training rows were cut (>= thr)
+        assert confidence(h, [0.5], separable2.class_target("q")) == 1.0
 
     def test_xor_single_attribute_is_uninformative(self, xor4):
         # projected to a0 the labels are [p,q] on each side: leaves stay 50/50
@@ -200,13 +209,17 @@ class TestHandles:
             h.confidences([1.0, 2.0, 3.0])  # a matrix, not one row
 
     @pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "prior_baseline"])
-    def test_batch_equals_row_by_row(self, blob_dataset, kind):
+    def test_batch_equals_row_by_row(self, blob_dataset, kind, monkeypatch):
+        import coalex.model
+
         d = blob_dataset
         h = train(ModelSpec(kind=kind, tree_count=9, seed=3), d, AttributeSubset.full(3))
         batch = h.confidences(d.features)
         rows = np.vstack([h.confidences(d.features[i:i + 1]) for i in range(d.n_instances)])
         assert batch.shape == (d.n_instances, d.n_classes)
         assert batch.tobytes() == rows.tobytes()
+        monkeypatch.setattr(coalex.model, "ROUND_ROWS", 20)  # blocks of 20 // trees rows
+        assert h.confidences(d.features).tobytes() == batch.tobytes()
         assert np.array_equal(h.predict_classes(d.features), np.argmax(rows, axis=1))
         assert h.confidences(d.features[:0]).shape == (0, d.n_classes)
 
@@ -284,8 +297,8 @@ class TestSplitMemo:
             backward.get_or_train(s)
         for s in subsets:
             alone = train(spec, d, s)
-            assert_same_model(forward.get_or_train(s), alone, d)
-            assert_same_model(backward.get_or_train(s), alone, d)
+            assert_same_model(forward.get_or_train(s), alone, d, spec)
+            assert_same_model(backward.get_or_train(s), alone, d, spec)
 
     # (split searches, records built) for each tree when every row is explained, as
     # the per-subset grower that preceded the lockstep pass counted them: it searched
@@ -320,7 +333,7 @@ class TestSplitMemo:
             searched.clear()
             tree_values(spec, d, t, subsets, d.features, [0] * d.n_instances,
                         np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
-            [(memo, _)] = memos
+            [memo] = memos
             tables = memo.tables
             cost, kid = tables.cost[:tables.n], tables.kid[:tables.n]
             assert sum(built) == memo.nodes.n == builds
@@ -402,8 +415,8 @@ class TestEarlyStop:
         X = np.vstack([d.features, [[9.0, -9.0, 0.05, 0.0, 0.33]]])  # last: not a training row
         idx = [r % 3 for r in range(len(X))]
         grow, search, memos, searched = coalex.model._grow, coalex.model._split_search, [], []
-        monkeypatch.setattr(coalex.model, "_grow", lambda *args: memos.append(grow(*args)[0])
-                            or (memos[-1], []))
+        monkeypatch.setattr(coalex.model, "_grow", lambda *args: memos.append(grow(*args))
+                            or memos[-1])
         monkeypatch.setattr(coalex.model, "_split_search", lambda cols, *args:
                             searched.append(len(cols)) or search(cols, *args))
 
@@ -447,8 +460,8 @@ class TestRounds:
         search, rounds = coalex.model._split_search, []
         monkeypatch.setattr(coalex.model, "_split_search", lambda pairs, *args:
                             rounds.append(len(pairs)) or search(pairs, *args))
-        tree = train(spec, d, AttributeSubset.full(5))._trees[0]
-        assert 0 < len(rounds) <= depth < len(tree_shape(tree))
+        nodes = train(spec, d, AttributeSubset.full(5))._feature
+        assert 0 < len(rounds) <= depth < len(nodes)
         rounds.clear()
         tree_values(spec, d, 0, subsets, d.features, [0] * d.n_instances,
                     np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
@@ -484,7 +497,8 @@ class TestRounds:
                                                                    monkeypatch):
         """A pass takes as many trees as fit ``PASS_BYTES``; the trees of a slice are
         independent, so one tree per pass keeps influence's bits, in one process and in
-        forked workers, and makes more passes where there are several trees."""
+        forked workers, and makes more passes where there are several trees.  A model
+        ``train`` joins from several passes has the trees and confidences of one pass."""
         import coalex.model
 
         d = five_attributes
@@ -493,7 +507,9 @@ class TestRounds:
                             passes.append(len(trees)) or grow(spec, d, trees, *args))
         want = complete_influence(SubsetModelCache(spec, d), range(d.n_instances))
         together = list(passes)
+        one_pass = train(spec, d, AttributeSubset.full(5))
         monkeypatch.setattr(coalex.model, "PASS_BYTES", 1)
+        assert_same_model(train(spec, d, AttributeSubset.full(5)), one_pass, d, spec)
         for jobs in (1, 2):
             passes.clear()
             got = complete_influence(SubsetModelCache(spec, d), range(d.n_instances), jobs=jobs)
@@ -520,7 +536,7 @@ def model_digest(spec, d):
     masks = complete_plan(n).masks
     for mask in masks:
         h = train(spec, d, AttributeSubset(mask, n))
-        digest.update(repr(tree_shapes(h)).encode())
+        digest.update(repr(tree_shapes(h, spec)).encode())
         digest.update(h.confidences(d.features).tobytes())
     subsets = [AttributeSubset(mask, n) for mask in masks[1:]]
     idx = [r % d.n_classes for r in range(d.n_instances)]
