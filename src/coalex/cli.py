@@ -125,6 +125,8 @@ def _typed(key: str, kind, value):
     if value is None:
         return None
     if kind in (int, float):
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
         try:
             if isinstance(value, bool):
                 raise TypeError
@@ -136,39 +138,35 @@ def _typed(key: str, kind, value):
     return value
 
 
-def _model_spec(model_flags: tuple, file_cfg: dict, seed: int) -> ModelSpec:
-    name, trees, max_depth, min_leaf = model_flags
+def _model_spec(model_flags: dict, file_cfg: dict, seed: int) -> ModelSpec:
+    """Each of ``model_flags``, keyed by its field, as flag > config ``model`` > default."""
     model_cfg = {} if file_cfg.get("model") is None else file_cfg["model"]
     if not isinstance(model_cfg, dict):
         raise ConfigError(f"model must be an object, got {model_cfg!r}")
-    kind_raw = _pick(name, model_cfg, "kind", "random_forest")
-    kind = _MODEL_ALIASES.get(str(kind_raw).lower())
+    values = {key: _pick(flag, model_cfg, key, getattr(ModelSpec, key))
+              for key, flag in model_flags.items()}
+    kind = _MODEL_ALIASES.get(str(values["kind"]).lower())
     if kind is None:
-        raise ConfigError(f"unknown model {kind_raw!r}; choose from {sorted(set(_MODEL_ALIASES))}")
-    model_int = lambda key, flag, default: _typed(f"model.{key}", int,
-                                                  _pick(flag, model_cfg, key, default))
+        raise ConfigError(f"unknown model {values['kind']!r}; choose from {sorted(_MODEL_ALIASES)}")
+    for key in ("tree_count", "max_depth", "min_leaf"):
+        values[key] = _typed(f"model.{key}", int, values[key])
     try:
-        return ModelSpec(
-            kind=kind,
-            tree_count=model_int("tree_count", trees, 100),
-            max_depth=model_int("max_depth", max_depth, None),
-            min_leaf=model_int("min_leaf", min_leaf, 1),
-            seed=seed,
-        )
+        return ModelSpec(**values | {"kind": kind, "seed": seed})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _resolve(command: str, config_path: str | None, model_flags: tuple, fixed: dict,
+def _resolve(command: str, config_path: str | None, fixed: dict,
              **flags) -> tuple[RunConfig, ModelSpec]:
     """The effective configuration of one invocation, and its model.
 
-    Each of ``flags`` (keyed by its config-file name; a flag's value already
-    includes its ``COALEX_*`` variable) resolves as flag > ``--config`` file >
-    default.  ``fixed`` sets fields no flag resolves and the command's own
-    defaults; every other field keeps its ``RunConfig`` default.
+    Each of ``flags`` (keyed by its config-file name, or its ``ModelSpec`` field for a
+    model flag; a flag's value includes its ``COALEX_*`` variable) resolves as flag >
+    ``--config`` file > default.  ``fixed`` sets fields no flag resolves and the command's
+    own defaults; every other field keeps its ``RunConfig`` default.
     """
     file_cfg = _load_config_file(config_path)
+    model_flags = {key: flags.pop(key) for key in ("kind", "tree_count", "max_depth", "min_leaf")}
     cfg = RunConfig(command, **fixed)
     for key, flag in flags.items():
         name = _FIELD_OF.get(key, key)
@@ -277,9 +275,9 @@ def common_options(f, jobs: bool = True):
 
 
 def model_options(f):
-    f = click.option("--model", "model_name", default=None, envvar="COALEX_MODEL",
+    f = click.option("--model", "kind", default=None, envvar="COALEX_MODEL",
                      help="rf (random forest), dt (decision tree) or prior.")(f)
-    f = click.option("--trees", type=int, default=None, help="Forest size.")(f)
+    f = click.option("--trees", "tree_count", type=int, default=None, help="Forest size.")(f)
     f = click.option("--max-depth", type=int, default=None, help="Tree depth limit.")(f)
     f = click.option("--min-leaf", type=int, default=None, help="Minimum leaf size.")(f)
     return f
@@ -329,10 +327,9 @@ def main():
 @model_options
 @common_options
 @_guarded
-def cmd_explain(data, class_label, out, config_path, model_name, trees, max_depth, min_leaf,
-                **flags):
+def cmd_explain(data, class_label, out, config_path, **flags):
     """Write one influence vector per selected instance of DATA."""
-    cfg, spec = _resolve("explain", config_path, (model_name, trees, max_depth, min_leaf),
+    cfg, spec = _resolve("explain", config_path,
                          {"dataset": str(data), "output": out, "method": "complete"}, **flags)
     _check_out(out)
     mc = MethodConfig.parse(cfg.method, k=cfg.k, threshold=cfg.threshold,
@@ -362,7 +359,7 @@ def cmd_explain(data, class_label, out, config_path, model_name, trees, max_dept
                          rows), out)
 
 
-def _coalition(command: str, data, out, config_path, model_flags: tuple,
+def _coalition(command: str, data, out, config_path,
                flags: dict) -> tuple[RunConfig, Coalition, dict, dict]:
     """Resolve a groups or complexity run and build its coalition.
 
@@ -370,8 +367,7 @@ def _coalition(command: str, data, out, config_path, model_flags: tuple,
     the provenance extras of :func:`build_coalition`.  Both commands run in
     one thread and take no ``--jobs``.
     """
-    cfg, spec = _resolve(command, config_path, model_flags,
-                         {"dataset": str(data), "output": out}, **flags)
+    cfg, spec = _resolve(command, config_path, {"dataset": str(data), "output": out}, **flags)
     _check_out(out)
     mc = MethodConfig("coalitional", grouping=normalize_grouping_name(cfg.method),
                       threshold=cfg.threshold, proportion=cfg.proportion,
@@ -384,10 +380,9 @@ def _coalition(command: str, data, out, config_path, model_flags: tuple,
 @main.command("groups")
 @coalition_options
 @_guarded
-def cmd_groups(data, out, config_path, model_name, trees, max_depth, min_leaf, **flags):
+def cmd_groups(data, out, config_path, **flags):
     """Extract and write an attribute coalition for DATA."""
-    cfg, _, groups, extra = _coalition("groups", data, out, config_path,
-                                       (model_name, trees, max_depth, min_leaf), flags)
+    cfg, _, groups, extra = _coalition("groups", data, out, config_path, flags)
     if cfg.proportion is not None:
         click.echo(f"threshold={extra['threshold']:.6f} "
                    f"achieved_proportion={extra['achieved_proportion']:.6f} "
@@ -398,10 +393,9 @@ def cmd_groups(data, out, config_path, model_name, trees, max_depth, min_leaf, *
 @main.command("complexity")
 @coalition_options
 @_guarded
-def cmd_complexity(data, out, config_path, model_name, trees, max_depth, min_leaf, **flags):
+def cmd_complexity(data, out, config_path, **flags):
     """Report the evaluation cost of a coalition for DATA."""
-    cfg, G, groups, extra = _coalition("complexity", data, out, config_path,
-                                       (model_name, trees, max_depth, min_leaf), flags)
+    cfg, G, groups, extra = _coalition("complexity", data, out, config_path, flags)
     report = asdict(ComplexityReport.from_coalition(G))
     _emit(json.dumps({"config": cfg.to_dict() | extra} | report | groups, indent=2), out)
 
@@ -418,9 +412,9 @@ def cmd_complexity(data, out, config_path, model_name, trees, max_depth, min_lea
 @model_options
 @common_options
 @_guarded
-def cmd_benchmark(data, out, config_path, model_name, trees, max_depth, min_leaf, **flags):
+def cmd_benchmark(data, out, config_path, **flags):
     """Score methods against the exact influence over a dataset grid."""
-    cfg, spec = _resolve("benchmark", config_path, (model_name, trees, max_depth, min_leaf),
+    cfg, spec = _resolve("benchmark", config_path,
                          {"dataset": [str(p) for p in data] or None, "output": out}, **flags)
     if out and Path(out).suffix == ".json":
         raise ConfigError(f"--out {out} ends in .json, the name of its JSON mirror")

@@ -365,8 +365,8 @@ def group_model_based(cache: SubsetModelCache, delta: float,
     becomes a group and the removed attributes are re-examined.  Attributes
     never reaching the bar end up as singletons.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     d = cache.dataset
     n = d.n_attributes
     handle = cache.get_or_train(AttributeSubset.full(n))

@@ -11,6 +11,9 @@ differences v(S + i) - v(S) over subsets S of the other attributes:
 * coalitional   -- those inside the attribute's groups, weighted by the
                    factorial mass of those groups.
 
+Each weight is one integer ratio |S|! (m-|S|-1)! / D, which Python rounds once:
+it is exact (the nearest float) at every n.
+
 Each method is a :class:`Plan`, its weight matrix W in sparse form.  The
 value table V[mask, instance] is filled in one pass over all instances.  The
 empty subset's prior, and every model the :class:`~coalex.model.SubsetModelCache`
@@ -32,8 +35,7 @@ import threading
 import traceback
 from contextlib import suppress
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, lgamma
+from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -44,9 +46,6 @@ from .grouping import Coalition
 from .model import ModelSpec, SubsetModelCache, tree_values
 
 COMPLETE_ATTRIBUTE_CAP = 20
-
-# Exact rational weights up to this many attributes; log-gamma beyond.
-_EXACT_LIMIT = 20
 
 # Values per instance block of Plan.sums: its temporaries hold at most 32 MB of float64.
 VALUE_TABLE_CELLS = 1 << 22
@@ -84,19 +83,14 @@ def shapley_penalty(sub_size: int, n: int) -> float:
     """Shapley weight |A'|! (n-|A'|-1)! / n! for a subset of the other attributes."""
     if n < 1 or not 0 <= sub_size <= n - 1:
         raise ValueError(f"invalid penalty arguments sub_size={sub_size}, n={n}")
-    if n <= _EXACT_LIMIT:
-        return float(Fraction(factorial(sub_size) * factorial(n - sub_size - 1), factorial(n)))
-    return math.exp(lgamma(sub_size + 1) + lgamma(n - sub_size) - lgamma(n + 1))
+    return factorial(sub_size) * factorial(n - sub_size - 1) / factorial(n)
 
 
 def kdepth_penalty(sub_size: int, n: int, k: int) -> float:
     """Depth-k weight |A'|! (n-|A'|-1)! / (k (n-1)!); requires |A'| < k <= n."""
     if n < 1 or k < 1 or k > n or not 0 <= sub_size < k:
         raise ValueError(f"invalid penalty arguments sub_size={sub_size}, n={n}, k={k}")
-    if n <= _EXACT_LIMIT:
-        return float(Fraction(factorial(sub_size) * factorial(n - sub_size - 1),
-                              k * factorial(n - 1)))
-    return math.exp(lgamma(sub_size + 1) + lgamma(n - sub_size) - lgamma(n) - math.log(k))
+    return factorial(sub_size) * factorial(n - sub_size - 1) / (k * factorial(n - 1))
 
 
 def coalition_penalty(sub_size: int, group_size: int, groups_of_attr: Sequence[int]) -> float:
@@ -105,13 +99,8 @@ def coalition_penalty(sub_size: int, group_size: int, groups_of_attr: Sequence[i
         raise ValueError(f"invalid penalty arguments sub_size={sub_size}, group_size={group_size}")
     if not groups_of_attr or group_size not in groups_of_attr:
         raise ValueError("groups_of_attr must be non-empty and contain group_size")
-    if max(groups_of_attr) <= _EXACT_LIMIT:
-        denom = sum(factorial(g) for g in groups_of_attr)
-        return float(Fraction(factorial(sub_size) * factorial(group_size - sub_size - 1), denom))
-    logs = [lgamma(g + 1) for g in groups_of_attr]
-    top = max(logs)
-    log_denom = top + math.log(sum(math.exp(l - top) for l in logs))
-    return math.exp(lgamma(sub_size + 1) + lgamma(group_size - sub_size) - log_denom)
+    return (factorial(sub_size) * factorial(group_size - sub_size - 1)
+            / sum(factorial(g) for g in groups_of_attr))
 
 
 @dataclass(frozen=True, eq=False)

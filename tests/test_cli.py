@@ -288,6 +288,16 @@ class TestGroups:
         assert result.exit_code == 2
         assert "repetitions must be >= 1, got 0" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["groups", "--method", "model_based", "--delta", "nan"],
+        ["explain", "--method", "coalitional:model_based", "--delta", "inf"],
+    ], ids=["groups-nan", "explain-inf"])
+    def test_delta_that_is_not_finite_exits_2(self, runner, small_csv, args):
+        result = runner.invoke(main, [args[0], str(small_csv), "--target", "y", "--model", "dt",
+                                      "--repetitions", "2", *args[1:]])
+        assert result.exit_code == 2
+        assert f"delta must be finite and > 0, got {args[-1]}" in result.output
+
     @pytest.mark.parametrize("command", ["groups", "complexity"])
     def test_jobs_is_not_an_option(self, runner, small_csv, command):
         result = runner.invoke(main, [command, str(small_csv), "--target", "y",
@@ -486,6 +496,7 @@ class TestConfigPrecedence:
         ({"method": "complete", "model": {"kind": "dt", "max_depth": "3"}},
          ["model", "max_depth"], 3),
         ({"method": "coalitional:spearman", "threshold": "0.3"}, ["threshold"], 0.3),
+        ({"method": "kdepth", "k": 2.0}, ["k"], 2),
     ])
     def test_config_file_strings_are_converted(self, runner, small_csv, tmp_path, values,
                                                path, expected):
@@ -521,6 +532,23 @@ class TestConfigPrecedence:
         result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
+
+    @pytest.mark.parametrize("values, key, number", [
+        ({"method": "kdepth", "k": 2.7}, "k", 2.7),
+        ({"seed": 1.5}, "seed", 1.5),
+        ({"jobs": 2.5}, "jobs", 2.5),
+        ({"method": "coalitional:model_based", "delta": 0.1, "repetitions": 3.2},
+         "repetitions", 3.2),
+        ({"model": {"kind": "dt", "max_depth": 2.9}}, "model.max_depth", 2.9),
+        ({"model": {"kind": "rf", "tree_count": 4.5}}, "model.tree_count", 4.5),
+    ], ids=["k", "seed", "jobs", "repetitions", "model.max_depth", "model.tree_count"])
+    def test_config_file_integer_option_with_a_fraction_exits_2(self, runner, small_csv,
+                                                                tmp_path, values, key, number):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y", "instances": "0"} | values))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"error: {key} must be an integer, got {number}" in result.output
 
     @pytest.mark.parametrize("model", ["dt", ["dt"], 3])
     def test_config_file_model_that_is_not_an_object_exits_2(self, runner, small_csv, tmp_path,
@@ -585,9 +613,11 @@ class TestConfigPrecedence:
         assert json.loads(a.output)["influences"] == json.loads(b.output)["influences"]
 
 
-# Runs the CLI in a fresh interpreter and reports, at exit, whether numpy.ma was imported.
+# Runs the CLI in a fresh interpreter and reports, at exit, which of the modules no run
+# needs were imported.
 _LAZY_IMPORT_PROBE = ("import atexit, runpy, sys\n"
-                      "atexit.register(lambda: print('numpy.ma' in sys.modules, file=sys.stderr))\n"
+                      "atexit.register(lambda: print([m for m in ('numpy.ma', 'fractions')\n"
+                      "                               if m in sys.modules], file=sys.stderr))\n"
                       "sys.argv[0] = 'coalex'\n"
                       "runpy.run_module('coalex.cli', run_name='__main__')\n")
 
@@ -598,11 +628,12 @@ _LAZY_IMPORT_PROBE = ("import atexit, runpy, sys\n"
 ], ids=["explain-rf-complete", "benchmark-dt"])
 def test_a_run_does_not_import_numpy_ma(small_csv, tmp_path, args):
     """``np.unique`` on integers imports numpy.ma on its first call, some milliseconds of
-    every fresh process: the tree pass finds distinct values by sorting instead."""
+    every fresh process: the tree pass finds distinct values by sorting instead.  The
+    weights divide exact integers, so ``fractions`` (and the ``decimal`` it loads) stay out."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE, args[0], str(small_csv),
                              "--target", "y", *args[1:], "--out", str(tmp_path / "out.csv")],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines()[-1] == "False"
+    assert result.stderr.splitlines()[-1] == "[]"

@@ -602,9 +602,10 @@ class TestModelBasedGrouping:
         assert a.groups == b.groups
 
     def test_delta_validated(self, blob_dataset):
-        with pytest.raises(ValueError, match="delta"):
-            group_model_based(SubsetModelCache(ModelSpec(kind="decision_tree"), blob_dataset),
-                              delta=0.0)
+        for delta in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta"):
+                group_model_based(SubsetModelCache(ModelSpec(kind="decision_tree"),
+                                                   blob_dataset), delta=delta)
 
     def test_repetitions_validated(self, blob_dataset):
         cache = SubsetModelCache(ModelSpec(kind="decision_tree"), blob_dataset)

@@ -51,7 +51,7 @@ class TestPenalties:
         assert shapley_penalty(0, 2) == 0.5
 
     def test_shapley_matches_fraction_oracle(self):
-        for n in range(1, 15):
+        for n in range(1, 41):
             for s in range(n):
                 oracle = Fraction(math.factorial(s) * math.factorial(n - s - 1),
                                   math.factorial(n))
@@ -75,7 +75,7 @@ class TestPenalties:
         assert kdepth_penalty(1, 4, 2) == pytest.approx(1 / 6, abs=0)
 
     def test_kdepth_equals_shapley_at_full_depth(self):
-        for n in range(1, 12):
+        for n in range(1, 41):
             for s in range(n):
                 assert kdepth_penalty(s, n, n) == shapley_penalty(s, n)
 
@@ -89,7 +89,7 @@ class TestPenalties:
         assert coalition_penalty(1, 3, [3, 2]) == pytest.approx(1 / 8, abs=0)
 
     def test_coalition_reduces_to_shapley_for_full_group(self):
-        for n in range(1, 10):
+        for n in range(1, 41):
             for s in range(n):
                 assert coalition_penalty(s, n, [n]) == shapley_penalty(s, n)
 
@@ -102,10 +102,21 @@ class TestPenalties:
             coalition_penalty(0, 3, [2, 4])  # group_size missing
 
     def test_large_n_log_space_close_to_exact(self):
-        # beyond the exact-integer limit the log-gamma path takes over
+        # past the complete-influence cap the weight is still the exact ratio, rounded once
         got = shapley_penalty(10, 25)
         oracle = Fraction(math.factorial(10) * math.factorial(14), math.factorial(25))
-        assert got == pytest.approx(float(oracle), rel=1e-12)
+        assert got == float(oracle)
+
+    def test_kdepth_and_coalition_match_fraction_oracle(self):
+        f = math.factorial
+        for n in range(1, 41):
+            for s in range(n):
+                rest = f(s) * f(n - s - 1)
+                for k in range(s + 1, n + 1):
+                    assert kdepth_penalty(s, n, k) == float(Fraction(rest, k * f(n - 1)))
+                for groups in ([n], [n, 1], [n, n - 1, 3], [n, 40], [n, 7, 21, 33]):
+                    assert (coalition_penalty(s, n, groups)
+                            == float(Fraction(rest, sum(f(g) for g in groups))))
 
 
 def value(cache, s, i, target):
