@@ -36,8 +36,6 @@ from .grouping import GROUPING_METHODS, Coalition
 from .influence import COMPLETE_ATTRIBUTE_CAP
 from .model import ModelSpec, SubsetModelCache
 
-logger = logging.getLogger(__name__)
-
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CAP = 4
@@ -121,18 +119,24 @@ def _pick(flag, file_cfg: dict, key: str, default):
 
 
 def _typed(key: str, kind, value):
-    """``value`` as ``kind``; a ConfigError naming ``key`` when it is not one."""
+    """``value`` as ``kind``; a ConfigError naming ``key`` when it is not one.  An integer
+    takes an integral number or numeric string: ``2.0`` and ``"2.0"`` are 2."""
     if value is None:
         return None
     if kind in (int, float):
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
         try:
             if isinstance(value, bool):
                 raise TypeError
-            return kind(value)
+            if kind is float or isinstance(value, int):
+                return kind(value)
+            if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+                return int(value)  # exact at any length, with no float round-trip
+            number = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        if not number.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(number)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
@@ -266,9 +270,8 @@ def common_options(f, jobs: bool = True):
                      help="Master seed; fully determines all numeric output.")(f)
     if jobs:
         f = click.option("--jobs", type=int, default=None, envvar="COALEX_JOBS",
-                         help="Processes that grow a forest's trees for complete "
-                              "influence (explain, the benchmark's exact baseline; "
-                              "default 1).")(f)
+                         help="Processes that grow a forest's trees, for every method "
+                              "(default 1).")(f)
     f = click.option("--delimiter", default=None, envvar="COALEX_DELIMITER",
                      help="CSV field delimiter (default ',').")(f)
     return f
@@ -341,13 +344,8 @@ def cmd_explain(data, class_label, out, config_path, **flags):
     fixed_class = _resolve_class(d, class_label)
     cache = SubsetModelCache(spec, d)
 
-    coalition = None
-    extra: dict = {}
-    if mc.kind == "coalitional":
-        coalition, extra = build_coalition(cache, mc, cfg.seed)
-
     targets = None if fixed_class is None else [fixed_class] * len(picks)
-    vectors = method_influence(cache, picks, mc, coalition, targets, cfg.cap, cfg.jobs)
+    vectors, _, extra = method_influence(cache, picks, mc, targets, cfg.seed, cfg.cap, cfg.jobs)
 
     payload_cfg = cfg.to_dict() | extra
     if cfg.output_format == "json":
@@ -423,7 +421,7 @@ def cmd_benchmark(data, out, config_path, **flags):
     if not methods:
         raise ConfigError("no methods given")
     for mc in methods:
-        if mc.kind == "coalitional" and mc.grouping == "model_based" and mc.delta is None:
+        if mc.grouping == "model_based" and mc.delta is None:
             raise ConfigError("coalitional:model_based needs a delta, "
                               "e.g. coalitional:model_based:0.1")
 

@@ -154,6 +154,9 @@ class MethodConfig:
                 raise ConfigError(f"unknown grouping {self.grouping!r}; choose from {sorted(known)}")
             if self.threshold is not None and self.proportion is not None:
                 raise ConfigError("threshold and proportion are mutually exclusive")
+            if (self.grouping == "model_based" and self.delta is not None
+                    and not 0 < self.delta < math.inf):
+                raise ConfigError(f"delta must be finite and > 0, got {self.delta}")
 
     @classmethod
     def parse(cls, text: str, k: int | None = None, threshold: float | None = None,
@@ -293,37 +296,34 @@ def build_coalition(cache: SubsetModelCache, mc: MethodConfig,
 
 
 def method_influence(cache: SubsetModelCache, instances: Sequence[int], mc: MethodConfig,
-                     coalition: Coalition | None, targets: Sequence[ClassTarget] | None,
-                     cap: int = COMPLETE_ATTRIBUTE_CAP, jobs: int = 1) -> list[InfluenceVector]:
-    """Influence vectors of ``instances`` under ``mc``, one per instance.
-
-    ``coalition`` is the one :func:`build_coalition` made for a coalitional
-    method and is ignored otherwise; ``targets`` is passed on, and ``cap`` and
-    ``jobs`` to complete influence.
-    """
+                     targets: Sequence[ClassTarget] | None, seed: int,
+                     cap: int = COMPLETE_ATTRIBUTE_CAP, jobs: int = 1
+                     ) -> tuple[list[InfluenceVector], Coalition | None, dict]:
+    """Influence vectors of ``instances`` under ``mc``, one per instance, and the coalition
+    and extras of :func:`build_coalition` for a coalitional method (else ``None``, ``{}``).
+    ``targets`` and ``jobs`` are passed on, and ``cap`` to complete influence."""
     if mc.kind == "complete":
-        return complete_influence(cache, instances, targets, cap=cap, jobs=jobs)
+        return complete_influence(cache, instances, targets, cap=cap, jobs=jobs), None, {}
     if mc.kind == "kdepth":
-        return kdepth_influence(cache, instances, mc.k, targets)
-    return coalitional_influence(cache, instances, coalition, targets)
+        return kdepth_influence(cache, instances, mc.k, targets, jobs), None, {}
+    G, extra = build_coalition(cache, mc, seed)
+    return coalitional_influence(cache, instances, G, targets, jobs), G, extra
 
 
-def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int,
+def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int, jobs: int,
               oracle_vectors: list[InfluenceVector], oracle_tpi: float) -> BenchmarkRecord:
     """Time one (dataset, method) cell against the oracle vectors and their targets;
     ``oracle_tpi`` is the exact baseline's time per instance."""
     m = d.n_instances
     cache = SubsetModelCache(spec, d)
-    G = None
     started = time.perf_counter()
-    if mc.kind == "coalitional":
-        G, extra = build_coalition(cache, mc, seed)
-        if extra.get("converged") is False:
-            logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
-                        d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
-    vectors = method_influence(cache, range(m), mc, G, [o.target for o in oracle_vectors])
+    vectors, G, extra = method_influence(cache, range(m), mc, [o.target for o in oracle_vectors],
+                                         seed, jobs=jobs)
     report = None if G is None else ComplexityReport.from_coalition(G)
     elapsed = time.perf_counter() - started
+    if extra.get("converged") is False:
+        logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
+                    d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
     mean_err = float(np.mean([error_score(v, o) for v, o in zip(vectors, oracle_vectors)]))
     return BenchmarkRecord(
         dataset=d.name,
@@ -351,7 +351,7 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
     method then runs on a fresh cache so its span covers everything it
     needs.  Datasets beyond the attribute cap, and ``kdepth:k`` on a dataset
     with fewer than k attributes, are skipped with a logged reason.
-    ``jobs`` > 1 grows the exact baseline's trees in that many processes.
+    ``jobs`` > 1 grows every method's forest trees in that many processes.
     """
     records: list[BenchmarkRecord] = []
     for d in datasets:
@@ -382,7 +382,7 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
                     model=_spec_id(spec),
                 ))
             else:
-                records.append(_run_cell(d, mc, spec, seed, oracle_vectors, oracle_tpi))
+                records.append(_run_cell(d, mc, spec, seed, jobs, oracle_vectors, oracle_tpi))
     return records
 
 

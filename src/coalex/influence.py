@@ -20,9 +20,9 @@ empty subset's prior, and every model the :class:`~coalex.model.SubsetModelCache
 already holds, give one :func:`subset_eval` row each.  The other rows are
 filled tree-major (:func:`~coalex.model.tree_values`): every tree of every such
 model grows in one lockstep pass (or a few, under the model's memory budget),
-and a row is the sum of its trees' values over the tree count; complete
-influence with ``jobs`` > 1 forks workers that each grow a slice of the trees
-in one call.  Each attribute's terms are summed left to right
+and a row is the sum of its trees' values over the tree count; each method
+with ``jobs`` > 1 forks workers that each grow a slice of the trees in one
+call.  Each attribute's terms are summed left to right
 with ``np.cumsum``, giving the floats of a Python ``total +=`` loop; ``np.sum``
 sums pairwise and would not.
 """
@@ -149,9 +149,8 @@ def _plan(terms) -> Plan:
 
 
 def complete_plan(n: int) -> Plan:
-    """Every subset of the other attributes, Shapley-weighted."""
-    weights = [shapley_penalty(s, n) for s in range(n)]
-    return _plan([[([j for j in range(n) if j != i], weights)] for i in range(n)])
+    """Every subset of the other attributes, Shapley-weighted: depth n, since n (n-1)! = n!."""
+    return kdepth_plan(n, n)
 
 
 def kdepth_plan(n: int, k: int) -> Plan:
@@ -254,7 +253,10 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
 def _influence(cache: SubsetModelCache, instances: Sequence[int],
                targets: Sequence[ClassTarget] | None, plan: Plan,
                method_tag: str, jobs: int) -> list[InfluenceVector]:
-    """``plan`` over the value table of ``instances``, filled in one pass."""
+    """``plan`` over the value table of ``instances``, filled in one pass; ``jobs`` > 1
+    grows a forest's trees in that many processes (see :func:`_forest_rows`)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     d, spec = cache.dataset, cache.spec
     X = np.array([d.instance(i) for i in instances]).reshape(-1, d.n_attributes)
     if len(X) == 0:
@@ -284,10 +286,7 @@ def complete_influence(cache: SubsetModelCache, instances: Sequence[int],
                        targets: Sequence[ClassTarget] | None = None,
                        cap: int = COMPLETE_ATTRIBUTE_CAP, jobs: int = 1) -> list[InfluenceVector]:
     """Exact Shapley influence, one vector per instance of its class in ``targets`` (``None``:
-    its predicted class).  Costs 2^n subset models: refuses more than ``cap`` attributes.
-    ``jobs`` > 1 grows a forest's trees in that many processes (see :func:`_forest_rows`)."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    its predicted class).  Costs 2^n subset models: refuses more than ``cap`` attributes."""
     n = cache.dataset.n_attributes
     if n > cap:
         raise ComplexityCapError(n, cap)
@@ -295,17 +294,19 @@ def complete_influence(cache: SubsetModelCache, instances: Sequence[int],
 
 
 def kdepth_influence(cache: SubsetModelCache, instances: Sequence[int], k: int,
-                     targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
+                     targets: Sequence[ClassTarget] | None = None,
+                     jobs: int = 1) -> list[InfluenceVector]:
     """Shapley sum truncated to subsets of fewer than k other attributes."""
     plan = kdepth_plan(cache.dataset.n_attributes, k)
-    return _influence(cache, instances, targets, plan, f"kdepth:{k}", 1)
+    return _influence(cache, instances, targets, plan, f"kdepth:{k}", jobs)
 
 
 def coalitional_influence(cache: SubsetModelCache, instances: Sequence[int],
-                          coalition: Coalition,
-                          targets: Sequence[ClassTarget] | None = None) -> list[InfluenceVector]:
+                          coalition: Coalition, targets: Sequence[ClassTarget] | None = None,
+                          jobs: int = 1) -> list[InfluenceVector]:
     """Influence restricted to the coalition's groups (see :func:`coalitional_plan`)."""
     n = cache.dataset.n_attributes
     if coalition.n != n:
         raise ValueError(f"coalition over {coalition.n} attributes for a dataset with {n}")
-    return _influence(cache, instances, targets, coalitional_plan(coalition), "coalitional", 1)
+    plan = coalitional_plan(coalition)
+    return _influence(cache, instances, targets, plan, "coalitional", jobs)

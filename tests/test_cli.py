@@ -180,14 +180,18 @@ class TestExplain:
         assert a == b
 
     @pytest.mark.parametrize("model", ["rf", "dt"])
-    def test_jobs_output_is_byte_identical(self, runner, small_csv, model):
+    def test_jobs_output_is_byte_identical(self, runner, small_csv, model, method="complete"):
         args = ["explain", str(small_csv), "--target", "y", "--model", model, "--trees", "5",
-                "--method", "complete", "--instances", "0,1,2"]
+                "--method", method, "--instances", "0,1,2"]
         serial = runner.invoke(main, args + ["--jobs", "1"])
         forked = runner.invoke(main, args + ["--jobs", "2"])
         assert serial.exit_code == forked.exit_code == 0, forked.output
         # only the config echo of the job count differs
         assert forked.stdout == serial.stdout.replace('"jobs": 1', '"jobs": 2')
+
+    @pytest.mark.parametrize("method", ["kdepth:2", "coalitional:spearman:0.25"])
+    def test_jobs_output_is_byte_identical_for_approximations(self, runner, small_csv, method):
+        self.test_jobs_output_is_byte_identical(runner, small_csv, "rf", method)
 
     def test_jobs_parent_grows_only_its_slice_of_trees(self, runner, small_csv, monkeypatch):
         import coalex.influence
@@ -297,6 +301,24 @@ class TestGroups:
                                       "--repetitions", "2", *args[1:]])
         assert result.exit_code == 2
         assert f"delta must be finite and > 0, got {args[-1]}" in result.output
+
+    @pytest.mark.parametrize("delta", ["nan", "0", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["benchmark", "explain"])
+    def test_bad_delta_exits_2_before_training(self, runner, small_csv, monkeypatch, command,
+                                               delta):
+        import coalex.influence
+        import coalex.model
+
+        fits = []
+        for module, name in ((coalex.model, "train"), (coalex.influence, "tree_values")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real: fits.append(a) or real(*a))
+        option = "--methods" if command == "benchmark" else "--method"
+        result = runner.invoke(main, [command, str(small_csv), "--target", "y", "--model", "rf",
+                                      "--trees", "3", option, f"coalitional:model_based:{delta}"])
+        assert result.exit_code == 2
+        assert f"error: delta must be finite and > 0, got {float(delta)}" in result.output
+        assert fits == []  # found before the exact baseline or the grouping's model
 
     @pytest.mark.parametrize("command", ["groups", "complexity"])
     def test_jobs_is_not_an_option(self, runner, small_csv, command):
@@ -497,6 +519,8 @@ class TestConfigPrecedence:
          ["model", "max_depth"], 3),
         ({"method": "coalitional:spearman", "threshold": "0.3"}, ["threshold"], 0.3),
         ({"method": "kdepth", "k": 2.0}, ["k"], 2),
+        ({"method": "kdepth", "k": "2.0"}, ["k"], 2),
+        ({"seed": "12345678901234567890"}, ["seed"], 12345678901234567890),  # no float round-trip
     ])
     def test_config_file_strings_are_converted(self, runner, small_csv, tmp_path, values,
                                                path, expected):
@@ -535,13 +559,15 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("values, key, number", [
         ({"method": "kdepth", "k": 2.7}, "k", 2.7),
+        ({"method": "kdepth", "k": "2.7"}, "k", "'2.7'"),
         ({"seed": 1.5}, "seed", 1.5),
         ({"jobs": 2.5}, "jobs", 2.5),
         ({"method": "coalitional:model_based", "delta": 0.1, "repetitions": 3.2},
          "repetitions", 3.2),
         ({"model": {"kind": "dt", "max_depth": 2.9}}, "model.max_depth", 2.9),
         ({"model": {"kind": "rf", "tree_count": 4.5}}, "model.tree_count", 4.5),
-    ], ids=["k", "seed", "jobs", "repetitions", "model.max_depth", "model.tree_count"])
+    ], ids=["k", "k-string", "seed", "jobs", "repetitions", "model.max_depth",
+            "model.tree_count"])
     def test_config_file_integer_option_with_a_fraction_exits_2(self, runner, small_csv,
                                                                 tmp_path, values, key, number):
         cfg = tmp_path / "run.json"

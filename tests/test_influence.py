@@ -379,9 +379,14 @@ class TestRequests:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target("hi")
-        [v] = method_influence(cache, [1], MethodConfig("kdepth", k=1), None, [target])
+        [v], G, extra = method_influence(cache, [1], MethodConfig("kdepth", k=1), [target], 0)
         assert v.method_tag == "kdepth:1"
         assert v.instance_index == 1
+        assert (G, extra) == (None, {})
+        mc = MethodConfig("coalitional", grouping="spearman", threshold=0.3)
+        [v], G, extra = method_influence(cache, [1], mc, [target], 0)
+        assert extra == {"threshold": 0.3}  # the coalition is built by the runner
+        assert [v] == coalitional_influence(cache, [1], G, [target])
 
 
 class TestMulticlass:
@@ -457,7 +462,11 @@ def assert_same_plan(a, b):
 class TestPlans:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_full_depth_is_complete(self, n):
-        assert_same_plan(kdepth_plan(n, n), complete_plan(n))
+        # complete_plan is kdepth_plan(n, n); the plan of the Shapley weights must be the same
+        others = [[j for j in range(n) if j != i] for i in range(n)]
+        shapley = [shapley_penalty(s, n) for s in range(n)]
+        assert_same_plan(coalex.influence._plan([[(others[i], shapley)] for i in range(n)]),
+                         complete_plan(n))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_full_group_is_complete(self, n):
@@ -660,8 +669,12 @@ class TestTreePool:
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_is_refused(self, blob_dataset, forks, jobs):
         cache = SubsetModelCache(self.SPEC, blob_dataset)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            complete_influence(cache, [0], jobs=jobs)
+        G = Coalition.from_index_sets([[0, 1], [2]], 3)
+        for influence in (lambda: complete_influence(cache, [0], jobs=jobs),
+                          lambda: kdepth_influence(cache, [0], 2, jobs=jobs),
+                          lambda: coalitional_influence(cache, [0], G, jobs=jobs)):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                influence()
         methods = [MethodConfig.parse(m) for m in ("complete", "kdepth:1")]
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_benchmark([blob_dataset], methods, self.SPEC, jobs=jobs)
@@ -719,14 +732,15 @@ class TestTreePool:
         assert in_thread[0][1] == self.influence(blob_dataset, 2)[1] == serial
         assert forks == []
 
-    def test_benchmark_forks_only_for_the_exact_baseline(self, blob_dataset, forks):
-        methods = [MethodConfig.parse(m) for m in ("complete", "kdepth:1", "kdepth:2")]
+    def test_benchmark_forks_for_every_forest_cell(self, blob_dataset, forks):
+        methods = [MethodConfig.parse(m) for m in ("complete", "kdepth:1", "kdepth:2",
+                                                   "coalitional:spearman:t=0.3")]
         untimed = lambda records: [replace(r, time_per_instance_s=0.0, time_ratio_vs_complete=0.0)
                                    for r in records]
         serial = run_benchmark([blob_dataset], methods, self.SPEC, jobs=1)
         assert forks == []
         forked = run_benchmark([blob_dataset], methods, self.SPEC, jobs=2)
-        assert len(forks) == 1  # the method cells fork nothing
+        assert len(forks) == 1 + 3  # the exact baseline, then one worker per method cell
         self.assert_reaped(forks)
         assert untimed(forked) == untimed(serial)
 
