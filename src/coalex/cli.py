@@ -27,7 +27,6 @@ from .evaluation import (
     config_csv,
     make_synthetic_suite,
     method_influence,
-    normalize_grouping_name,
     run_benchmark,
     write_benchmark_csv,
     write_benchmark_json,
@@ -179,15 +178,13 @@ def _resolve(command: str, config_path: str | None, fixed: dict,
     for key, message in _REQUIRED[command].items():
         if getattr(cfg, _FIELD_OF.get(key, key)) is None:
             raise ConfigError(message)
-    if cfg.threshold is not None and cfg.proportion is not None:
-        raise ConfigError("--t and --proportion are mutually exclusive")
-    if cfg.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {cfg.jobs}")
+    for key in ("jobs", "cap", "synthetic"):
+        value = getattr(cfg, key)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{key} must be >= 1, got {value}")
     if cfg.output_format not in _OUTPUT_FORMATS:
         raise ConfigError(f"format must be one of {', '.join(_OUTPUT_FORMATS)}, "
                           f"got {cfg.output_format!r}")
-    if cfg.synthetic is not None and cfg.synthetic < 1:
-        raise ConfigError(f"--synthetic must be >= 1, got {cfg.synthetic}")
     spec = _model_spec(model_flags, file_cfg, cfg.seed)
     cfg.model = asdict(spec)
     return cfg, spec
@@ -286,21 +283,26 @@ def model_options(f):
     return f
 
 
-def coalition_options(f):
-    """The options of the two commands that build one coalition: groups and complexity."""
+def method_options(f):
+    """The options of explain, groups and complexity: the target, the method's
+    parameters and the output file."""
     # Applied innermost first: --help lists the last one applied first.
-    f = model_options(common_options(f, jobs=False))
     f = click.option("--out", default=None, help="Output file (stdout when omitted).")(f)
     f = click.option("--repetitions", type=int, default=None,
                      help="model_based fidelity rounds.")(f)
     f = click.option("--delta", type=float, default=None, help="model_based fidelity delta.")(f)
     f = click.option("--proportion", type=float, default=None,
-                     help="Target complexity proportion; bisection picks t.")(f)
+                     help="Target complexity proportion of complete; bisection picks t.")(f)
     f = click.option("--t", "threshold", type=float, default=None,
                      help="Grouping threshold in (0, 0.5).")(f)
+    return click.option("--target", default=None, help="Label column name or index.")(f)
+
+
+def coalition_options(f):
+    """The options of the two commands that build one coalition: groups and complexity."""
+    f = method_options(model_options(common_options(f, jobs=False)))
     f = click.option("--method", default=None,
                      help=f"One of {sorted(GROUPING_METHODS)} or model_based.")(f)
-    f = click.option("--target", default=None, help="Label column name or index.")(f)
     return click.argument("data", type=click.Path())(f)
 
 
@@ -313,18 +315,12 @@ def main():
 
 @main.command("explain")
 @click.argument("data", type=click.Path())
-@click.option("--target", default=None, help="Label column name or index.")
 @click.option("--method", default=None, help="complete, kdepth or coalitional:<grouping>.")
 @click.option("--k", type=int, default=None, help="Depth for kdepth.")
-@click.option("--t", "threshold", type=float, default=None, help="Grouping threshold in (0, 0.5).")
-@click.option("--proportion", type=float, default=None,
-              help="Target complexity proportion of complete; bisection picks t.")
-@click.option("--delta", type=float, default=None, help="model_based fidelity delta.")
-@click.option("--repetitions", type=int, default=None, help="model_based fidelity rounds.")
+@method_options
 @click.option("--class-label", default=None,
               help="Explain this class instead of each instance's predicted class.")
 @click.option("--instances", default=None, help="'all' or comma-separated indices.")
-@click.option("--out", default=None, help="Output file (stdout when omitted).")
 @click.option("--format", default=None, type=click.Choice(["json", "csv"]))
 @click.option("--cap", type=int, default=None, help="Attribute cap for complete influence.")
 @model_options
@@ -367,9 +363,8 @@ def _coalition(command: str, data, out, config_path,
     """
     cfg, spec = _resolve(command, config_path, {"dataset": str(data), "output": out}, **flags)
     _check_out(out)
-    mc = MethodConfig("coalitional", grouping=normalize_grouping_name(cfg.method),
-                      threshold=cfg.threshold, proportion=cfg.proportion,
-                      delta=cfg.delta, repetitions=cfg.repetitions)
+    mc = MethodConfig("coalitional", grouping=cfg.method, threshold=cfg.threshold,
+                      proportion=cfg.proportion, delta=cfg.delta, repetitions=cfg.repetitions)
     d = load_csv(data, cfg.target, delimiter=cfg.delimiter)
     G, extra = build_coalition(SubsetModelCache(spec, d), mc, cfg.seed)
     return cfg, G, G.to_json(d, method=mc.grouping), extra
@@ -420,10 +415,6 @@ def cmd_benchmark(data, out, config_path, **flags):
     methods = [MethodConfig.parse(tok) for tok in cfg.method.split(",") if tok.strip()]
     if not methods:
         raise ConfigError("no methods given")
-    for mc in methods:
-        if mc.grouping == "model_based" and mc.delta is None:
-            raise ConfigError("coalitional:model_based needs a delta, "
-                              "e.g. coalitional:model_based:0.1")
 
     if cfg.synthetic is not None:
         datasets = make_synthetic_suite(cfg.synthetic, cfg.seed)

@@ -73,6 +73,11 @@ class ThresholdSearchResult:
     probe_count: int
 
 
+def check_proportion(target: float) -> None:
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"target proportion must lie in (0, 1], got {target}")
+
+
 def find_threshold(method: str, d: Dataset, target: float) -> ThresholdSearchResult:
     """Bisect the grouping threshold so the coalition costs ~``target`` of complete.
 
@@ -90,8 +95,7 @@ def find_threshold(method: str, d: Dataset, target: float) -> ThresholdSearchRes
     if method not in GROUPING_METHODS:
         raise ValueError(f"unknown grouping method {method!r}; choose from "
                          f"{sorted(GROUPING_METHODS)}")
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target proportion must lie in (0, 1], got {target}")
+    check_proportion(target)
     grouping_fn = GROUPING_METHODS[method]
     scores = grouping_scores(method, d)
     lo, hi = BISECTION_EPS, 0.5 - BISECTION_EPS

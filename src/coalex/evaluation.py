@@ -16,17 +16,17 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexity import ComplexityReport, find_threshold
+from .complexity import ComplexityReport, check_proportion, find_threshold
 from .dataset import ClassTarget, Dataset
 from .errors import ConfigError
-from .grouping import GROUPING_METHODS, Coalition, group_model_based
+from .grouping import GROUPING_METHODS, Coalition, check_threshold, group_model_based
 from .influence import (
     COMPLETE_ATTRIBUTE_CAP,
     InfluenceVector,
@@ -122,16 +122,14 @@ def make_synthetic_suite(count: int, seed: int) -> list[Dataset]:
 # benchmark harness
 
 
-def normalize_grouping_name(name: str) -> str:
-    """Canonical grouping name; tolerates hyphens and squeezed aliases."""
-    canon = name.strip().lower().replace("-", "_")
-    return {"modelbased": "model_based", "revvif": "rev_vif",
-            "revspearman": "rev_spearman"}.get(canon, canon)
-
-
 @dataclass(frozen=True)
 class MethodConfig:
-    """One benchmark method: complete, kdepth:k, or coalitional:<grouping>."""
+    """One influence method: complete, kdepth:k, or coalitional:<grouping>.
+
+    Construction normalizes the grouping name and checks every method rule, so
+    a bad method fails before any work.  ``repetitions`` is accepted by every
+    method, as its default is echoed in every output config; ``model_based`` uses it.
+    """
 
     kind: str
     k: int | None = None
@@ -142,76 +140,88 @@ class MethodConfig:
     repetitions: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("complete", "kdepth", "coalitional"):
+        name = self.kind
+        if self.kind == "coalitional":
+            name = self._grouping_name(self.grouping)
+            object.__setattr__(self, "grouping", name)
+            known = set(GROUPING_METHODS) | {"model_based"}
+            if name not in known:
+                raise ConfigError(f"unknown grouping {name!r}; choose from {sorted(known)}")
+        elif self.kind not in ("complete", "kdepth"):
             raise ConfigError(f"unknown method kind {self.kind!r}")
+        if self.threshold is not None and self.proportion is not None:
+            raise ConfigError("--t and --proportion are mutually exclusive")
+        # Each parameter's flag, what it sets, and the methods that take it.
+        rules = (("--k", self.k, "depth", {"kdepth"}),
+                 ("--t", self.threshold, "threshold", GROUPING_METHODS),
+                 ("--proportion", self.proportion, "threshold", GROUPING_METHODS),
+                 ("--delta", self.delta, "delta", {"model_based"}))
+        for flag, value, what, takers in rules:
+            if value is not None and name not in takers:
+                owner = f"{name} grouping" if self.kind == "coalitional" else name
+                raise ConfigError(f"{owner} has no {what}; {flag} unsupported")
         if self.kind == "kdepth" and (self.k is None or self.k < 1):
             raise ConfigError("kdepth needs k >= 1")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.kind == "coalitional":
-            known = set(GROUPING_METHODS) | {"model_based"}
-            if self.grouping not in known:
-                raise ConfigError(f"unknown grouping {self.grouping!r}; choose from {sorted(known)}")
-            if self.threshold is not None and self.proportion is not None:
-                raise ConfigError("threshold and proportion are mutually exclusive")
-            if (self.grouping == "model_based" and self.delta is not None
-                    and not 0 < self.delta < math.inf):
+        try:
+            if self.threshold is not None:
+                check_threshold(self.threshold)
+            if self.proportion is not None:
+                check_proportion(self.proportion)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if name == "model_based":
+            if self.delta is None:
+                raise ConfigError("model_based grouping needs a delta > 0: "
+                                  "--delta 0.1 or coalitional:model_based:0.1")
+            if not 0 < self.delta < math.inf:
                 raise ConfigError(f"delta must be finite and > 0, got {self.delta}")
+
+    @staticmethod
+    def _grouping_name(name: str | None) -> str:
+        """Canonical grouping name; tolerates hyphens and squeezed aliases."""
+        canon = str(name).strip().lower().replace("-", "_")
+        return {"modelbased": "model_based", "revvif": "rev_vif",
+                "revspearman": "rev_spearman"}.get(canon, canon)
 
     @classmethod
     def parse(cls, text: str, k: int | None = None, threshold: float | None = None,
               proportion: float | None = None, delta: float | None = None,
               repetitions: int = 10) -> "MethodConfig":
-        """Parse method strings like ``complete``, ``kdepth:2``,
+        """The method of a string like ``complete``, ``kdepth:2``,
         ``coalitional:spearman:0.25`` (proportion of complete complexity),
         ``coalitional:vif:t=0.3`` (raw threshold) or
-        ``coalitional:model_based:0.1`` (fidelity delta).
-
-        The text is checked alone first.  ``k`` then sets a kdepth depth; a
-        coalitional method takes ``threshold``, ``proportion`` and ``delta``
-        where its text gives none, and ``repetitions``.
+        ``coalitional:model_based:0.1`` (fidelity delta) and of the flags,
+        built once from both.  ``k`` replaces a kdepth depth; a coalitional
+        method's own value wins over the other flags, which fill in the rest.
         """
-        if text == "kdepth" and k is not None:
-            text = f"kdepth:{k}"
         parts = text.strip().split(":")
-        kind = parts[0]
-        if kind == "complete":
-            if len(parts) > 1:
-                raise ConfigError(f"method {text!r}: complete takes no parameter")
-            return cls("complete")
-        if kind == "kdepth":
-            if len(parts) != 2:
-                raise ConfigError(f"method {text!r}: expected kdepth:<k>")
+        kind, fields = parts[0], {}
+        if kind == "kdepth" and len(parts) == 2:
             try:
-                mc = cls("kdepth", k=int(parts[1]))
+                fields["k"] = int(parts[1])
             except ValueError:
                 raise ConfigError(f"method {text!r}: k must be an integer") from None
-            return mc if k is None else replace(mc, k=k)
-        if kind == "coalitional":
-            if len(parts) < 2:
-                raise ConfigError(f"method {text!r}: expected coalitional:<grouping>[:<value>]")
-            grouping = normalize_grouping_name(parts[1])
-            kwargs: dict = {"grouping": grouping}
+        elif kind == "kdepth" and (len(parts) > 2 or k is None):
+            raise ConfigError(f"method {text!r}: expected kdepth:<k>")
+        elif kind == "coalitional" and len(parts) in (2, 3):
+            fields = {"grouping": cls._grouping_name(parts[1])}
             if len(parts) == 3:
                 value = parts[2]
+                prefixed = {"t=": "threshold", "p=": "proportion"}.get(value[:2])
+                plain = "delta" if fields["grouping"] == "model_based" else "proportion"
                 try:
-                    if value.startswith("t="):
-                        kwargs["threshold"] = float(value[2:])
-                    elif value.startswith("p="):
-                        kwargs["proportion"] = float(value[2:])
-                    elif grouping == "model_based":
-                        kwargs["delta"] = float(value)
-                    else:
-                        kwargs["proportion"] = float(value)
+                    fields[prefixed or plain] = float(value[2:] if prefixed else value)
                 except ValueError:
                     raise ConfigError(f"method {text!r}: bad parameter {value!r}") from None
-            elif len(parts) > 3:
-                raise ConfigError(f"method {text!r}: too many ':' segments")
-            flags = {"threshold": threshold, "proportion": proportion, "delta": delta}
-            return replace(cls("coalitional", **kwargs), **(flags | kwargs),
-                           repetitions=repetitions)
-        raise ConfigError(f"unknown method {text!r}; expected complete, kdepth:<k> "
-                          f"or coalitional:<grouping>[:<value>]")
+        elif parts not in (["complete"], ["kdepth"]):
+            raise ConfigError(f"unknown method {text!r}; expected complete, kdepth:<k> "
+                              f"or coalitional:<grouping>[:<value>]")
+        if k is not None:
+            fields["k"] = k  # --k replaces a kdepth depth
+        flags = {"threshold": threshold, "proportion": proportion, "delta": delta}
+        return cls(kind, repetitions=repetitions, **(flags | fields))
 
     @property
     def method_id(self) -> str:
@@ -223,14 +233,12 @@ class MethodConfig:
     def param_label(self) -> str:
         if self.kind == "kdepth":
             return f"k={self.k}"
-        if self.kind == "coalitional":
-            if self.grouping == "model_based":
-                return f"delta={self.delta}"
-            if self.proportion is not None:
-                return f"p={self.proportion}"
-            if self.threshold is not None:
-                return f"t={self.threshold}"
-            return ""
+        if self.delta is not None:
+            return f"delta={self.delta}"
+        if self.proportion is not None:
+            return f"p={self.proportion}"
+        if self.threshold is not None:
+            return f"t={self.threshold}"
         return ""
 
 
@@ -275,10 +283,6 @@ def build_coalition(cache: SubsetModelCache, mc: MethodConfig,
     grouping runs at the given threshold (default 0.25).
     """
     if mc.grouping == "model_based":
-        if mc.proportion is not None:
-            raise ConfigError("model_based grouping has no threshold; --proportion unsupported")
-        if mc.delta is None:
-            raise ConfigError("model_based grouping requires --delta > 0")
         G = group_model_based(cache, mc.delta, mc.repetitions, seed)
         return G, {"delta": mc.delta}
     if mc.proportion is not None:

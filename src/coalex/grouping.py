@@ -86,7 +86,7 @@ def normalize(groups: Iterable[AttributeSubset | Iterable[int]], n: int) -> Coal
     return Coalition(tuple(AttributeSubset(m, n) for m in kept), n)
 
 
-def _check_threshold(t: float) -> None:
+def check_threshold(t: float) -> None:
     if not 0.0 < t < 0.5:
         raise ValueError(f"threshold must lie in (0, 0.5), got {t}")
 
@@ -266,19 +266,19 @@ def grouping_scores(method: str, d: Dataset):
 
 
 def group_pca(d: Dataset, t: float, *, scores: np.ndarray | None = None) -> Coalition:
-    _check_threshold(t)
+    check_threshold(t)
     loadings = grouping_scores("pca", d) if scores is None else scores
     return normalize(groups_from_loadings(loadings, t), d.n_attributes)
 
 
 def group_spearman(d: Dataset, t: float, *, scores: np.ndarray | None = None) -> Coalition:
-    _check_threshold(t)
+    check_threshold(t)
     corr = grouping_scores("spearman", d) if scores is None else scores
     return normalize(groups_from_correlation(corr, t), d.n_attributes)
 
 
 def group_rev_spearman(d: Dataset, t: float, *, scores: np.ndarray | None = None) -> Coalition:
-    _check_threshold(t)
+    check_threshold(t)
     corr = grouping_scores("rev_spearman", d) if scores is None else scores
     return normalize(groups_from_correlation_reversed(corr, t), d.n_attributes)
 
@@ -287,7 +287,7 @@ def _group_by_vif(d: Dataset, t: float, member, scores: tuple | None) -> Coaliti
     """Group each attribute a with every b for which ``member(new, old)`` holds,
     where old is b's VIF and new is b's VIF once a is removed.  ``scores`` are
     ``grouping_scores("vif", d)``: n + 1 ``vif_all`` calls, none depending on t."""
-    _check_threshold(t)
+    check_threshold(t)
     old, new = grouping_scores("vif", d) if scores is None else scores
     inside = member(new, old) | np.eye(d.n_attributes, dtype=bool)
     return normalize([np.flatnonzero(row).tolist() for row in inside], d.n_attributes)

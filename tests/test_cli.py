@@ -169,6 +169,12 @@ class TestExplain:
         assert result.exit_code == 2
         assert "--jobs must be >= 1" in result.output
 
+    def test_cap_below_one_exits_2_before_reading_data(self, runner, tmp_path):
+        result = runner.invoke(main, ["explain", str(tmp_path / "none.csv"), "--target", "y",
+                                      "--cap", "-5"])
+        assert result.exit_code == 2
+        assert "error: --cap must be >= 1, got -5" in result.output
+
     def test_jobs_parallel_same_output(self, runner, small_csv):
         args = ["explain", str(small_csv), "--target", "y", "--model", "dt",
                 "--method", "complete", "--instances", "0,1,2"]
@@ -216,10 +222,26 @@ _EXPLAIN_ECHO = {"command": "explain", "target": "y", "repetitions": 10, "seed":
                            "min_leaf": 1, "seed": 0}}
 
 
+_NO_DELTA = "model_based grouping needs a delta > 0: --delta 0.1 or coalitional:model_based:0.1"
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The arguments of every ``train`` and ``tree_values`` call the test makes."""
+    import coalex.influence
+    import coalex.model
+
+    calls = []
+    for module, name in ((coalex.model, "train"), (coalex.influence, "tree_values")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
 class TestMethodMerge:
     """How explain combines --method with --k, --t, --proportion, --delta and --repetitions:
-    the text is checked first, --k replaces its depth, and a coalitional method's
-    inline value wins over the flags, which fill in what it leaves out."""
+    the method is built once from the text and the flags, --k replaces its depth, and a
+    coalitional method's inline value wins over the flags, which fill in what it leaves out."""
 
     @pytest.mark.parametrize("args, expected, tag", [
         (["kdepth", "--k", "2"], {"method": "kdepth", "k": 2}, "kdepth:2"),
@@ -231,7 +253,7 @@ class TestMethodMerge:
         (["coalitional:pca", "--t", "0.2"],
          {"method": "coalitional:pca", "threshold": 0.2}, "coalitional"),
         (["coalitional:vif:t=0.3", "--proportion", "0.5"],
-         "threshold and proportion are mutually exclusive", None),
+         "--t and --proportion are mutually exclusive", None),
         (["coalitional:model_based", "--delta", "0.05", "--repetitions", "2"],
          {"method": "coalitional:model_based", "delta": 0.05, "repetitions": 2}, "coalitional"),
     ], ids=["kdepth-k", "kdepth3-k", "kdepthx-k", "kdepth-no-k", "inline-t-over-flag",
@@ -304,20 +326,55 @@ class TestGroups:
 
     @pytest.mark.parametrize("delta", ["nan", "0", "inf", "-1"])
     @pytest.mark.parametrize("command", ["benchmark", "explain"])
-    def test_bad_delta_exits_2_before_training(self, runner, small_csv, monkeypatch, command,
-                                               delta):
-        import coalex.influence
-        import coalex.model
-
-        fits = []
-        for module, name in ((coalex.model, "train"), (coalex.influence, "tree_values")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, real=real: fits.append(a) or real(*a))
+    def test_bad_delta_exits_2_before_training(self, runner, small_csv, fits, command, delta):
         option = "--methods" if command == "benchmark" else "--method"
         result = runner.invoke(main, [command, str(small_csv), "--target", "y", "--model", "rf",
                                       "--trees", "3", option, f"coalitional:model_based:{delta}"])
         assert result.exit_code == 2
         assert f"error: delta must be finite and > 0, got {float(delta)}" in result.output
+        assert fits == []  # found before the exact baseline or the grouping's model
+
+    @pytest.mark.parametrize("args, message", [
+        (["groups", "--method", "pca", "--delta", "0"],
+         "pca grouping has no delta; --delta unsupported"),
+        (["complexity", "--method", "pca", "--delta", "0"],
+         "pca grouping has no delta; --delta unsupported"),
+        (["explain", "--method", "coalitional:spearman", "--delta", "nan"],
+         "spearman grouping has no delta; --delta unsupported"),
+        (["groups", "--method", "model_based", "--delta", "0.1", "--t", "0.3"],
+         "model_based grouping has no threshold; --t unsupported"),
+        (["complexity", "--method", "model_based", "--delta", "0.1", "--t", "0.3"],
+         "model_based grouping has no threshold; --t unsupported"),
+        (["explain", "--method", "coalitional:model_based:0.1", "--t", "0.3"],
+         "model_based grouping has no threshold; --t unsupported"),
+        (["explain", "--method", "complete", "--k", "3"],
+         "complete has no depth; --k unsupported"),
+        (["explain", "--method", "coalitional:pca", "--k", "3"],
+         "pca grouping has no depth; --k unsupported"),
+        (["explain", "--method", "kdepth:2", "--t", "0.3"],
+         "kdepth has no threshold; --t unsupported"),
+        (["benchmark", "--methods", "complete,coalitional:vif:t=0.7"],
+         "threshold must lie in (0, 0.5), got 0.7"),
+        (["explain", "--method", "coalitional:vif", "--t", "0.7"],
+         "threshold must lie in (0, 0.5), got 0.7"),
+        (["benchmark", "--methods", "complete,coalitional:pca:1.5"],
+         "target proportion must lie in (0, 1], got 1.5"),
+        (["groups", "--method", "pca", "--proportion", "1.5"],
+         "target proportion must lie in (0, 1], got 1.5"),
+        (["groups", "--method", "model_based"], _NO_DELTA),
+        (["complexity", "--method", "model_based"], _NO_DELTA),
+        (["explain", "--method", "coalitional:model_based"], _NO_DELTA),
+        (["benchmark", "--methods", "complete,coalitional:model_based"], _NO_DELTA),
+    ], ids=["groups-pca-delta", "complexity-pca-delta", "explain-spearman-delta",
+            "groups-model_based-t", "complexity-model_based-t", "explain-model_based-t",
+            "explain-complete-k", "explain-pca-k", "explain-kdepth-t", "benchmark-vif-t",
+            "explain-vif-t", "benchmark-pca-proportion", "groups-pca-proportion",
+            "groups-no-delta", "complexity-no-delta", "explain-no-delta", "benchmark-no-delta"])
+    def test_bad_method_exits_2_before_training(self, runner, small_csv, fits, args, message):
+        result = runner.invoke(main, [args[0], str(small_csv), "--target", "y", "--model", "rf",
+                                      "--trees", "3", *args[1:]])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
         assert fits == []  # found before the exact baseline or the grouping's model
 
     @pytest.mark.parametrize("command", ["groups", "complexity"])
@@ -409,6 +466,13 @@ class TestBenchmark:
                                       "--model", "dt", "--jobs", jobs])
         assert result.exit_code == 2
         assert "--jobs must be >= 1" in result.output
+
+    def test_cap_below_one_exits_2_before_reading_data(self, runner, tmp_path):
+        result = runner.invoke(main, ["benchmark", str(tmp_path / "none.csv"), "--target", "y",
+                                      "--methods", "complete", "--cap", "0"])
+        assert result.exit_code == 2
+        assert "error: --cap must be >= 1, got 0" in result.output
+        assert "{" not in result.output  # no record
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_synthetic_below_one_exits_2(self, runner, count):

@@ -167,6 +167,49 @@ class TestMethodConfigParse:
         with pytest.raises(ConfigError, match="repetitions must be >= 1"):
             MethodConfig("coalitional", grouping="model_based", delta=0.1, repetitions=0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"grouping": "pca", "delta": 0.0}, "pca grouping has no delta; --delta unsupported"),
+        ({"grouping": "spearman", "delta": float("nan")},
+         "spearman grouping has no delta; --delta unsupported"),
+        ({"grouping": "model_based", "delta": 0.1, "threshold": 0.3},
+         "model_based grouping has no threshold; --t unsupported"),
+        ({"grouping": "model_based", "delta": 0.1, "proportion": 0.5},
+         "model_based grouping has no threshold; --proportion unsupported"),
+        ({"kind": "complete", "k": 3}, "complete has no depth; --k unsupported"),
+        ({"grouping": "vif", "k": 3}, "vif grouping has no depth; --k unsupported"),
+        ({"kind": "kdepth", "k": 2, "threshold": 0.3}, "kdepth has no threshold; --t unsupported"),
+        ({"kind": "complete", "proportion": 0.5},
+         "complete has no threshold; --proportion unsupported"),
+        ({"kind": "kdepth", "k": 2, "delta": 0.1}, "kdepth has no delta; --delta unsupported"),
+        ({"grouping": "vif", "threshold": 0.7}, "threshold must lie in (0, 0.5), got 0.7"),
+        ({"grouping": "vif", "threshold": 0.0}, "threshold must lie in (0, 0.5), got 0.0"),
+        ({"grouping": "pca", "proportion": 1.5}, "target proportion must lie in (0, 1], got 1.5"),
+        ({"grouping": "pca", "proportion": float("nan")},
+         "target proportion must lie in (0, 1], got nan"),
+        ({"grouping": "pca", "threshold": 0.2, "proportion": 0.5},
+         "--t and --proportion are mutually exclusive"),
+        ({"grouping": "model_based"},
+         "model_based grouping needs a delta > 0: --delta 0.1 or coalitional:model_based:0.1"),
+        ({"grouping": "model_based", "delta": float("inf")},
+         "delta must be finite and > 0, got inf"),
+        ({"grouping": "kmeans"}, "unknown grouping 'kmeans'"),
+        ({"kind": "kdepth"}, "kdepth needs k >= 1"),
+    ], ids=["pca-delta", "spearman-delta", "model_based-t", "model_based-proportion",
+            "complete-k", "vif-k", "kdepth-t", "complete-proportion", "kdepth-delta",
+            "t-above", "t-zero", "proportion-above", "proportion-nan", "t-and-proportion",
+            "model_based-no-delta", "model_based-inf", "unknown-grouping", "kdepth-no-k"])
+    def test_rules_on_direct_construction(self, fields, message):
+        fields = {"kind": "coalitional"} | fields
+        with pytest.raises(ConfigError) as exc:
+            MethodConfig(**fields)
+        assert str(exc.value).startswith(message)
+
+    def test_direct_construction_normalizes_the_grouping(self):
+        mc = MethodConfig("coalitional", grouping=" Rev-VIF", threshold=0.3)
+        assert mc.grouping == "rev_vif" and mc.method_id == "coalitional:rev_vif"
+        mc = MethodConfig("coalitional", grouping="modelbased", delta=0.1)
+        assert mc.grouping == "model_based"
+
     @given(st.one_of(
         st.text(),
         st.lists(st.sampled_from(["complete", "kdepth", "coalitional", "spearman", "vif",
