@@ -412,7 +412,12 @@ def cmd_benchmark(data, out, config_path, **flags):
     if out and Path(out).suffix == ".json":
         raise ConfigError(f"--out {out} ends in .json, the name of its JSON mirror")
     _check_out(out, out and Path(out).with_suffix(".json"))
-    methods = [MethodConfig.parse(tok) for tok in cfg.method.split(",") if tok.strip()]
+    methods: dict[MethodConfig, str] = {}
+    for tok in filter(None, map(str.strip, cfg.method.split(","))):
+        mc = MethodConfig.parse(tok)
+        if mc in methods:
+            raise ConfigError(f"method {tok!r} repeats {methods[mc]!r}")
+        methods[mc] = tok
     if not methods:
         raise ConfigError("no methods given")
 
@@ -425,7 +430,7 @@ def cmd_benchmark(data, out, config_path, **flags):
     else:
         raise ConfigError("give dataset files or --synthetic N")
 
-    records = run_benchmark(datasets, methods, spec, seed=cfg.seed, jobs=cfg.jobs, cap=cfg.cap)
+    records = run_benchmark(datasets, [*methods], spec, seed=cfg.seed, jobs=cfg.jobs, cap=cfg.cap)
     if out:
         csv_path, json_path = Path(out), Path(out).with_suffix(".json")
         _write(csv_path, lambda p: write_benchmark_csv(records, p, config=cfg.to_dict()))

@@ -4,15 +4,17 @@ The cost unit is one distinct attribute subset: the coalition's *closure*
 is every non-empty subset of every group plus all singletons, which is
 exactly the set of subset models a coalitional influence pass must train.
 The complete computation costs 2^n - 1 subsets; a coalition's cost is
-reported as a proportion of that.
+reported as a proportion of that.  Pricing a coalition counts its closure by
+inclusion-exclusion over the maximal groups; it never lists the subsets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .dataset import Dataset
-from .grouping import GROUPING_METHODS, Coalition, grouping_scores
+from .grouping import GROUPING_METHODS, Coalition, grouping_scores, maximal_masks
 
 BISECTION_EPS = 1e-6
 # Bisection stops after this many probes, or once a probe's proportion is
@@ -21,18 +23,55 @@ BISECTION_MAX_PROBES = 20
 BISECTION_TOL = 0.02
 
 
-def closure(G: Coalition) -> frozenset[int]:
+def _union_size(gens: tuple[int, ...], memo: dict) -> int:
+    """|D(g_1) u ... u D(g_k)| over an antichain, D(g) being the non-empty submasks
+    of g: each g_i adds 2^|g_i| - 1 less the union of D(g_i & g_j) over j < i."""
+    size = memo.get(gens)
+    if size is None:
+        size, seen = 0, 0
+        for i, g in enumerate(gens):
+            size += (1 << g.bit_count()) - 1
+            if g & seen:  # g meets an earlier generator
+                meets = {g & h for h in gens[:i]} - {0}
+                if len(meets) == 1:
+                    size -= (1 << meets.pop().bit_count()) - 1
+                else:
+                    size -= _union_size(maximal_masks(meets), memo)
+            seen |= g
+        memo[gens] = size
+    return size
+
+
+class _Closure(Set):
+    """The non-empty submasks of an antichain of masks: a read-only set whose size
+    is counted once, when it is built.  ``|`` and ``&`` give frozensets."""
+
+    _from_iterable = frozenset
+    __hash__ = Set._hash
+
+    def __init__(self, gens: tuple[int, ...]):
+        self._gens, self._len = gens, _union_size(gens, {})
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, mask) -> bool:
+        return isinstance(mask, int) and mask > 0 and any(mask & ~g == 0 for g in self._gens)
+
+    def __iter__(self):
+        for i, g in enumerate(self._gens):  # each submask once, from its first generator
+            sub = g
+            while sub:
+                if all(sub & ~h for h in self._gens[:i]):
+                    yield sub
+                sub = (sub - 1) & g
+
+
+def closure(G: Coalition) -> Set[int]:
     """Masks of the distinct non-empty subsets a coalitional influence pass
-    evaluates: all non-empty subsets of every group, plus every singleton."""
-    masks: set[int] = set()
-    for g in G.groups:
-        sub = g.mask
-        while sub:  # enumerate non-empty submasks of the group
-            masks.add(sub)
-            sub = (sub - 1) & g.mask
-    for i in range(G.n):
-        masks.add(1 << i)
-    return frozenset(masks)
+    evaluates: all non-empty subsets of every group, plus every singleton,
+    as a read-only set over the maximal groups and singletons."""
+    return _Closure(maximal_masks({g.mask for g in G.groups} | {1 << i for i in range(G.n)}))
 
 
 def complexity_proportion(G: Coalition) -> float:

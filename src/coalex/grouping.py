@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import AttributeSubset, Dataset
-from .model import SubsetModelCache, TrainedModelHandle
+from .model import ROUND_ROWS, SubsetModelCache, TrainedModelHandle
 
 VIF_CAP = 1e6
 
@@ -63,27 +63,32 @@ class Coalition:
                 "method": method}
 
 
+def maximal_masks(masks: set[int]) -> tuple[int, ...]:
+    """The non-zero masks that no other mask contains, largest first."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:  # a plain loop: all() over a generator costs more on short lists
+            if not m & ~k:
+                break
+        else:
+            if m:
+                kept.append(m)
+    return tuple(kept)
+
+
 def normalize(groups: Iterable[AttributeSubset | Iterable[int]], n: int) -> Coalition:
     """Canonical coalition: drop contained groups, cover every attribute.
 
     Any group that is a subset of another is removed (duplicates collapse),
-    then a singleton is added for every attribute not covered.
+    and a singleton is kept for every attribute no group covers.
     """
-    masks = set()
+    masks = {1 << i for i in range(n)}
     for g in groups:
         s = g if isinstance(g, AttributeSubset) else AttributeSubset.from_indices(g, n)
         if s.n != n:
             raise ValueError("group universe does not match n")
-        if s.mask:
-            masks.add(s.mask)
-    kept = [m for m in masks if not any(m != o and m & ~o == 0 for o in masks)]
-    covered = 0
-    for m in kept:
-        covered |= m
-    for i in range(n):
-        if not covered >> i & 1:
-            kept.append(1 << i)
-    return Coalition(tuple(AttributeSubset(m, n) for m in kept), n)
+        masks.add(s.mask)
+    return Coalition(tuple(AttributeSubset(m, n) for m in maximal_masks(masks)), n)
 
 
 def check_threshold(t: float) -> None:
@@ -330,11 +335,14 @@ def _randomized_fidelity(d: Dataset, model: TrainedModelHandle, pred: np.ndarray
     over seeded rounds.  A round's draws are one ``integers`` call whose bounds
     follow a per-row loop (per row: its class size for each class group, then
     m per free attribute), so they equal that loop's sequential scalar draws.
+    The randomized tables of a block of rounds (about ``ROUND_ROWS`` rows) are
+    stacked and predicted in one call; prediction is row-wise, so each round's
+    classes are those of its own call.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     X = d.features
-    m = X.shape[0]
+    m, n = X.shape
     # members lists each class's rows in ascending order, as flatnonzero(pred == c)
     # would; row i's class starts at members[first[i]].
     _, cls, counts = np.unique(pred, return_inverse=True, return_counts=True)
@@ -344,14 +352,18 @@ def _randomized_fidelity(d: Dataset, model: TrainedModelHandle, pred: np.ndarray
     free_cols = np.array(sorted(uniform_attrs), dtype=np.intp)
     k = len(group_cols)
     highs = np.column_stack([np.tile(counts[cls][:, None], k), np.full((m, free_cols.size), m)])
-    scores = []
-    for r in range(repetitions):
-        draws = np.random.default_rng([seed, r]).integers(0, highs)
-        randomized = np.empty_like(X)
-        for j, g in enumerate(group_cols):
-            randomized[:, g] = X[members[first + draws[:, j]][:, None], g]
-        randomized[:, free_cols] = X[draws[:, k:], free_cols]
-        scores.append(float(np.mean(model.predict_classes(randomized) == pred)))
+    scores = np.empty(repetitions)
+    step = max(1, ROUND_ROWS // m)  # rounds per prediction call
+    for lo in range(0, repetitions, step):
+        rounds = range(lo, min(lo + step, repetitions))
+        randomized = np.empty((len(rounds), m, n))
+        for block, r in zip(randomized, rounds):
+            draws = np.random.default_rng([seed, r]).integers(0, highs)
+            for j, g in enumerate(group_cols):
+                block[:, g] = X[members[first + draws[:, j]][:, None], g]
+            block[:, free_cols] = X[draws[:, k:], free_cols]
+        classes = model.predict_classes(randomized.reshape(-1, n)).reshape(len(rounds), m)
+        scores[lo:lo + len(rounds)] = (classes == pred).mean(axis=1)
     return float(np.mean(scores))
 
 

@@ -365,11 +365,19 @@ class TestGroups:
         (["complexity", "--method", "model_based"], _NO_DELTA),
         (["explain", "--method", "coalitional:model_based"], _NO_DELTA),
         (["benchmark", "--methods", "complete,coalitional:model_based"], _NO_DELTA),
+        (["benchmark", "--methods", "complete,complete"],
+         "method 'complete' repeats 'complete'"),
+        (["benchmark", "--methods", "kdepth:2,complete, kdepth:2"],
+         "method 'kdepth:2' repeats 'kdepth:2'"),
+        (["benchmark", "--methods", "coalitional:pca:0.25,coalitional:pca:p=0.25"],
+         "method 'coalitional:pca:p=0.25' repeats 'coalitional:pca:0.25'"),
     ], ids=["groups-pca-delta", "complexity-pca-delta", "explain-spearman-delta",
             "groups-model_based-t", "complexity-model_based-t", "explain-model_based-t",
             "explain-complete-k", "explain-pca-k", "explain-kdepth-t", "benchmark-vif-t",
             "explain-vif-t", "benchmark-pca-proportion", "groups-pca-proportion",
-            "groups-no-delta", "complexity-no-delta", "explain-no-delta", "benchmark-no-delta"])
+            "groups-no-delta", "complexity-no-delta", "explain-no-delta", "benchmark-no-delta",
+            "benchmark-repeated-complete", "benchmark-repeated-kdepth",
+            "benchmark-repeated-pca"])
     def test_bad_method_exits_2_before_training(self, runner, small_csv, fits, args, message):
         result = runner.invoke(main, [args[0], str(small_csv), "--target", "y", "--model", "rf",
                                       "--trees", "3", *args[1:]])

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coalex import (
     AttributeSubset,
@@ -86,6 +86,56 @@ class TestClosure:
         c = closure(G)
         assert AttributeSubset.from_indices([0, 1], 2).mask in c
         assert sorted(c) == [0b01, 0b10, 0b11]
+
+
+def masks_of(subsets):
+    return {sum(1 << i for i in s) for s in subsets}
+
+
+class TestClosureView:
+    """The closure is a read-only set counted from its maximal groups: it must behave as
+    the listed set would, also for coalitions that were never normalized."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                             max_size=7))))
+    @example((8, [{0, 1, 2}, {3, 4}, {5, 6}, {0, 7}]))  # {0, 7} meets only the first group
+    def test_matches_brute_force(self, case):
+        n, groups = case
+        groups = groups + groups[:1]  # a duplicate group, when there is one
+        c = closure(Coalition.from_index_sets(groups, n))
+        oracle = masks_of(brute_force_closure(groups, n))
+        assert len(c) == len(oracle)
+        assert c == oracle and oracle == c and c == frozenset(oracle)
+        assert [mask in c for mask in range(-1, 1 << n + 1)] == \
+               [mask in oracle for mask in range(-1, 1 << n + 1)]
+        listed = list(c)
+        assert len(listed) == len(set(listed)) and set(listed) == oracle
+        extra = {1 << n, 0b11}
+        assert c | extra == oracle | extra and isinstance(c | extra, frozenset)
+        assert c & extra == oracle & extra
+        assert hash(c) == hash(frozenset(oracle))
+
+    def test_forty_attributes_counted_without_listing(self, monkeypatch):
+        n = 40
+        groups = [range(22),            # A: 22 attributes
+                  range(18, 30),        # B overlaps A in 18..21
+                  [0, 25, 30, 31, 32],  # C meets A in {0} and B in {25}
+                  [1, 2], [5], [34]]    # contained in A, and singletons
+        G = Coalition.from_index_sets(groups, n)
+        # |D(A)| + |D(B) \ D(A)| + |D(C) \ (D(A) u D(B))| + the 7 uncovered attributes 33..39
+        want = (2 ** 22 - 1) + (2 ** 12 - 2 ** 4) + (2 ** 5 - 1 - 2) + 7
+
+        def listed(self):
+            raise AssertionError("the closure was listed")
+
+        monkeypatch.setattr(type(closure(G)), "__iter__", listed)
+        assert len(closure(G)) == want
+        assert complexity_proportion(G) == want / float(2 ** n - 1)
+        r = ComplexityReport.from_coalition(G)
+        assert (r.closure_size, r.complete_size) == (want, 2 ** n - 1)
+        assert (1 << 22) - 1 in closure(G) and (1 << 22) | 1 not in closure(G)
 
 
 class TestProportion:

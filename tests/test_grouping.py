@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from coalex import (
     AttributeSubset,
     Coalition,
+    ComplexityReport,
     ModelSpec,
     SubsetModelCache,
     closure,
@@ -20,6 +21,7 @@ from coalex import (
     normalize,
     train,
 )
+import coalex.complexity
 import coalex.grouping
 from coalex.grouping import (
     GROUPING_METHODS,
@@ -31,6 +33,7 @@ from coalex.grouping import (
     standardized_features,
     vif_all,
 )
+from coalex.model import TrainedModelHandle
 
 from conftest import dataset_from
 
@@ -412,6 +415,12 @@ def fidelity(d, model, partition, repetitions, seed):
                                                 *split(partition), repetitions, seed)
 
 
+@pytest.fixture
+def one_round_per_call(monkeypatch):
+    """Each fidelity round predicted in its own call, as for a table of ROUND_ROWS rows or more."""
+    monkeypatch.setattr(coalex.grouping, "ROUND_ROWS", 1)
+
+
 class TestFidelity:
     def test_full_group_perfect_for_deterministic_model(self, blob_dataset):
         d = blob_dataset
@@ -452,6 +461,11 @@ class TestFidelity:
         h = train(ModelSpec(kind="decision_tree"), d, AttributeSubset.full(3))
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             fidelity(d, h, [(0, 1), (2,)], repetitions=0, seed=0)
+
+
+@pytest.mark.usefixtures("one_round_per_call")
+class TestFidelityOneRoundPerCall(TestFidelity):
+    """The same fidelity checks with one round per prediction call."""
 
 
 def loop_fidelity(d, model, class_groups, uniform_attrs, repetitions, seed):
@@ -543,19 +557,26 @@ class TestFidelityMatchesLoop:
             pairs.append((got, want))
             return want
 
-        monkeypatch.setattr(coalex.grouping, "_randomized_fidelity", both)
-        G_loop = group_model_based(SubsetModelCache(spec, d), delta=0.02, repetitions=3,
-                                   seed=seed)
-        monkeypatch.undo()
+        with monkeypatch.context() as patched:
+            patched.setattr(coalex.grouping, "_randomized_fidelity", both)
+            G_loop = group_model_based(SubsetModelCache(spec, d), delta=0.02, repetitions=3,
+                                       seed=seed)
         assert len(pairs) > 1
         assert all(got == want for got, want in pairs)
         assert group_model_based(SubsetModelCache(spec, d), delta=0.02, repetitions=3,
                                  seed=seed) == G_loop
 
 
+@pytest.mark.usefixtures("one_round_per_call")
+class TestFidelityMatchesLoopOneRoundPerCall(TestFidelityMatchesLoop):
+    """The same loop comparisons with one round per prediction call."""
+
+
 class TestScorePrimitivesStayVisible:
-    """A threshold search reaches each score primitive through its module
-    attribute, so a wrapper installed there (as a tracer does) sees the calls."""
+    """A threshold search reaches each score primitive, and the closure it prices,
+    through its module attribute, and model-based grouping predicts through the
+    handle's class attribute, so a wrapper installed there (as a tracer does)
+    sees the calls."""
 
     @pytest.mark.parametrize("method, primitive", [
         ("vif", "vif_all"), ("rev_vif", "vif_all"), ("spearman", "spearman_matrix"),
@@ -574,6 +595,33 @@ class TestScorePrimitivesStayVisible:
         find_threshold(method, make_synthetic_dataset(6, 60, seed=3), 0.25)
         assert calls[primitive] >= 1
         assert sum(calls.values()) == calls[primitive]
+
+    def test_wrapped_closure_sees_every_pricing(self, monkeypatch):
+        calls = []
+        real = coalex.complexity.closure
+        monkeypatch.setattr(coalex.complexity, "closure", lambda G: calls.append(G) or real(G))
+        result = find_threshold("spearman", make_synthetic_dataset(6, 60, seed=3), 0.25)
+        assert len(calls) == result.probe_count  # one pricing per probe
+        ComplexityReport.from_coalition(result.coalition)
+        assert len(calls) == result.probe_count + 1
+
+    def test_wrapped_predict_classes_sees_every_row(self, monkeypatch):
+        rows = []
+        real = TrainedModelHandle.predict_classes
+        monkeypatch.setattr(TrainedModelHandle, "predict_classes",
+                            lambda self, X: rows.append(len(X)) or real(self, X))
+        spec = ModelSpec(kind="random_forest", tree_count=3, max_depth=3, seed=9)
+
+        def grouped_rows_calls():
+            rows.clear()
+            G = group_model_based(SubsetModelCache(spec, three_class_dataset()), delta=0.1,
+                                  repetitions=3, seed=9)
+            return G.index_sets(), sum(rows), len(rows)
+
+        # 4,740 rows either way: the three rounds of an estimate in one call, or one per call
+        assert grouped_rows_calls() == ([(0, 3), (1, 4), (2,)], 4740, 27)
+        monkeypatch.setattr(coalex.grouping, "ROUND_ROWS", 1)
+        assert grouped_rows_calls() == ([(0, 3), (1, 4), (2,)], 4740, 79)
 
 
 class TestModelBasedGrouping:
