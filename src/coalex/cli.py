@@ -141,11 +141,19 @@ def _typed(key: str, kind, value):
     return value
 
 
-def _model_spec(model_flags: dict, file_cfg: dict, seed: int) -> ModelSpec:
+def _check_keys(command: str, cfg: dict, options, prefix: str = "") -> None:
+    """A ConfigError naming the first config-file key in ``cfg`` that is not in ``options``."""
+    key = next((key for key in cfg if key not in options), None)
+    if key is not None:
+        raise ConfigError(f"config file key {prefix + key!r} is not an option of {command}")
+
+
+def _model_spec(command: str, model_flags: dict, file_cfg: dict, seed: int) -> ModelSpec:
     """Each of ``model_flags``, keyed by its field, as flag > config ``model`` > default."""
     model_cfg = {} if file_cfg.get("model") is None else file_cfg["model"]
     if not isinstance(model_cfg, dict):
         raise ConfigError(f"model must be an object, got {model_cfg!r}")
+    _check_keys(command, model_cfg, model_flags, "model.")
     values = {key: _pick(flag, model_cfg, key, getattr(ModelSpec, key))
               for key, flag in model_flags.items()}
     kind = _MODEL_ALIASES.get(str(values["kind"]).lower())
@@ -165,11 +173,13 @@ def _resolve(command: str, config_path: str | None, fixed: dict,
 
     Each of ``flags`` (keyed by its config-file name, or its ``ModelSpec`` field for a
     model flag; a flag's value includes its ``COALEX_*`` variable) resolves as flag >
-    ``--config`` file > default.  ``fixed`` sets fields no flag resolves and the command's
-    own defaults; every other field keeps its ``RunConfig`` default.
+    ``--config`` file > default; a config-file key that names no flag is an error.
+    ``fixed`` sets fields no flag resolves and the command's own defaults; every other
+    field keeps its ``RunConfig`` default.
     """
     file_cfg = _load_config_file(config_path)
     model_flags = {key: flags.pop(key) for key in ("kind", "tree_count", "max_depth", "min_leaf")}
+    _check_keys(command, file_cfg, [*flags, "model"])
     cfg = RunConfig(command, **fixed)
     for key, flag in flags.items():
         name = _FIELD_OF.get(key, key)
@@ -185,7 +195,7 @@ def _resolve(command: str, config_path: str | None, fixed: dict,
     if cfg.output_format not in _OUTPUT_FORMATS:
         raise ConfigError(f"format must be one of {', '.join(_OUTPUT_FORMATS)}, "
                           f"got {cfg.output_format!r}")
-    spec = _model_spec(model_flags, file_cfg, cfg.seed)
+    spec = _model_spec(command, model_flags, file_cfg, cfg.seed)
     cfg.model = asdict(spec)
     return cfg, spec
 

@@ -402,7 +402,7 @@ def config_csv(config: dict, header: Sequence, rows: Iterable[Sequence]) -> str:
 
 def write_benchmark_csv(records: Iterable[BenchmarkRecord], path: str | Path,
                         config: dict) -> None:
-    rows = ([r.to_dict()[c] for c in CSV_COLUMNS] for r in records)
+    rows = ([row[c] for c in CSV_COLUMNS] for row in (r.to_dict() for r in records))
     Path(path).write_text(config_csv(config, CSV_COLUMNS, rows), encoding="utf-8")
 
 

@@ -672,6 +672,36 @@ class TestConfigPrecedence:
         assert result.exit_code == 2
         assert f"error: {key} must be a number, got " in result.output
 
+    @pytest.mark.parametrize("command, values, key", [
+        ("explain", {"method": "coalitional:pca", "treshold": 0.4,
+                     "model": {"kind": "dt", "max_dept": 2}}, "treshold"),
+        ("explain", {"method": "complete", "model": {"kind": "dt", "max_dept": 2}},
+         "model.max_dept"),
+        ("explain", {"method": "complete", "out": "x.json"}, "out"),
+        ("groups", {"method": "pca", "k": 3}, "k"),
+        ("groups", {"method": "pca", "jobs": 2}, "jobs"),
+        ("complexity", {"method": "pca", "format": "csv"}, "format"),
+        ("complexity", {"method": "pca", "model": {"seed": 3}}, "model.seed"),
+        ("benchmark", {"methods": "complete", "method": "complete"}, "method"),
+        ("benchmark", {"methods": "complete", "model": {"kind": "dt", "trees": 3}},
+         "model.trees"),
+    ], ids=["explain-treshold", "explain-model.max_dept", "explain-out", "groups-k",
+            "groups-jobs", "complexity-format", "complexity-model.seed", "benchmark-method",
+            "benchmark-model.trees"])
+    def test_config_file_key_that_names_no_option_exits_2(self, runner, small_csv, tmp_path,
+                                                          fits, monkeypatch, command, values,
+                                                          key):
+        import coalex.cli
+
+        loads = []
+        monkeypatch.setattr(coalex.cli, "load_csv", lambda *a, **kw: loads.append(a))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y"} | values))
+        result = runner.invoke(main, [command, str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.output == f"error: config file key {key!r} is not an option of {command}\n"
+        assert loads == [] and fits == []  # found before any CSV is read
+
     def test_config_file_int_target_is_a_column_index(self, runner, small_csv, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"target": 3, "model": {"kind": "dt"}}))

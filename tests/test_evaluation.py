@@ -253,6 +253,17 @@ class TestRunBenchmark:
         assert doc["config"] == {"seed": 1}
         assert len(doc["records"]) == 6
 
+    def test_csv_converts_each_record_once(self, tmp_path, monkeypatch):
+        records = [coalex.evaluation.BenchmarkRecord(f"d{i}", "kdepth", "k=2", 0.5, 0.01, 0.2,
+                                                     0.4, None, None, i) for i in range(3)]
+        calls, real = [], coalex.evaluation.BenchmarkRecord.to_dict
+        monkeypatch.setattr(coalex.evaluation.BenchmarkRecord, "to_dict",
+                            lambda r: calls.append(r) or real(r))
+        write_benchmark_csv(records, tmp_path / "bench.csv", config={"seed": 1})
+        assert calls == records
+        lines = (tmp_path / "bench.csv").read_text().splitlines()
+        assert lines[2:] == [f"d{i},kdepth,k=2,0.5,0.01,0.2,0.4,,,{i}" for i in range(3)]
+
     def test_mean_errors_reproducible(self):
         d = make_synthetic_dataset(5, 40, seed=8)
         methods = [MethodConfig.parse("kdepth:2"),

@@ -1,3 +1,5 @@
+import errno
+import json
 import math
 import os
 import signal
@@ -621,10 +623,57 @@ class TestBatching:
         assert complete_influence(cache, []) == []
 
 
+class CpuSet:
+    """``os.sched_getaffinity`` fixed at ``home``, and a log of every affinity call, the
+    forked workers' included, as (pid, None) for a query and (pid, sorted CPUs) for a
+    binding.  A binding raises ``OSError`` when ``refuse`` is set; otherwise it binds for
+    real too, CPU c to real CPU number c modulo the real count."""
+
+    def __init__(self, monkeypatch, log):
+        self.home, self.log, self.refuse = set(range(8)), log, False
+        real_get = getattr(os, "sched_getaffinity", lambda pid: {0})
+        real_bind = getattr(os, "sched_setaffinity", lambda pid, cpus: None)
+        self.real = lambda: sorted(real_get(0))
+        real = self.before = self.real()
+
+        def get(pid):
+            self.record(None)
+            return set(self.home)
+
+        def bind(pid, cpus):
+            self.record(sorted(cpus))
+            if self.refuse:
+                raise OSError(errno.EINVAL, "binding refused")
+            real_bind(pid, {real[c % len(real)] for c in cpus})
+
+        monkeypatch.setattr(os, "sched_getaffinity", get, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", bind, raising=False)
+
+    def record(self, cpus):
+        with open(self.log, "a") as f:
+            f.write(json.dumps([os.getpid(), cpus]) + "\n")
+
+    def calls(self):
+        lines = self.log.read_text().splitlines() if self.log.exists() else []
+        return [tuple(json.loads(line)) for line in lines]
+
+    def assert_restored(self):
+        """The last binding of this process is its whole set, and its real set is unchanged."""
+        binds = [cpus for pid, cpus in self.calls() if pid == os.getpid() and cpus is not None]
+        assert binds[-1] == sorted(self.home)
+        assert self.real() == self.before
+
+
 class TestTreePool:
-    """``jobs`` > 1 forks workers that each grow a slice of a forest's trees."""
+    """``jobs`` > 1 forks workers that each grow a slice of a forest's trees, one process
+    per CPU."""
 
     SPEC = ModelSpec(kind="random_forest", tree_count=5, seed=1)
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch, tmp_path):
+        """A fixed set of 8 CPUs, so that worker counts do not depend on the machine."""
+        return CpuSet(monkeypatch, tmp_path / "affinity.log")
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -651,13 +700,57 @@ class TestTreePool:
         cache = SubsetModelCache(self.SPEC, d)
         return cache, complete_influence(cache, [0, 1, 2], [d.class_target("hi")] * 3, jobs=jobs)
 
-    def test_workers_give_the_serial_values(self, blob_dataset, forks):
+    def test_workers_give_the_serial_values(self, blob_dataset, forks, cpus):
         _, serial = self.influence(blob_dataset)
         assert forks == []  # jobs=1 runs in one process
         for jobs in (2, 3, 8):
             assert self.influence(blob_dataset, jobs)[1] == serial
-        assert len(forks) == 1 + 2 + 4  # min(jobs, 5 trees) - 1 workers
+        assert len(forks) == 1 + 2 + 4  # min(jobs, 5 trees, 8 CPUs) - 1 workers
         self.assert_reaped(forks)
+        cpus.assert_restored()
+
+    def test_no_more_tree_processes_than_cpus(self, blob_dataset, forks, cpus):
+        _, serial = self.influence(blob_dataset)
+        cpus.home = {3, 6}
+        assert self.influence(blob_dataset, 8)[1] == serial
+        assert len(forks) == 1  # min(8 jobs, 5 trees, 2 CPUs) - 1
+        self.assert_reaped(forks)
+        cpus.assert_restored()
+        cpus.home = {4}
+        del forks[:]
+        cpus.log.unlink()
+        assert self.influence(blob_dataset, 8)[1] == serial
+        assert forks == [] and cpus.calls() == [(os.getpid(), None)]  # one CPU: nothing bound
+
+    def test_each_tree_process_runs_on_its_own_cpu(self, blob_dataset, forks, cpus):
+        cpus.home, parent = {2, 3, 5, 7}, os.getpid()
+        self.influence(blob_dataset, 3)
+        calls = cpus.calls()
+        # the parent asks for its set and takes the first CPU before it forks
+        assert calls[:2] == [(parent, None), (parent, [2])]
+        assert sorted(calls[2:-1]) == sorted([(forks[0], [3]), (forks[1], [5])])
+        assert calls[-1] == (parent, [2, 3, 5, 7])
+
+    def test_refused_binding_changes_neither_values_nor_reaping(self, blob_dataset, forks, cpus):
+        _, serial = self.influence(blob_dataset)
+        cpus.refuse = True
+        assert self.influence(blob_dataset, 3)[1] == serial
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+        calls, parent = cpus.calls(), os.getpid()
+        assert calls[:2] == [(parent, None), (parent, [0])]
+        assert sorted(c for _, c in calls[2:-1]) == [[1], [2]]  # every binding is tried
+        assert calls[-1] == (parent, list(range(8)))
+
+    def test_no_affinity_call_without_a_pool(self, blob_dataset, forks, cpus, monkeypatch):
+        _, serial = self.influence(blob_dataset)  # jobs=1
+        complete_influence(SubsetModelCache(SPEC, blob_dataset), [0], jobs=4)  # a decision tree
+        assert forks == [] and cpus.calls() == []
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert self.influence(blob_dataset, 8)[1] == serial
+        assert len(forks) == 4  # min(8 jobs, 5 trees) - 1: no CPU cap either
+        self.assert_reaped(forks)
+        assert cpus.calls() == []
 
     def test_workers_fill_a_table_of_many_sums_blocks(self, blob_dataset, forks, monkeypatch):
         _, serial = self.influence(blob_dataset)
@@ -680,7 +773,8 @@ class TestTreePool:
             run_benchmark([blob_dataset], methods, self.SPEC, jobs=jobs)
         assert forks == [] and cache.training_count == 0
 
-    def test_interrupt_kills_and_reaps_every_worker(self, blob_dataset, forks, monkeypatch):
+    def test_interrupt_kills_and_reaps_every_worker(self, blob_dataset, forks, monkeypatch,
+                                                    cpus):
         parent = os.getpid()
 
         def interrupted(*args):
@@ -696,10 +790,11 @@ class TestTreePool:
         assert len(forks) == 2
         self.assert_reaped(forks)
         assert cache.training_count == 0
+        cpus.assert_restored()
 
     @pytest.mark.parametrize("failure", ["raises", "dies", "exits-without-a-table"])
     def test_failed_worker_makes_the_parent_raise(self, blob_dataset, forks, monkeypatch,
-                                                  capfd, failure):
+                                                  capfd, cpus, failure):
         parent, real = os.getpid(), coalex.influence.tree_values
 
         def failing(*args):
@@ -717,11 +812,12 @@ class TestTreePool:
             complete_influence(cache, [0, 1], [blob_dataset.class_target("hi")] * 2, jobs=2)
         self.assert_reaped(forks)
         assert cache.training_count == 0
+        cpus.assert_restored()
         if failure == "raises":  # the worker's own error reaches stderr
             assert "worker fault" in capfd.readouterr().err
 
     def test_no_worker_off_the_only_thread_or_without_fork(self, blob_dataset, forks,
-                                                           monkeypatch):
+                                                           monkeypatch, cpus):
         _, serial = self.influence(blob_dataset)
         in_thread = []
         thread = threading.Thread(target=lambda: in_thread.append(self.influence(blob_dataset, 2)))
@@ -730,7 +826,7 @@ class TestTreePool:
         assert not thread.is_alive()
         monkeypatch.delattr(os, "fork")
         assert in_thread[0][1] == self.influence(blob_dataset, 2)[1] == serial
-        assert forks == []
+        assert forks == [] and cpus.calls() == []
 
     def test_benchmark_forks_for_every_forest_cell(self, blob_dataset, forks):
         methods = [MethodConfig.parse(m) for m in ("complete", "kdepth:1", "kdepth:2",
