@@ -192,10 +192,12 @@ def predicted_classes(cache: SubsetModelCache, instances: Sequence[int]) -> list
     return [d.class_target(d.class_set[k]) for k in np.argmax(full.confidences(X), axis=1)]
 
 
-def _bind(*cpus: int) -> None:
-    """Run this process on ``cpus`` only, unless the system refuses."""
-    with suppress(OSError):
-        os.sched_setaffinity(0, cpus)
+def _cpu() -> int | None:
+    """The CPU this process last ran on, field 39 of ``/proc/self/stat``; None where unknown."""
+    with suppress(OSError, IndexError, ValueError):
+        with open("/proc/self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    return None
 
 
 def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X: np.ndarray,
@@ -207,29 +209,29 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
     min(jobs, trees, CPUs this process may run on) is forked to sum trees w,
     w + W, ... and send back the raw bytes; this process sums trees 0, W, ...
     into V.  Each slice is one ``tree_values`` call, which grows its trees
-    together.  During the pass, tree process w is bound to the w-th CPU of the
-    set, where ``os.sched_setaffinity`` exists and the system allows it, and
-    every exit restores this process's set.  A failed worker prints its error
-    and makes this process raise; any exception here kills and reaps every worker.
+    together.  A worker first binds itself to this process's CPUs less the one
+    this process runs on, where the system allows it; this process is never
+    bound.  A failed worker prints its error and makes this process raise; any
+    exception here kills and reaps every worker.
     """
     T = spec.tree_count if spec.kind == "random_forest" else 1
     W = min(jobs, T) if hasattr(os, "fork") and threading.active_count() == 1 else 1
-    home = os.sched_getaffinity(0) if W > 1 and hasattr(os, "sched_setaffinity") else set()
-    W = min(W, len(home) or W)
-    cpus = sorted(home) if W > 1 else []  # tree process w runs on cpus[w]
+    cpus = os.sched_getaffinity(0) if W > 1 and hasattr(os, "sched_getaffinity") else set()
+    W = min(W, len(cpus) or W)
+    # the CPUs every worker runs on
+    others = cpus - {_cpu()} if W > 1 and hasattr(os, "sched_setaffinity") else set()
     shape = (len(subsets), len(X))
     workers = {}  # pid -> the read end of its pipe
     try:
-        if cpus:
-            _bind(cpus[0])
         for w in range(1, W):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker never returns, so it runs none of the parent's cleanup
                 status = 1
                 try:
-                    if cpus:
-                        _bind(cpus[w])
+                    if others:
+                        with suppress(OSError):
+                            os.sched_setaffinity(0, others)
                     table = np.zeros(shape)
                     tree_values(spec, d, range(w, T, W), subsets, X, target_idx, table,
                                 range(len(subsets)))
@@ -261,8 +263,6 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
             with suppress(OSError):
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-        if cpus:
-            _bind(*home)
     for r in rows:
         V[r] /= T
 

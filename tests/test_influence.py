@@ -624,13 +624,14 @@ class TestBatching:
 
 
 class CpuSet:
-    """``os.sched_getaffinity`` fixed at ``home``, and a log of every affinity call, the
-    forked workers' included, as (pid, None) for a query and (pid, sorted CPUs) for a
-    binding.  A binding raises ``OSError`` when ``refuse`` is set; otherwise it binds for
-    real too, CPU c to real CPU number c modulo the real count."""
+    """``os.sched_getaffinity`` fixed at ``home`` and the CPU this process runs on fixed at
+    ``here``, and a log of every affinity call, the forked workers' included, as (pid, None)
+    for a query and (pid, sorted CPUs) for a binding.  A binding raises ``OSError`` when
+    ``refuse`` is set; otherwise it binds for real too, CPU c to real CPU number c modulo
+    the real count."""
 
     def __init__(self, monkeypatch, log):
-        self.home, self.log, self.refuse = set(range(8)), log, False
+        self.home, self.here, self.log, self.refuse = set(range(8)), 0, log, False
         real_get = getattr(os, "sched_getaffinity", lambda pid: {0})
         real_bind = getattr(os, "sched_setaffinity", lambda pid, cpus: None)
         self.real = lambda: sorted(real_get(0))
@@ -648,6 +649,7 @@ class CpuSet:
 
         monkeypatch.setattr(os, "sched_getaffinity", get, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", bind, raising=False)
+        monkeypatch.setattr(coalex.influence, "_cpu", lambda: self.here)
 
     def record(self, cpus):
         with open(self.log, "a") as f:
@@ -657,11 +659,15 @@ class CpuSet:
         lines = self.log.read_text().splitlines() if self.log.exists() else []
         return [tuple(json.loads(line)) for line in lines]
 
-    def assert_restored(self):
-        """The last binding of this process is its whole set, and its real set is unchanged."""
-        binds = [cpus for pid, cpus in self.calls() if pid == os.getpid() and cpus is not None]
-        assert binds[-1] == sorted(self.home)
+    def assert_unbound(self):
+        """This process made no binding, and its real set is unchanged."""
+        assert all(cpus is None for pid, cpus in self.calls() if pid == os.getpid())
         assert self.real() == self.before
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc/self/stat")
+def test_cpu_is_one_this_process_may_run_on():
+    assert coalex.influence._cpu() in os.sched_getaffinity(0)
 
 
 class TestTreePool:
@@ -707,7 +713,7 @@ class TestTreePool:
             assert self.influence(blob_dataset, jobs)[1] == serial
         assert len(forks) == 1 + 2 + 4  # min(jobs, 5 trees, 8 CPUs) - 1 workers
         self.assert_reaped(forks)
-        cpus.assert_restored()
+        cpus.assert_unbound()
 
     def test_no_more_tree_processes_than_cpus(self, blob_dataset, forks, cpus):
         _, serial = self.influence(blob_dataset)
@@ -715,21 +721,26 @@ class TestTreePool:
         assert self.influence(blob_dataset, 8)[1] == serial
         assert len(forks) == 1  # min(8 jobs, 5 trees, 2 CPUs) - 1
         self.assert_reaped(forks)
-        cpus.assert_restored()
+        cpus.assert_unbound()
         cpus.home = {4}
         del forks[:]
         cpus.log.unlink()
         assert self.influence(blob_dataset, 8)[1] == serial
         assert forks == [] and cpus.calls() == [(os.getpid(), None)]  # one CPU: nothing bound
 
-    def test_each_tree_process_runs_on_its_own_cpu(self, blob_dataset, forks, cpus):
-        cpus.home, parent = {2, 3, 5, 7}, os.getpid()
-        self.influence(blob_dataset, 3)
-        calls = cpus.calls()
-        # the parent asks for its set and takes the first CPU before it forks
-        assert calls[:2] == [(parent, None), (parent, [2])]
-        assert sorted(calls[2:-1]) == sorted([(forks[0], [3]), (forks[1], [5])])
-        assert calls[-1] == (parent, [2, 3, 5, 7])
+    def test_workers_run_off_the_callers_cpu(self, blob_dataset, forks, cpus):
+        cpus.home, cpus.here, parent = {2, 3, 5, 7}, 5, os.getpid()
+        serial = self.influence(blob_dataset)[1]
+        assert self.influence(blob_dataset, 3)[1] == serial
+        # the caller only asks for its set; each worker binds itself to the rest
+        assert sorted(cpus.calls()) == sorted([(parent, None), (forks[0], [2, 3, 7]),
+                                               (forks[1], [2, 3, 7])])
+        cpus.assert_unbound()
+        cpus.here = None  # where the caller's CPU is unknown, a worker may use the whole set
+        cpus.log.unlink()
+        assert self.influence(blob_dataset, 2)[1] == serial
+        assert sorted(cpus.calls()) == sorted([(parent, None), (forks[2], [2, 3, 5, 7])])
+        self.assert_reaped(forks)
 
     def test_refused_binding_changes_neither_values_nor_reaping(self, blob_dataset, forks, cpus):
         _, serial = self.influence(blob_dataset)
@@ -737,18 +748,23 @@ class TestTreePool:
         assert self.influence(blob_dataset, 3)[1] == serial
         assert len(forks) == 2
         self.assert_reaped(forks)
-        calls, parent = cpus.calls(), os.getpid()
-        assert calls[:2] == [(parent, None), (parent, [0])]
-        assert sorted(c for _, c in calls[2:-1]) == [[1], [2]]  # every binding is tried
-        assert calls[-1] == (parent, list(range(8)))
+        workers = sorted((pid, c) for pid, c in cpus.calls() if pid != os.getpid())
+        assert workers == sorted((pid, list(range(1, 8))) for pid in forks)  # each one tried
+        cpus.assert_unbound()
 
     def test_no_affinity_call_without_a_pool(self, blob_dataset, forks, cpus, monkeypatch):
         _, serial = self.influence(blob_dataset)  # jobs=1
         complete_influence(SubsetModelCache(SPEC, blob_dataset), [0], jobs=4)  # a decision tree
         assert forks == [] and cpus.calls() == []
         monkeypatch.delattr(os, "sched_setaffinity")
+        cpus.home = {3, 6}
         assert self.influence(blob_dataset, 8)[1] == serial
-        assert len(forks) == 4  # min(8 jobs, 5 trees) - 1: no CPU cap either
+        assert len(forks) == 1  # the CPU cap holds without the binding
+        assert cpus.calls() == [(os.getpid(), None)]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cpus.log.unlink()
+        assert self.influence(blob_dataset, 8)[1] == serial
+        assert len(forks) == 1 + 4  # min(8 jobs, 5 trees) - 1: no CPU cap
         self.assert_reaped(forks)
         assert cpus.calls() == []
 
@@ -790,7 +806,7 @@ class TestTreePool:
         assert len(forks) == 2
         self.assert_reaped(forks)
         assert cache.training_count == 0
-        cpus.assert_restored()
+        cpus.assert_unbound()
 
     @pytest.mark.parametrize("failure", ["raises", "dies", "exits-without-a-table"])
     def test_failed_worker_makes_the_parent_raise(self, blob_dataset, forks, monkeypatch,
@@ -812,7 +828,7 @@ class TestTreePool:
             complete_influence(cache, [0, 1], [blob_dataset.class_target("hi")] * 2, jobs=2)
         self.assert_reaped(forks)
         assert cache.training_count == 0
-        cpus.assert_restored()
+        cpus.assert_unbound()
         if failure == "raises":  # the worker's own error reaches stderr
             assert "worker fault" in capfd.readouterr().err
 
