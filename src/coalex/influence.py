@@ -218,7 +218,7 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
     W = min(jobs, T) if hasattr(os, "fork") and threading.active_count() == 1 else 1
     cpus = os.sched_getaffinity(0) if W > 1 and hasattr(os, "sched_getaffinity") else set()
     W = min(W, len(cpus) or W)
-    # the CPUs every worker runs on
+    # the workers keep off this process's CPU, which a forked worker otherwise tends to share
     others = cpus - {_cpu()} if W > 1 and hasattr(os, "sched_setaffinity") else set()
     shape = (len(subsets), len(X))
     workers = {}  # pid -> the read end of its pipe
