@@ -10,7 +10,6 @@ inclusion-exclusion over the maximal groups; it never lists the subsets.
 
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass
 
 from .dataset import Dataset
@@ -23,34 +22,28 @@ BISECTION_MAX_PROBES = 20
 BISECTION_TOL = 0.02
 
 
-def _union_size(gens: tuple[int, ...], memo: dict) -> int:
+def _union_size(gens: tuple[int, ...]) -> int:
     """|D(g_1) u ... u D(g_k)| over an antichain, D(g) being the non-empty submasks
     of g: each g_i adds 2^|g_i| - 1 less the union of D(g_i & g_j) over j < i."""
-    size = memo.get(gens)
-    if size is None:
-        size, seen = 0, 0
-        for i, g in enumerate(gens):
-            size += (1 << g.bit_count()) - 1
-            if g & seen:  # g meets an earlier generator
-                meets = {g & h for h in gens[:i]} - {0}
-                if len(meets) == 1:
-                    size -= (1 << meets.pop().bit_count()) - 1
-                else:
-                    size -= _union_size(maximal_masks(meets), memo)
-            seen |= g
-        memo[gens] = size
+    size, seen = 0, 0
+    for i, g in enumerate(gens):
+        size += (1 << g.bit_count()) - 1
+        if g & seen:  # g meets an earlier generator
+            meets = {g & h for h in gens[:i]} - {0}
+            if len(meets) == 1:
+                size -= (1 << meets.pop().bit_count()) - 1
+            else:
+                size -= _union_size(maximal_masks(meets))
+        seen |= g
     return size
 
 
-class _Closure(Set):
-    """The non-empty submasks of an antichain of masks: a read-only set whose size
-    is counted once, when it is built.  ``|`` and ``&`` give frozensets."""
-
-    _from_iterable = frozenset
-    __hash__ = Set._hash
+class _Closure:
+    """The non-empty submasks of an antichain of masks, never listed: ``len`` is
+    counted once, when it is built, and ``in`` tests a mask against the antichain."""
 
     def __init__(self, gens: tuple[int, ...]):
-        self._gens, self._len = gens, _union_size(gens, {})
+        self._gens, self._len = gens, _union_size(gens)
 
     def __len__(self) -> int:
         return self._len
@@ -58,19 +51,11 @@ class _Closure(Set):
     def __contains__(self, mask) -> bool:
         return isinstance(mask, int) and mask > 0 and any(mask & ~g == 0 for g in self._gens)
 
-    def __iter__(self):
-        for i, g in enumerate(self._gens):  # each submask once, from its first generator
-            sub = g
-            while sub:
-                if all(sub & ~h for h in self._gens[:i]):
-                    yield sub
-                sub = (sub - 1) & g
 
-
-def closure(G: Coalition) -> Set[int]:
-    """Masks of the distinct non-empty subsets a coalitional influence pass
-    evaluates: all non-empty subsets of every group, plus every singleton,
-    as a read-only set over the maximal groups and singletons."""
+def closure(G: Coalition) -> _Closure:
+    """The distinct non-empty subsets a coalitional influence pass evaluates: all
+    non-empty subsets of every group, plus every singleton.  It offers ``len`` and
+    ``mask in``; ``coalitional_plan(G).masks`` lists the masks themselves."""
     return _Closure(maximal_masks({g.mask for g in G.groups} | {1 << i for i in range(G.n)}))
 
 

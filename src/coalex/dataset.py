@@ -122,7 +122,7 @@ class Dataset:
                 f"'{self.attribute_names[bad[1]]}'"
             )
         if not self.class_set:
-            object.__setattr__(self, "class_set", _distinct_in_order(self.labels))
+            object.__setattr__(self, "class_set", tuple(dict.fromkeys(self.labels)))
         unknown = set(self.labels) - set(self.class_set)
         if unknown:
             raise DataError(f"labels {sorted(map(str, unknown))} not in class_set")
@@ -155,13 +155,6 @@ class Dataset:
         """Labels recoded as positions in class_set."""
         lookup = {c: k for k, c in enumerate(self.class_set)}
         return np.array([lookup[y] for y in self.labels], dtype=np.intp)
-
-
-def _distinct_in_order(values: Sequence[ClassId]) -> tuple[ClassId, ...]:
-    seen: dict[ClassId, None] = {}
-    for v in values:
-        seen.setdefault(v, None)
-    return tuple(seen)
 
 
 def load_csv(

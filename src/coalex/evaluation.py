@@ -350,8 +350,8 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
                   cap: int = COMPLETE_ATTRIBUTE_CAP) -> list[BenchmarkRecord]:
     """Grid of datasets x methods, scored against the exact influence.
 
-    Per dataset the exact vectors are computed once (this also fixes each
-    instance's target class, taken from the full model's prediction); each
+    Per dataset with a runnable method the exact vectors are computed once (this
+    also fixes each instance's target class, from the full model's prediction); each
     method then runs on a fresh cache so its span covers everything it
     needs.  Datasets beyond the attribute cap, and ``kdepth:k`` on a dataset
     with fewer than k attributes, are skipped with a logged reason.
@@ -370,6 +370,8 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
                                mc.k, d.name, d.n_attributes)
             else:
                 runnable.append(mc)
+        if not runnable:
+            continue
         m = d.n_instances
         started = time.perf_counter()
         oracle_vectors = complete_influence(SubsetModelCache(spec, d), range(m), cap=cap,

@@ -54,9 +54,6 @@ class Coalition:
     def groups_containing(self, index: int) -> tuple[AttributeSubset, ...]:
         return tuple(g for g in self.groups if g.mask >> index & 1)
 
-    def index_sets(self) -> list[tuple[int, ...]]:
-        return [g.indices() for g in self.groups]
-
     def to_json(self, d: Dataset, method: str) -> dict:
         """The groups by attribute name, and the grouping method that built them."""
         return {"groups": [[d.attribute_names[i] for i in g.indices()] for g in self.groups],

@@ -21,6 +21,16 @@ def full_group(n):
     return Coalition((AttributeSubset.full(n),), n)
 
 
+def index_sets(G):
+    """The coalition's groups as sorted index tuples, in the coalition's group order."""
+    return [g.indices() for g in G.groups]
+
+
+def members(c, n):
+    """The masks in range(-1, 2^(n+1)) that ``c`` contains: a closure listed through ``in``."""
+    return {mask for mask in range(-1, 1 << n + 1) if mask in c}
+
+
 def class_prior(d, c):
     """Frequency of class ``c`` among the labels: the value of the empty subset."""
     return sum(1 for y in d.labels if y == c.class_id) / d.n_instances

@@ -32,7 +32,7 @@ from coalex import (
 )
 from coalex.grouping import vif_all
 
-from conftest import class_prior, dataset_from, full_group, singletons
+from conftest import class_prior, dataset_from, full_group, index_sets, singletons
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=3, seed=0)
 
@@ -247,7 +247,7 @@ def test_criterion_7_grouping_correctness():
     q, _ = np.linalg.qr(rng.normal(size=(120, 5)))
     ortho = dataset_from(q, rng.integers(0, 2, 120).tolist(), name="ortho")
     ortho_ok = all(
-        group_vif(ortho, float(t)).index_sets() == [(i,) for i in range(5)]
+        index_sets(group_vif(ortho, float(t))) == [(i,) for i in range(5)]
         for t in (0.05, 0.25, 0.45)
     )
     # exact collinearity a2 = a0 + a1 joins all three for every t >= 0.1,
@@ -268,7 +268,7 @@ def test_criterion_7_grouping_correctness():
         if abs(vifs[a] - expected) > 1e-6 * expected:
             oracle_ok = False
     collinear_ok = all(
-        group_vif(tri, float(t)).index_sets() == [(0, 1, 2)]
+        index_sets(group_vif(tri, float(t))) == [(0, 1, 2)]
         for t in np.linspace(0.1, 0.45, 8)
     )
     ok = dup_ok and ortho_ok and collinear_ok and oracle_ok

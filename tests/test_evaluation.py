@@ -299,6 +299,17 @@ class TestRunBenchmark:
         assert records[0].dataset == small.name
         assert any("exceed" in msg for msg in caplog.messages)
 
+    def test_no_exact_baseline_without_a_runnable_method(self, monkeypatch):
+        narrow = make_synthetic_dataset(2, 20, seed=0)
+        wide = make_synthetic_dataset(3, 20, seed=0)
+        real, calls = coalex.evaluation.complete_influence, []
+        monkeypatch.setattr(coalex.evaluation, "complete_influence",
+                            lambda cache, *a, **kw: calls.append(cache.dataset.name) or
+                            real(cache, *a, **kw))
+        records = run_benchmark([narrow, wide], [MethodConfig.parse("kdepth:3")], SPEC)
+        assert calls == [wide.name] != [narrow.name]
+        assert [r.dataset for r in records] == [wide.name]
+
     def test_cells_run_on_the_calling_thread(self, monkeypatch):
         d = make_synthetic_dataset(4, 20, seed=6)
         methods = [MethodConfig.parse("kdepth:1"), MethodConfig.parse("kdepth:2")]

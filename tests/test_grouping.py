@@ -35,7 +35,7 @@ from coalex.grouping import (
 )
 from coalex.model import TrainedModelHandle
 
-from conftest import dataset_from
+from conftest import dataset_from, index_sets, members
 
 
 def binary_labels(m, rng):
@@ -223,7 +223,7 @@ class TestPcaGrouping:
         groups = groups_from_loadings(L, 0.7)
         assert groups == [{1, 2, 3}, {0, 1}]
         G = normalize(groups, 4)
-        assert G.index_sets() == [(0, 1), (1, 2, 3)]
+        assert index_sets(G) == [(0, 1), (1, 2, 3)]
 
     def test_tiny_threshold_keeps_top_loading_only(self):
         L = np.array([[0.9, 0.5, 0.1], [0.2, 0.8, 0.3]])
@@ -232,7 +232,7 @@ class TestPcaGrouping:
     def test_identity_covariance_all_singletons(self):
         d = axis_dataset(n=4)
         for t in (0.05, 0.25, 0.45):
-            assert group_pca(d, t).index_sets() == [(0,), (1,), (2,), (3,)]
+            assert index_sets(group_pca(d, t)) == [(0,), (1,), (2,), (3,)]
 
     def test_threshold_range_enforced(self):
         d = orthogonal_dataset()
@@ -250,12 +250,12 @@ class TestVifGrouping:
         X = np.column_stack([a1 + a2, a1, a2, rng.normal(size=250)])
         d = dataset_from(X, binary_labels(250, rng))
         G = group_vif(d, 0.2)
-        assert G.index_sets() == [(0, 1, 2), (3,)]
+        assert index_sets(G) == [(0, 1, 2), (3,)]
 
     def test_orthogonal_all_singletons(self):
         d = orthogonal_dataset()
         for t in (0.05, 0.25, 0.45):
-            assert group_vif(d, t).index_sets() == [(i,) for i in range(5)]
+            assert index_sets(group_vif(d, t)) == [(i,) for i in range(5)]
 
     def test_duplicate_pair_plus_independent(self):
         rng = np.random.default_rng(19)
@@ -263,16 +263,16 @@ class TestVifGrouping:
         X = np.column_stack([x, x, rng.normal(size=200)])
         d = dataset_from(X, binary_labels(200, rng))
         G = group_vif(d, 0.2)
-        assert G.index_sets() == [(0, 1), (2,)]
+        assert index_sets(G) == [(0, 1), (2,)]
 
     def test_single_attribute(self):
         rng = np.random.default_rng(20)
         d = dataset_from(rng.normal(size=(30, 1)), binary_labels(30, rng))
-        assert group_vif(d, 0.2).index_sets() == [(0,)]
-        assert group_rev_vif(d, 0.2).index_sets() == [(0,)]
-        assert group_spearman(d, 0.2).index_sets() == [(0,)]
-        assert group_rev_spearman(d, 0.2).index_sets() == [(0,)]
-        assert group_pca(d, 0.2).index_sets() == [(0,)]
+        assert index_sets(group_vif(d, 0.2)) == [(0,)]
+        assert index_sets(group_rev_vif(d, 0.2)) == [(0,)]
+        assert index_sets(group_spearman(d, 0.2)) == [(0,)]
+        assert index_sets(group_rev_spearman(d, 0.2)) == [(0,)]
+        assert index_sets(group_pca(d, 0.2)) == [(0,)]
 
 
 class TestRevVifGrouping:
@@ -288,7 +288,7 @@ class TestRevVifGrouping:
         x = rng.normal(size=200)
         d = dataset_from(np.column_stack([x, x]), binary_labels(200, rng))
         G = group_rev_vif(d, 0.3)
-        assert G.index_sets() == [(0,), (1,)]
+        assert index_sets(G) == [(0,), (1,)]
 
     def test_group_sizes_non_decreasing_in_t(self):
         rng = np.random.default_rng(22)
@@ -312,7 +312,7 @@ class TestSpearmanGrouping:
         raw = groups_from_correlation(corr, 0.3)
         assert raw == [{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3}]
         G = normalize(raw, 4)
-        assert G.index_sets() == [(0, 1, 2), (1, 2, 3)]
+        assert index_sets(G) == [(0, 1, 2), (1, 2, 3)]
 
     def test_all_weak_rows_are_singletons(self):
         corr = np.full((3, 3), 0.05)
@@ -364,24 +364,24 @@ class TestRevSpearmanGrouping:
 class TestNormalize:
     def test_contained_group_dropped(self):
         G = normalize([{0, 1}, {0, 1, 2}], 4)
-        assert G.index_sets() == [(0, 1, 2), (3,)]
+        assert index_sets(G) == [(0, 1, 2), (3,)]
 
     def test_empty_input_completes_singletons(self):
-        assert normalize([], 3).index_sets() == [(0,), (1,), (2,)]
+        assert index_sets(normalize([], 3)) == [(0,), (1,), (2,)]
 
     def test_duplicates_collapse(self):
-        assert normalize([{0}, {0}], 1).index_sets() == [(0,)]
+        assert index_sets(normalize([{0}, {0}], 1)) == [(0,)]
 
     def test_overlapping_but_not_contained_kept(self):
         G = normalize([{0, 1}, {1, 2}], 3)
-        assert G.index_sets() == [(0, 1), (1, 2)]
+        assert index_sets(G) == [(0, 1), (1, 2)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sets(st.integers(min_value=0, max_value=5)), max_size=6),
            st.integers(min_value=6, max_value=6))
     def test_properties(self, raw, n):
         G = normalize(raw, n)
-        assert set().union(*G.index_sets()) == set(range(n))
+        assert set().union(*index_sets(G)) == set(range(n))
         for g in G.groups:
             for h in G.groups:
                 assert g == h or g.mask & ~h.mask
@@ -392,9 +392,13 @@ class TestNormalize:
         raw = [{0, 1}, {0, 1, 2}, {3}, {2, 3}]
         pre = Coalition.from_index_sets(raw, 5)
         post = normalize(raw, 5)
-        assert closure(pre.__class__.from_index_sets(raw + [[4]], 5)) == \
-               closure(normalize(raw + [[4]], 5))
-        assert closure(post) >= closure(pre)  # singleton completion only adds
+        completed = closure(Coalition.from_index_sets(raw + [[4]], 5))
+        normalized = closure(normalize(raw + [[4]], 5))
+        assert members(completed, 5) == members(normalized, 5)
+        assert len(completed) == len(normalized)
+        # singleton completion only adds
+        assert members(closure(post), 5) >= members(closure(pre), 5)
+        assert len(closure(post)) >= len(closure(pre))
 
 
 class TestMonotonicity:
@@ -616,7 +620,7 @@ class TestScorePrimitivesStayVisible:
             rows.clear()
             G = group_model_based(SubsetModelCache(spec, three_class_dataset()), delta=0.1,
                                   repetitions=3, seed=9)
-            return G.index_sets(), sum(rows), len(rows)
+            return index_sets(G), sum(rows), len(rows)
 
         # 4,740 rows either way: the three rounds of an estimate in one call, or one per call
         assert grouped_rows_calls() == ([(0, 3), (1, 4), (2,)], 4740, 27)
@@ -631,7 +635,7 @@ class TestModelBasedGrouping:
         spec = ModelSpec(kind="decision_tree", max_depth=1, seed=0)
         G = group_model_based(SubsetModelCache(spec, blob_dataset), delta=0.1, repetitions=5,
                               seed=1)
-        assert (0,) in G.index_sets()
+        assert (0,) in index_sets(G)
 
     def test_prior_baseline_all_singletons(self, blob_dataset):
         # constant predictor: the all-singletons baseline fidelity is already
@@ -639,7 +643,7 @@ class TestModelBasedGrouping:
         spec = ModelSpec(kind="prior_baseline", seed=0)
         G = group_model_based(SubsetModelCache(spec, blob_dataset), delta=0.05, repetitions=3,
                               seed=0)
-        assert G.index_sets() == [(0,), (1,), (2,)]
+        assert index_sets(G) == [(0,), (1,), (2,)]
 
     def test_deterministic(self, blob_dataset):
         spec = ModelSpec(kind="decision_tree", max_depth=2, seed=3)
@@ -671,7 +675,7 @@ class TestModelBasedGrouping:
 class TestCoalitionType:
     def test_canonical_order_and_dedup(self):
         G = Coalition.from_index_sets([[2, 1], [0], [1, 2]], 3)
-        assert G.index_sets() == [(0,), (1, 2)]
+        assert index_sets(G) == [(0,), (1, 2)]
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError, match="non-empty"):
