@@ -43,7 +43,6 @@ from .influence import (
     kdepth_influence,
     kdepth_penalty,
     predicted_classes,
-    shapley_penalty,
     subset_eval,
 )
 from .model import ModelSpec, SubsetModelCache, train
@@ -58,6 +57,6 @@ __all__ = [
     "group_model_based", "group_pca", "group_rev_spearman", "group_rev_vif",
     "group_spearman", "group_vif", "influence_distance", "kdepth_influence",
     "kdepth_penalty", "load_csv", "make_synthetic_dataset", "make_synthetic_suite",
-    "normalize", "predicted_classes", "run_benchmark", "shapley_penalty", "subset_eval",
-    "train", "write_benchmark_csv", "write_benchmark_json",
+    "normalize", "predicted_classes", "run_benchmark", "subset_eval", "train",
+    "write_benchmark_csv", "write_benchmark_json",
 ]

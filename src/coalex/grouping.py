@@ -47,10 +47,6 @@ class Coalition:
         ordered = tuple(sorted(set(self.groups), key=lambda g: g.indices()))
         object.__setattr__(self, "groups", ordered)
 
-    @classmethod
-    def from_index_sets(cls, sets: Iterable[Iterable[int]], n: int) -> "Coalition":
-        return cls(tuple(AttributeSubset.from_indices(s, n) for s in sets), n)
-
     def groups_containing(self, index: int) -> tuple[AttributeSubset, ...]:
         return tuple(g for g in self.groups if g.mask >> index & 1)
 

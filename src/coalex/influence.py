@@ -79,13 +79,6 @@ class InfluenceVector:
         }
 
 
-def shapley_penalty(sub_size: int, n: int) -> float:
-    """Shapley weight |A'|! (n-|A'|-1)! / n! for a subset of the other attributes."""
-    if n < 1 or not 0 <= sub_size <= n - 1:
-        raise ValueError(f"invalid penalty arguments sub_size={sub_size}, n={n}")
-    return factorial(sub_size) * factorial(n - sub_size - 1) / factorial(n)
-
-
 def kdepth_penalty(sub_size: int, n: int, k: int) -> float:
     """Depth-k weight |A'|! (n-|A'|-1)! / (k (n-1)!); requires |A'| < k <= n."""
     if n < 1 or k < 1 or k > n or not 0 <= sub_size < k:
@@ -207,12 +200,14 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
 
     With ``jobs`` > 1, ``os.fork`` and no other thread, worker w of W =
     min(jobs, trees, CPUs this process may run on) is forked to sum trees w,
-    w + W, ... and send back the raw bytes; this process sums trees 0, W, ...
-    into V.  Each slice is one ``tree_values`` call, which grows its trees
-    together.  A worker first binds itself to this process's CPUs less the one
-    this process runs on, where the system allows it; this process is never
-    bound.  A failed worker prints its error and makes this process raise; any
-    exception here kills and reaps every worker.
+    w + W, ... into its row of one shared anonymous map, then set the row's last
+    float, its completion mark, to 1; this process sums trees 0, W, ... into V
+    and adds each worker's table once the worker has exited 0 with its mark set.
+    Each slice is one ``tree_values`` call, which grows its trees together.  A
+    worker first binds itself to this process's CPUs less the one this process
+    runs on, where the system allows it; this process is never bound.  A failed
+    worker prints its error and makes this process raise; any exception here
+    kills and reaps every worker.
     """
     T = spec.tree_count if spec.kind == "random_forest" else 1
     W = min(jobs, T) if hasattr(os, "fork") and threading.active_count() == 1 else 1
@@ -221,10 +216,13 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
     # the workers keep off this process's CPU, which a forked worker otherwise tends to share
     others = cpus - {_cpu()} if W > 1 and hasattr(os, "sched_setaffinity") else set()
     shape = (len(subsets), len(X))
-    workers = {}  # pid -> the read end of its pipe
+    if W > 1:
+        import mmap  # here, not at import: most runs fork no worker
+        size = math.prod(shape) + 1  # worker w's table, then its mark, in row w - 1
+        tables = np.frombuffer(mmap.mmap(-1, 8 * (W - 1) * size)).reshape(W - 1, size)
+    workers = {}  # pid -> its row of ``tables``
     try:
         for w in range(1, W):
-            read, write = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker never returns, so it runs none of the parent's cleanup
                 status = 1
@@ -232,34 +230,28 @@ def _forest_rows(spec: ModelSpec, d: Dataset, subsets: list[AttributeSubset], X:
                     if others:
                         with suppress(OSError):
                             os.sched_setaffinity(0, others)
-                    table = np.zeros(shape)
-                    tree_values(spec, d, range(w, T, W), subsets, X, target_idx, table,
-                                range(len(subsets)))
-                    with open(write, "wb") as out:
-                        out.write(table.tobytes())
+                    tree_values(spec, d, range(w, T, W), subsets, X, target_idx,
+                                tables[w - 1, :-1].reshape(shape), range(len(subsets)))
+                    tables[w - 1, -1] = 1
                     status = 0
                 except Exception:  # os._exit skips the printing of an uncaught error
                     traceback.print_exc()
                 finally:
                     os._exit(status)
-            os.close(write)
-            workers[pid] = read
+            workers[pid] = tables[w - 1]
         tree_values(spec, d, range(0, T, W), subsets, X, target_idx, V, rows)
-        for pid, read in list(workers.items()):
-            with open(read, "rb", closefd=False) as f:
-                table = f.read()
+        for pid, table in list(workers.items()):
             status = os.waitpid(pid, 0)[1]
-            os.close(workers.pop(pid))
-            if status or len(table) != 8 * math.prod(shape):
+            del workers[pid]
+            if status or table[-1] != 1:
                 raise RuntimeError(f"tree worker {pid} failed: wait status {status}, "
-                                   f"{len(table)} bytes for a {shape} float64 table")
-            for r, values in zip(rows, np.frombuffer(table).reshape(shape)):
+                                   f"completion mark {table[-1]}")
+            for r, values in zip(rows, table[:-1].reshape(shape)):
                 V[r] += values
     finally:
         if workers:
             from signal import SIGKILL  # here, not at import: most runs fork no worker
-        for pid, read in workers.items():
-            os.close(read)
+        for pid in workers:
             with suppress(OSError):
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)

@@ -403,7 +403,7 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
 
 def tree_values(spec: ModelSpec, d: Dataset, trees, subsets: list[AttributeSubset],
                 X: np.ndarray, target_idx: list[int], out: np.ndarray, rows) -> None:
-    """Add each tree t of ``trees`` (a tree index, or several) of the model on each
+    """Add each tree t of ``trees`` (a sequence of tree indices) of the model on each
     of ``subsets`` (none empty, ``spec`` not the prior baseline) at the rows of X to
     ``out``: subset i adds its confidence for class ``target_idx[r]`` at row r, a
     forest tree's vote (1 or 0) or a decision tree's class frequency, to ``out[rows[i],
@@ -415,8 +415,7 @@ def tree_values(spec: ModelSpec, d: Dataset, trees, subsets: list[AttributeSubse
     def write(subs, ex, leaves):  # np.add.at: two trees may reach one (subset, row) in a round
         np.add.at(out, (rows[subs], ex), leaves[np.arange(len(ex)), tidx[ex]])
 
-    for _ in _passes(spec, d, [trees] if isinstance(trees, int) else trees,
-                     [s.indices() for s in subsets], X, write):
+    for _ in _passes(spec, d, trees, [s.indices() for s in subsets], X, write):
         pass
 
 

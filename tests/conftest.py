@@ -11,9 +11,14 @@ def dataset_from(features, labels, names=None, class_set=(), name="test"):
     return Dataset(tuple(names), features, tuple(labels), tuple(class_set), name=name)
 
 
+def coalition_from(sets, n):
+    """The coalition over n attributes of the groups given as index lists."""
+    return Coalition(tuple(AttributeSubset.from_indices(s, n) for s in sets), n)
+
+
 def singletons(n):
     """The coalition of n one-attribute groups: its influence is depth-1 influence."""
-    return Coalition.from_index_sets([[i] for i in range(n)], n)
+    return coalition_from([[i] for i in range(n)], n)
 
 
 def full_group(n):

@@ -13,7 +13,6 @@ import pytest
 
 from coalex import (
     AttributeSubset,
-    Coalition,
     ModelSpec,
     SubsetModelCache,
     closure,
@@ -27,12 +26,13 @@ from coalex import (
     kdepth_influence,
     make_synthetic_dataset,
     predicted_classes,
-    shapley_penalty,
     subset_eval,
 )
 from coalex.grouping import vif_all
+from coalex.influence import coalitional_plan, complete_plan, kdepth_plan
 
-from conftest import class_prior, dataset_from, full_group, index_sets, singletons
+from conftest import (class_prior, coalition_from, dataset_from, full_group, index_sets,
+                      singletons)
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=3, seed=0)
 
@@ -111,16 +111,19 @@ def test_criterion_2_shapley_efficiency(equivalence_suite):
 
 
 def test_criterion_3_penalty_normalization():
+    kdepth = [kdepth_plan(n, k) for n in range(1, 9) for k in range(1, n)]
+    plans = [complete_plan(n) for n in range(1, 13)] + kdepth
+    plans.append(coalitional_plan(coalition_from([[0, 1, 2], [2, 3], [3, 4, 5], [1, 5]], 6)))
     worst = 0.0
-    for n in range(1, 13):
-        others = list(range(n - 1))
-        total = 0.0
-        for r in range(n):
-            for sub in combinations(others, r):
-                total += shapley_penalty(len(sub), n)
-        worst = max(worst, abs(total - 1.0))
-    report(3, worst <= 1e-12, f"(max |sum - 1| = {worst:.2e} for n <= 12, "
-                              f"brute-force subset sums)")
+    for plan in plans:
+        for _, _, weights in plan.terms:  # one attribute's weights, one per subset it sums
+            total = 0.0
+            for w in weights.tolist():
+                total += w
+            worst = max(worst, abs(total - 1.0))
+    report(3, worst <= 1e-12, f"(max |sum - 1| = {worst:.2e} over each attribute's weights in "
+                              f"complete plans n <= 12, {len(kdepth)} k-depth plans "
+                              f"n <= 8 and an overlapping coalitional plan)")
 
 
 def brute_force_closure_count(groups, n):
@@ -137,7 +140,7 @@ def test_criterion_4_complexity_numbers():
     singles = len(closure(singletons(7)))
     full = len(closure(full_group(7)))
     overlap_groups = [{0, 1, 2}, {1, 2, 3}]
-    overlap = len(closure(Coalition.from_index_sets(overlap_groups, 4)))
+    overlap = len(closure(coalition_from(overlap_groups, 4)))
     oracle = brute_force_closure_count(overlap_groups, 4)
     # The independent brute-force enumeration gives 11 for the two overlapping
     # triples (7 + 7 subsets with the 3 subsets of the shared pair deduplicated);
@@ -161,6 +164,19 @@ def collector_paused():
             gc.enable()
 
 
+def timed(work) -> float:
+    """Seconds ``work()`` takes with the collector paused."""
+    with collector_paused():
+        t0 = time.perf_counter()
+        work()
+        return time.perf_counter() - t0
+
+
+# Interleaved repetitions of each timed span: a pause on a shared host moves one of them,
+# not the median.
+WALLCLOCK_REPETITIONS = 5
+
+
 def test_criterion_5_training_economy_and_wallclock():
     proportions = (0.10, 0.25, 0.50)
     converged_runs = 0
@@ -171,19 +187,12 @@ def test_criterion_5_training_economy_and_wallclock():
     for seed in (2, 3, 4):
         d = make_synthetic_dataset(9, 100, seed=seed)
         m = d.n_instances
-        with collector_paused():
-            t0 = time.perf_counter()
-            oracle_cache = SubsetModelCache(SPEC, d)
-            targets = [v.target for v in complete_influence(oracle_cache, range(m))]
-            t_complete = time.perf_counter() - t0
+        targets = [v.target for v in complete_influence(SubsetModelCache(SPEC, d), range(m))]
         for p in proportions:
             total_runs += 1
             cache = SubsetModelCache(SPEC, d)
-            with collector_paused():
-                t0 = time.perf_counter()
-                search = find_threshold("spearman", d, p)
-                coalitional_influence(cache, range(m), search.coalition, targets)
-                span = time.perf_counter() - t0
+            search = find_threshold("spearman", d, p)
+            coalitional_influence(cache, range(m), search.coalition, targets)
             trainings = cache.training_count
             if search.converged:
                 converged_runs += 1
@@ -191,13 +200,21 @@ def test_criterion_5_training_economy_and_wallclock():
                     bound_ok = False
                     details.append(f"{d.name}@{p}: {trainings} trainings over bound")
             if p == 0.25 and search.converged:
-                ratio = span / t_complete
+                complete, coalitional = [], []
+                for _ in range(WALLCLOCK_REPETITIONS):  # each span on a fresh cache
+                    complete.append(timed(lambda: complete_influence(
+                        SubsetModelCache(SPEC, d), range(m))))
+                    coalitional.append(timed(lambda: coalitional_influence(
+                        SubsetModelCache(SPEC, d), range(m),
+                        find_threshold("spearman", d, p).coalition, targets)))
+                ratio = float(np.median(coalitional) / np.median(complete))
                 details.append(f"{d.name}: 25% ratio {ratio:.2f}")
                 if ratio > 0.6:
                     wallclock_ok = False
     enough_converged = converged_runs >= total_runs / 2
     ok = bound_ok and wallclock_ok and enough_converged
     report(5, ok, f"({converged_runs}/{total_runs} bisections converged; "
+                  f"median of {WALLCLOCK_REPETITIONS} interleaved spans each; "
                   f"{'; '.join(details)})")
 
 

@@ -732,6 +732,37 @@ class TestConfigPrecedence:
                                       "--target", "y", "--method", "complete"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, config, code, message", [
+        (["explain", "--config", "missing.json"], None, 2, "config file not found"),
+        (["explain", "--config", "run.json"], [1, 2], 2, "must hold a JSON object"),
+        (["benchmark", "--target", "y", "--methods", ","], None, 2, "no methods given"),
+        (["explain", "--target", "y", "--trees", "0"], None, 2, "tree_count must be >= 1"),
+        (["explain", "--target", "y", "--instances", "a,b"], None, 2, "bad --instances value"),
+        (["explain", "--config", "run.json"], {"target": 9}, 3,
+         "target column index 9 out of range"),
+    ], ids=["missing-config", "config-not-an-object", "no-methods", "no-trees",
+            "instances-not-numbers", "target-index-out-of-range"])
+    def test_bad_external_input_exits_with_its_code(self, runner, small_csv, tmp_path,
+                                                    monkeypatch, args, config, code, message):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+        result = runner.invoke(main, [args[0], str(small_csv), *args[1:]])
+        assert result.exit_code == code
+        assert message in result.output
+
+    def test_blank_line_and_column_index_target_run(self, runner, small_csv, tmp_path):
+        lines = small_csv.read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join(lines[:10] + [""] + lines[10:]) + "\n")
+        for data, target in ((blank, "y"), (small_csv, "3")):  # column 3 is y
+            result = runner.invoke(main, ["explain", str(data), "--target", target,
+                                          "--model", "dt", "--instances", "all"])
+            assert result.exit_code == 0, result.output
+            influences = json.loads(result.output)["influences"]
+            assert len(influences) == 30
+            assert set(influences[0]["influences"]) == {"a", "b", "c"}
+
     def test_seed_determinism_across_commands(self, runner, small_csv):
         args = ["explain", str(small_csv), "--target", "y", "--model", "rf",
                 "--trees", "10", "--method", "kdepth", "--k", "1",

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from coalex import (
     AttributeSubset,
-    Coalition,
     ComplexityReport,
     ModelSpec,
     SubsetModelCache,
@@ -23,7 +22,7 @@ import coalex.grouping
 from coalex.complexity import BISECTION_EPS, BISECTION_MAX_PROBES, BISECTION_TOL
 from coalex.grouping import GROUPING_METHODS
 
-from conftest import dataset_from, full_group, members, singletons
+from conftest import coalition_from, dataset_from, full_group, members, singletons
 
 
 def masks_of(subsets):
@@ -54,7 +53,7 @@ class TestClosure:
         # brute-force enumeration of both power sets plus singletons, dedup
         groups = [{0, 1, 2}, {1, 2, 3}]
         oracle = brute_force_closure(groups, 4)
-        G = Coalition.from_index_sets(groups, 4)
+        G = coalition_from(groups, 4)
         got = closure(G)
         assert members(got, 4) == masks_of(oracle)
         assert len(got) == len(oracle) == 11
@@ -74,7 +73,7 @@ class TestClosure:
                     min_size=1, max_size=5))
     def test_invariant_under_normalization(self, groups):
         n = 6
-        pre = Coalition.from_index_sets(groups, n)
+        pre = coalition_from(groups, n)
         post = normalize(groups, n)
         # containment removal never changes the subset union; normalization may
         # only add singletons, all of which closure includes anyway
@@ -83,13 +82,13 @@ class TestClosure:
         assert members(closure(post), n) == want
 
     def test_lower_bounds(self):
-        G = Coalition.from_index_sets([[0, 1, 2, 3], [4]], 6)
+        G = coalition_from([[0, 1, 2, 3], [4]], 6)
         c = closure(G)
         assert len(c) >= 6
         assert len(c) >= 2 ** 4 - 1
 
     def test_contains_and_len(self):
-        G = Coalition.from_index_sets([[0, 1]], 2)
+        G = coalition_from([[0, 1]], 2)
         c = closure(G)
         assert AttributeSubset.from_indices([0, 1], 2).mask in c
         assert len(c) == 3 and members(c, 2) == {0b01, 0b10, 0b11}
@@ -98,7 +97,7 @@ class TestClosure:
     def test_all_but_one_attribute_groups(self, n):
         # n groups of n - 1 attributes: every subset but the full set, counted by
         # the nested inclusion-exclusion that each further group deepens
-        G = Coalition.from_index_sets([[j for j in range(n) if j != i] for i in range(n)], n)
+        G = coalition_from([[j for j in range(n) if j != i] for i in range(n)], n)
         assert len(closure(G)) == 2 ** n - 2
         assert (1 << n) - 1 not in closure(G) and (1 << n) - 2 in closure(G)
 
@@ -115,7 +114,7 @@ class TestClosureView:
     def test_matches_brute_force(self, case):
         n, groups = case
         groups = groups + groups[:1]  # a duplicate group, when there is one
-        c = closure(Coalition.from_index_sets(groups, n))
+        c = closure(coalition_from(groups, n))
         oracle = masks_of(brute_force_closure(groups, n))
         assert len(c) == len(oracle)
         assert members(c, n) == oracle
@@ -126,7 +125,7 @@ class TestClosureView:
                   range(18, 30),        # B overlaps A in 18..21
                   [0, 25, 30, 31, 32],  # C meets A in {0} and B in {25}
                   [1, 2], [5], [34]]    # contained in A, and singletons
-        G = Coalition.from_index_sets(groups, n)
+        G = coalition_from(groups, n)
         # |D(A)| + |D(B) \ D(A)| + |D(C) \ (D(A) u D(B))| + the 7 uncovered attributes 33..39
         want = (2 ** 22 - 1) + (2 ** 12 - 2 ** 4) + (2 ** 5 - 1 - 2) + 7
 
@@ -159,7 +158,7 @@ class TestProportion:
 
 class TestComplexityReport:
     def test_fields(self):
-        G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
+        G = coalition_from([[0, 1, 2], [3]], 4)
         r = ComplexityReport.from_coalition(G)
         assert r.closure_size == 8  # 7 subsets of the triple + {3}
         assert r.complete_size == 15
@@ -174,7 +173,7 @@ class TestComplexityReport:
         ([[0, 1, 2], [1, 2, 3]], 4, 2, 3.0),
     ], ids=["singletons", "triple_plus_singleton", "two_triples"])
     def test_group_stats(self, index_sets, n, group_count, mean_group_size):
-        r = ComplexityReport.from_coalition(Coalition.from_index_sets(index_sets, n))
+        r = ComplexityReport.from_coalition(coalition_from(index_sets, n))
         assert (r.group_count, r.mean_group_size) == (group_count, mean_group_size)
 
 

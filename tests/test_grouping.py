@@ -35,7 +35,7 @@ from coalex.grouping import (
 )
 from coalex.model import TrainedModelHandle
 
-from conftest import dataset_from, index_sets, members
+from conftest import coalition_from, dataset_from, index_sets, members
 
 
 def binary_labels(m, rng):
@@ -390,9 +390,9 @@ class TestNormalize:
 
     def test_closure_invariant_under_normalization(self):
         raw = [{0, 1}, {0, 1, 2}, {3}, {2, 3}]
-        pre = Coalition.from_index_sets(raw, 5)
+        pre = coalition_from(raw, 5)
         post = normalize(raw, 5)
-        completed = closure(Coalition.from_index_sets(raw + [[4]], 5))
+        completed = closure(coalition_from(raw + [[4]], 5))
         normalized = closure(normalize(raw + [[4]], 5))
         assert members(completed, 5) == members(normalized, 5)
         assert len(completed) == len(normalized)
@@ -674,7 +674,7 @@ class TestModelBasedGrouping:
 
 class TestCoalitionType:
     def test_canonical_order_and_dedup(self):
-        G = Coalition.from_index_sets([[2, 1], [0], [1, 2]], 3)
+        G = coalition_from([[2, 1], [0], [1, 2]], 3)
         assert index_sets(G) == [(0,), (1, 2)]
 
     def test_rejects_empty_group(self):
@@ -682,11 +682,11 @@ class TestCoalitionType:
             Coalition((AttributeSubset(0, 3),), 3)
 
     def test_groups_containing(self):
-        G = Coalition.from_index_sets([[0, 1], [1, 2], [3]], 4)
+        G = coalition_from([[0, 1], [1, 2], [3]], 4)
         assert [g.indices() for g in G.groups_containing(1)] == [(0, 1), (1, 2)]
 
     def test_json_with_names(self):
         d = dataset_from([[0.0, 1.0, 2.0]], ["p"], names=("x", "y", "z"))
-        G = Coalition.from_index_sets([[0, 2], [1]], 3)
+        G = coalition_from([[0, 2], [1]], 3)
         doc = G.to_json(d, method="spearman")
         assert doc == {"groups": [["x", "z"], ["y"]], "method": "spearman"}

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from coalex import (
     AttributeSubset,
-    Coalition,
     ComplexityCapError,
     DataError,
     InfluenceVector,
@@ -28,7 +27,6 @@ from coalex import (
     kdepth_influence,
     kdepth_penalty,
     predicted_classes,
-    shapley_penalty,
     subset_eval,
 )
 import coalex.influence
@@ -36,7 +34,7 @@ from coalex.dataset import ClassTarget
 from coalex.evaluation import method_influence, run_benchmark
 from coalex.influence import coalitional_plan, complete_plan, kdepth_plan
 
-from conftest import class_prior, dataset_from, full_group, singletons
+from conftest import class_prior, coalition_from, dataset_from, full_group, singletons
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=2, seed=0)
 
@@ -48,38 +46,34 @@ def nonempty_and_empty_subsets(items):
 
 class TestPenalties:
     def test_shapley_closed_forms(self):
-        assert shapley_penalty(0, 1) == 1.0
-        assert shapley_penalty(1, 3) == pytest.approx(1 / 6, abs=0)
-        assert shapley_penalty(0, 2) == 0.5
+        # the Shapley weight is the depth-n weight: n (n-1)! = n!
+        assert kdepth_penalty(0, 1, 1) == 1.0
+        assert kdepth_penalty(1, 3, 3) == pytest.approx(1 / 6, abs=0)
+        assert kdepth_penalty(0, 2, 2) == 0.5
 
     def test_shapley_matches_fraction_oracle(self):
         for n in range(1, 41):
             for s in range(n):
                 oracle = Fraction(math.factorial(s) * math.factorial(n - s - 1),
                                   math.factorial(n))
-                assert shapley_penalty(s, n) == float(oracle)
+                assert kdepth_penalty(s, n, n) == float(oracle)
 
     def test_shapley_normalizes_over_subsets(self):
         # brute-force sum over all subsets of the other n-1 attributes
         for n in range(1, 11):
-            total = sum(shapley_penalty(len(sub), n)
+            total = sum(kdepth_penalty(len(sub), n, n)
                         for sub in nonempty_and_empty_subsets(range(n - 1)))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_shapley_range_errors(self):
         for bad in ((-1, 3), (3, 3), (0, 0)):
             with pytest.raises(ValueError):
-                shapley_penalty(*bad)
+                kdepth_penalty(*bad, bad[1])
 
     def test_kdepth_closed_forms(self):
         for n in (1, 2, 5, 9):
             assert kdepth_penalty(0, n, 1) == 1.0
         assert kdepth_penalty(1, 4, 2) == pytest.approx(1 / 6, abs=0)
-
-    def test_kdepth_equals_shapley_at_full_depth(self):
-        for n in range(1, 41):
-            for s in range(n):
-                assert kdepth_penalty(s, n, n) == shapley_penalty(s, n)
 
     def test_kdepth_range_errors(self):
         for bad in ((2, 4, 2), (0, 4, 5), (0, 4, 0)):
@@ -93,7 +87,7 @@ class TestPenalties:
     def test_coalition_reduces_to_shapley_for_full_group(self):
         for n in range(1, 41):
             for s in range(n):
-                assert coalition_penalty(s, n, [n]) == shapley_penalty(s, n)
+                assert coalition_penalty(s, n, [n]) == kdepth_penalty(s, n, n)
 
     def test_coalition_range_errors(self):
         with pytest.raises(ValueError):
@@ -105,7 +99,7 @@ class TestPenalties:
 
     def test_large_n_log_space_close_to_exact(self):
         # past the complete-influence cap the weight is still the exact ratio, rounded once
-        got = shapley_penalty(10, 25)
+        got = kdepth_penalty(10, 25, 25)
         oracle = Fraction(math.factorial(10) * math.factorial(14), math.factorial(25))
         assert got == float(oracle)
 
@@ -324,7 +318,7 @@ class TestCoalitionalInfluence:
         d = dataset_from(X, labels, name="abc-d")
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
-        G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
+        G = coalition_from([[0, 1, 2], [3]], 4)
         v = coalitional_influence(cache, [2], G, [target])[0]
         # the cache is fresh and the target given, so it trained exactly the touched subsets
         touched = {AttributeSubset(mask, 4).indices() for mask in range(16)
@@ -343,7 +337,7 @@ class TestCoalitionalInfluence:
         d = dataset_from(X, labels, name="overlap")
         cache = SubsetModelCache(SPEC, d)
         target = d.class_target(1)
-        G = Coalition.from_index_sets([[0, 1], [1, 2]], 3)
+        G = coalition_from([[0, 1], [1, 2]], 3)
         got = coalitional_influence(cache, [7], G, [target])[0]
 
         def ev(idx):
@@ -361,7 +355,7 @@ class TestCoalitionalInfluence:
 
     def test_coverage_enforced(self, blob_dataset):
         cache = SubsetModelCache(SPEC, blob_dataset)
-        G = Coalition.from_index_sets([[0, 1]], 3)
+        G = coalition_from([[0, 1]], 3)
         with pytest.raises(ValueError, match="cover"):
             coalitional_influence(cache, [0], G)
 
@@ -466,7 +460,7 @@ class TestPlans:
     def test_full_depth_is_complete(self, n):
         # complete_plan is kdepth_plan(n, n); the plan of the Shapley weights must be the same
         others = [[j for j in range(n) if j != i] for i in range(n)]
-        shapley = [shapley_penalty(s, n) for s in range(n)]
+        shapley = [kdepth_penalty(s, n, n) for s in range(n)]
         assert_same_plan(coalex.influence._plan([[(others[i], shapley)] for i in range(n)]),
                          complete_plan(n))
 
@@ -481,12 +475,12 @@ class TestPlans:
     def test_masks_are_the_touched_subsets(self):
         assert complete_plan(3).masks == list(range(8))
         assert kdepth_plan(3, 2).masks == [0, 1, 2, 3, 4, 5, 6]
-        G = Coalition.from_index_sets([[0, 1, 2], [3]], 4)
+        G = coalition_from([[0, 1, 2], [3]], 4)
         assert coalitional_plan(G).masks == [0, 1, 2, 3, 4, 5, 6, 7, 8]
         # attribute 3 sits alone: one term, {3} (row 8) against the prior (row 0)
         with_3, without_3, weights_3 = coalitional_plan(G).terms[3]
         assert (list(with_3), list(without_3), list(weights_3)) == ([8], [0], [1.0])
-        G = Coalition.from_index_sets([[0, 2], [1]], 3)
+        G = coalition_from([[0, 2], [1]], 3)
         assert coalitional_plan(G).masks == [0, 1, 2, 4, 5]
         assert [list(rows) for rows in coalitional_plan(G).terms[2][:2]] == [[3, 4], [0, 1]]
 
@@ -495,7 +489,7 @@ class TestPlans:
         plan = kdepth_plan(70, 1)
         assert plan.masks == [0] + [1 << i for i in range(70)]
         assert [list(t[0]) for t in plan.terms] == [[i + 1] for i in range(70)]
-        G = Coalition.from_index_sets([[i, i + 1] for i in range(0, 70, 2)], 70)
+        G = coalition_from([[i, i + 1] for i in range(0, 70, 2)], 70)
         assert coalitional_plan(G).masks[-1] == 3 << 68
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -539,7 +533,7 @@ class TestBatching:
     @staticmethod
     def methods():
         """The three influence functions, on a three-attribute dataset."""
-        G = Coalition.from_index_sets([[0, 1], [1, 2]], 3)
+        G = coalition_from([[0, 1], [1, 2]], 3)
         return [lambda c, i, t: complete_influence(c, i, t),
                 lambda c, i, t: kdepth_influence(c, i, 2, t),
                 lambda c, i, t: coalitional_influence(c, i, G, t)]
@@ -609,7 +603,7 @@ class TestBatching:
         X = rng.normal(size=(30, 70))
         d = dataset_from(X, ["hi" if x > 0 else "lo" for x in X[:, 5]])
         cache = SubsetModelCache(SPEC, d)
-        G = Coalition.from_index_sets([[i, i + 1] for i in range(0, 70, 2)], 70)
+        G = coalition_from([[i, i + 1] for i in range(0, 70, 2)], 70)
         for v in kdepth_influence(cache, [0, 1], 1) + coalitional_influence(cache, [0, 1], G):
             assert len(v) == 70 and v.values[5] != 0.0
         assert cache.training_count == 1 + 70 + 35 + 1  # and the full model's predictions
@@ -778,7 +772,7 @@ class TestTreePool:
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_is_refused(self, blob_dataset, forks, jobs):
         cache = SubsetModelCache(self.SPEC, blob_dataset)
-        G = Coalition.from_index_sets([[0, 1], [2]], 3)
+        G = coalition_from([[0, 1], [2]], 3)
         for influence in (lambda: complete_influence(cache, [0], jobs=jobs),
                           lambda: kdepth_influence(cache, [0], 2, jobs=jobs),
                           lambda: coalitional_influence(cache, [0], G, jobs=jobs)):
@@ -831,6 +825,27 @@ class TestTreePool:
         cpus.assert_unbound()
         if failure == "raises":  # the worker's own error reaches stderr
             assert "worker fault" in capfd.readouterr().err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_refused_fork_leaks_no_descriptor_and_reaps_the_first_worker(
+            self, blob_dataset, forks, monkeypatch, cpus):
+        recording = os.fork
+
+        def second_refused():
+            if forks:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return recording()
+
+        monkeypatch.setattr(os, "fork", second_refused)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        cache = SubsetModelCache(self.SPEC, blob_dataset)
+        with pytest.raises(OSError, match="fork refused"):
+            complete_influence(cache, [0, 1], [blob_dataset.class_target("hi")] * 2, jobs=3)
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+        assert cache.training_count == 0
+        cpus.assert_unbound()
 
     def test_no_worker_off_the_only_thread_or_without_fork(self, blob_dataset, forks,
                                                            monkeypatch, cpus):

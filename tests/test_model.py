@@ -331,7 +331,7 @@ class TestSplitMemo:
             memos.clear()
             built.clear()
             searched.clear()
-            tree_values(spec, d, t, subsets, d.features, [0] * d.n_instances,
+            tree_values(spec, d, [t], subsets, d.features, [0] * d.n_instances,
                         np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
             [memo] = memos
             tables = memo.tables
@@ -425,7 +425,7 @@ class TestEarlyStop:
             memos.clear()
             searched.clear()
             for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
-                tree_values(spec, d, t, subsets, X[rows], [idx[r] for r in rows], out,
+                tree_values(spec, d, [t], subsets, X[rows], [idx[r] for r in rows], out,
                             range(len(subsets)))
             return out, sum(searched)
 
@@ -463,7 +463,7 @@ class TestRounds:
         nodes = train(spec, d, AttributeSubset.full(5))._feature
         assert 0 < len(rounds) <= depth < len(nodes)
         rounds.clear()
-        tree_values(spec, d, 0, subsets, d.features, [0] * d.n_instances,
+        tree_values(spec, d, [0], subsets, d.features, [0] * d.n_instances,
                     np.zeros((len(subsets), d.n_instances)), range(len(subsets)))
         assert 0 < len(rounds) <= depth
 
@@ -543,7 +543,7 @@ def model_digest(spec, d):
     for X, target in ((d.features, idx), (d.features[:3], idx[:3])):
         out = np.zeros((len(subsets), len(X)))
         for t in range(spec.tree_count if spec.kind == "random_forest" else 1):
-            tree_values(spec, d, t, subsets, X, target, out, range(len(subsets)))
+            tree_values(spec, d, [t], subsets, X, target, out, range(len(subsets)))
         digest.update(out.tobytes())
     return digest.hexdigest()
 
@@ -593,7 +593,7 @@ class TestTreeValues:
         def table(trees, order=subsets, rows=range(len(subsets))):
             out = np.zeros((len(subsets), d.n_instances))
             for t in trees:
-                tree_values(spec, d, t, order, d.features, idx, out, rows)
+                tree_values(spec, d, [t], order, d.features, idx, out, rows)
             return out
 
         counts = sum(table(range(w, T, stride)) for w in range(stride))
@@ -617,5 +617,5 @@ class TestTreeValues:
             return out
 
         together = table([range(6)])
-        assert (together == table(range(6))).all()
+        assert (together == table([t] for t in range(6))).all()
         assert together.max() > 1

@@ -30,14 +30,14 @@ def test_every_exported_name_resolves():
 
 
 def test_export_budget():
-    assert len(coalex.__all__) <= 38
+    assert len(coalex.__all__) <= 37
 
 
 def test_source_budget():
     # Raise this bound only together with the change that needs the lines.
     lines = sum(len(p.read_text(encoding="utf-8").splitlines())
                 for p in (ROOT / "src" / "coalex").glob("*.py"))
-    assert lines <= 2553
+    assert lines <= 2539
 
 
 @pytest.mark.parametrize("module, attr",
