@@ -37,11 +37,9 @@ from .grouping import (
 )
 from .influence import (
     InfluenceVector,
-    coalition_penalty,
     coalitional_influence,
     complete_influence,
     kdepth_influence,
-    kdepth_penalty,
     predicted_classes,
     subset_eval,
 )
@@ -52,11 +50,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributeSubset", "Coalition", "ComplexityCapError", "ComplexityReport", "ConfigError",
     "DataError", "Dataset", "InfluenceVector", "MethodConfig", "ModelSpec",
-    "SubsetModelCache", "closure", "coalition_penalty", "coalitional_influence",
-    "complete_influence", "complexity_proportion", "error_score", "find_threshold",
-    "group_model_based", "group_pca", "group_rev_spearman", "group_rev_vif",
-    "group_spearman", "group_vif", "influence_distance", "kdepth_influence",
-    "kdepth_penalty", "load_csv", "make_synthetic_dataset", "make_synthetic_suite",
-    "normalize", "predicted_classes", "run_benchmark", "subset_eval", "train",
-    "write_benchmark_csv", "write_benchmark_json",
+    "SubsetModelCache", "closure", "coalitional_influence", "complete_influence",
+    "complexity_proportion", "error_score", "find_threshold", "group_model_based",
+    "group_pca", "group_rev_spearman", "group_rev_vif", "group_spearman", "group_vif",
+    "influence_distance", "kdepth_influence", "load_csv", "make_synthetic_dataset",
+    "make_synthetic_suite", "normalize", "predicted_classes", "run_benchmark", "subset_eval",
+    "train", "write_benchmark_csv", "write_benchmark_json",
 ]

@@ -47,9 +47,6 @@ class Coalition:
         ordered = tuple(sorted(set(self.groups), key=lambda g: g.indices()))
         object.__setattr__(self, "groups", ordered)
 
-    def groups_containing(self, index: int) -> tuple[AttributeSubset, ...]:
-        return tuple(g for g in self.groups if g.mask >> index & 1)
-
     def to_json(self, d: Dataset, method: str) -> dict:
         """The groups by attribute name, and the grouping method that built them."""
         return {"groups": [[d.attribute_names[i] for i in g.indices()] for g in self.groups],

@@ -2,17 +2,18 @@
 
 For an instance x and a target class c, the value of an attribute subset S
 is v(S), the confidence for c at x of the model retrained on S (the class
-prior when S is empty).  The influence of attribute i sums weighted
-differences v(S + i) - v(S) over subsets S of the other attributes:
+prior when S is empty).  All three methods follow one rule over attribute groups
+and a depth: for each group g holding attribute i and each subset S of g - i of
+fewer than depth attributes, i's influence adds |S|! (|g|-|S|-1)! / D_i times
+v(S + i) - v(S), where D_i sums min(depth, |h|) (|h|-1)! over the groups h holding i.
 
-* complete      -- all of them, Shapley-weighted; exact but 2^n subset models.
-* k-depth       -- those smaller than k, with renormalized weights; depth 1
-                   is the linear influence (marginal vs the prior).
-* coalitional   -- those inside the attribute's groups, weighted by the
-                   factorial mass of those groups.
+* complete      -- the full group at depth n: Shapley weights, 2^n subset models.
+* k-depth       -- the full group at depth k, D_i = k (n-1)!; depth 1 is the
+                   linear influence (marginal vs the prior).
+* coalitional   -- the coalition's groups at depth n, D_i = the sum of |h|!.
 
-Each weight is one integer ratio |S|! (m-|S|-1)! / D, which Python rounds once:
-it is exact (the nearest float) at every n.
+Each weight is one integer ratio, which Python rounds once: it is exact (the
+nearest float) at every n.
 
 Each method is a :class:`Plan`, its weight matrix W in sparse form.  The
 value table V[mask, instance] is filled in one pass over all instances.  The
@@ -79,23 +80,6 @@ class InfluenceVector:
         }
 
 
-def kdepth_penalty(sub_size: int, n: int, k: int) -> float:
-    """Depth-k weight |A'|! (n-|A'|-1)! / (k (n-1)!); requires |A'| < k <= n."""
-    if n < 1 or k < 1 or k > n or not 0 <= sub_size < k:
-        raise ValueError(f"invalid penalty arguments sub_size={sub_size}, n={n}, k={k}")
-    return factorial(sub_size) * factorial(n - sub_size - 1) / (k * factorial(n - 1))
-
-
-def coalition_penalty(sub_size: int, group_size: int, groups_of_attr: Sequence[int]) -> float:
-    """Coalition weight |g'|! (|g|-|g'|-1)! / sum over the attribute's groups of |g|!."""
-    if group_size < 1 or not 0 <= sub_size <= group_size - 1:
-        raise ValueError(f"invalid penalty arguments sub_size={sub_size}, group_size={group_size}")
-    if not groups_of_attr or group_size not in groups_of_attr:
-        raise ValueError("groups_of_attr must be non-empty and contain group_size")
-    return (factorial(sub_size) * factorial(group_size - sub_size - 1)
-            / sum(factorial(g) for g in groups_of_attr))
-
-
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A method's weight matrix W in sparse form: ``masks``, the distinct subset masks it
@@ -122,18 +106,26 @@ class Plan:
         return out
 
 
-def _plan(terms) -> Plan:
-    """The plan of ``terms[i]``, (others, weights) pairs for attribute i: each subset s of
-    ``others`` smaller than ``len(weights)`` adds ``weights[|s|] * (v(s + i) - v(s))``."""
+def _weight(sub_size: int, group_size: int, denominator: int) -> float:
+    """|s|! (|g|-|s|-1)! / D: one integer ratio, rounded once."""
+    return factorial(sub_size) * factorial(group_size - sub_size - 1) / denominator
+
+
+def _plan(groups: Sequence[int], n: int, depth: int) -> Plan:
+    """The plan of ``groups``, masks over n attributes, at ``depth``, by the one rule of the
+    module docstring; each attribute's terms run over its groups in order, by subset size."""
     def without(i):  # (mask of s, weight) in term order
-        for others, w in terms[i]:
-            for mask in subsets_by_size(others, len(w) - 1):
+        mine = [(g, g.bit_count()) for g in groups if g >> i & 1]
+        D = sum(min(depth, size) * factorial(size - 1) for _, size in mine)
+        for g, size in mine:
+            w = [_weight(s, size, D) for s in range(min(depth, size))]
+            for mask in subsets_by_size([j for j in range(n) if j != i and g >> j & 1], depth - 1):
                 yield mask, w[mask.bit_count()]
 
-    masks = sorted({m for i in range(len(terms)) for s, _ in without(i) for m in (s, s | 1 << i)})
+    masks = sorted({m for i in range(n) for s, _ in without(i) for m in (s, s | 1 << i)})
     row = {m: r for r, m in enumerate(masks)}
     plan_terms = []
-    for i in range(len(terms)):
+    for i in range(n):
         subs, weights = zip(*without(i))
         plan_terms.append((np.array([row[s | 1 << i] for s in subs], dtype=np.int32),
                            np.array([row[s] for s in subs], dtype=np.int32),
@@ -147,30 +139,29 @@ def complete_plan(n: int) -> Plan:
 
 
 def kdepth_plan(n: int, k: int) -> Plan:
-    """Subsets of fewer than k other attributes, with depth-k weights."""
+    """Subsets of fewer than k other attributes: the full group at depth k, D_i = k (n-1)!."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    weights = [kdepth_penalty(s, n, k) for s in range(k)]
-    return _plan([[([j for j in range(n) if j != i], weights)] for i in range(n)])
+    return _plan([(1 << n) - 1], n, k)
 
 
 def coalitional_plan(coalition: Coalition) -> Plan:
-    """One term list per group holding the attribute, overlapping groups included."""
-    groups_of = [coalition.groups_containing(i) for i in range(coalition.n)]
-    missing = [i for i, groups_i in enumerate(groups_of) if not groups_i]
+    """Subsets inside each group holding the attribute, overlapping groups included: the
+    groups at depth n, D_i = the sum of |h|! over the groups h holding i."""
+    missing = [i for i in range(coalition.n) if not any(g.mask >> i & 1 for g in coalition.groups)]
     if missing:
         raise ValueError(f"coalition does not cover attributes {missing}")
-    return _plan([
-        [([j for j in g.indices() if j != i],
-          [coalition_penalty(s, g.size, [h.size for h in groups_i]) for s in range(g.size)])
-         for g in groups_i]
-        for i, groups_i in enumerate(groups_of)])
+    return _plan([g.mask for g in coalition.groups], coalition.n, coalition.n)
 
 
 def subset_eval(cache: SubsetModelCache, s: AttributeSubset, X: np.ndarray,
                 target_idx) -> np.ndarray:
     """One value-table row: at each row r of X, the confidence for class index
     ``target_idx[r]`` of the model trained on s (the class prior when s is empty)."""
+    idx, n_classes = np.asarray(target_idx), cache.dataset.n_classes
+    outside = (idx < 0) | (idx >= n_classes)
+    if outside.any():
+        raise ValueError(f"class index {idx[outside][0]} outside [0, {n_classes})")
     conf = cache.get_or_train(s).confidences(X)
     if len(target_idx) != len(conf):
         raise ValueError(f"{len(target_idx)} target classes for {len(conf)} rows")
@@ -268,15 +259,15 @@ def _influence(cache: SubsetModelCache, instances: Sequence[int],
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     d, spec = cache.dataset, cache.spec
     X = np.array([d.instance(i) for i in instances]).reshape(-1, d.n_attributes)
-    if len(X) == 0:
-        return []
-    if targets is None:
-        targets = predicted_classes(cache, instances)
+    if targets is None:  # an empty call trains no full model
+        targets = predicted_classes(cache, instances) if len(X) else []
     elif len(targets) != len(X):
         raise ValueError(f"{len(targets)} targets for {len(X)} instances")
     for c in set(targets):
         if not 0 <= c.index < d.n_classes or d.class_set[c.index] != c.class_id:
             raise DataError(f"class target {c} not in the dataset's class_set")
+    if len(X) == 0:
+        return []
     target_idx = [c.index for c in targets]
     subsets = [AttributeSubset(mask, d.n_attributes) for mask in plan.masks]
     grown = [r for r, s in enumerate(subsets)

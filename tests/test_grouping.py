@@ -681,10 +681,6 @@ class TestCoalitionType:
         with pytest.raises(ValueError, match="non-empty"):
             Coalition((AttributeSubset(0, 3),), 3)
 
-    def test_groups_containing(self):
-        G = coalition_from([[0, 1], [1, 2], [3]], 4)
-        assert [g.indices() for g in G.groups_containing(1)] == [(0, 1), (1, 2)]
-
     def test_json_with_names(self):
         d = dataset_from([[0.0, 1.0, 2.0]], ["p"], names=("x", "y", "z"))
         G = coalition_from([[0, 2], [1]], 3)

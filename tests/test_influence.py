@@ -7,7 +7,7 @@ import threading
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -21,98 +21,139 @@ from coalex import (
     MethodConfig,
     ModelSpec,
     SubsetModelCache,
-    coalition_penalty,
     coalitional_influence,
     complete_influence,
     kdepth_influence,
-    kdepth_penalty,
     predicted_classes,
     subset_eval,
 )
 import coalex.influence
 from coalex.dataset import ClassTarget
 from coalex.evaluation import method_influence, run_benchmark
-from coalex.influence import coalitional_plan, complete_plan, kdepth_plan
+from coalex.influence import _weight, coalitional_plan, complete_plan, kdepth_plan
 
 from conftest import class_prior, coalition_from, dataset_from, full_group, singletons
 
 SPEC = ModelSpec(kind="decision_tree", max_depth=4, min_leaf=2, seed=0)
 
 
-def nonempty_and_empty_subsets(items):
-    items = sorted(items)
-    return chain([()], *(combinations(items, r) for r in range(1, len(items) + 1)))
+def expected_terms(groups, n, depth):
+    """Fraction oracle of a plan's terms: for attribute i, (mask with i, mask without i, weight)
+    for each group g holding i and each subset s of g - i smaller than ``depth``, by size, with
+    weight |s|! (|g|-|s|-1)! / D_i, D_i = sum of min(depth, |h|) (|h|-1)! over h holding i."""
+    f = math.factorial
+    out = []
+    for i in range(n):
+        mine = [sorted(g) for g in groups if i in g]
+        D = sum(min(depth, len(h)) * f(len(h) - 1) for h in mine)
+        terms = []
+        for g in mine:
+            others = [j for j in g if j != i]
+            for r in range(min(depth, len(g))):
+                weight = float(Fraction(f(r) * f(len(g) - r - 1), D))
+                for sub in combinations(others, r):
+                    mask = sum(1 << j for j in sub)
+                    terms.append((mask | 1 << i, mask, weight))
+        out.append(terms)
+    return out
+
+
+def plan_terms(plan):
+    """A plan's terms as (mask with i, mask without i, weight), per attribute."""
+    return [[(plan.masks[a], plan.masks[b], w)
+             for a, b, w in zip(plus.tolist(), minus.tolist(), weights.tolist())]
+            for plus, minus, weights in plan.terms]
 
 
 class TestPenalties:
+    """The weights the plans hold, against a Fraction oracle of the one rule; past the
+    plans that can be built, the weight expression ``_plan`` calls."""
+
     def test_shapley_closed_forms(self):
         # the Shapley weight is the depth-n weight: n (n-1)! = n!
-        assert kdepth_penalty(0, 1, 1) == 1.0
-        assert kdepth_penalty(1, 3, 3) == pytest.approx(1 / 6, abs=0)
-        assert kdepth_penalty(0, 2, 2) == 0.5
+        assert complete_plan(1).terms[0][2].tolist() == [1.0]
+        assert complete_plan(2).terms[0][2].tolist() == [0.5, 0.5]
+        assert complete_plan(3).terms[0][2].tolist() == [1 / 3, 1 / 6, 1 / 6, 1 / 3]
 
     def test_shapley_matches_fraction_oracle(self):
-        for n in range(1, 41):
+        f = math.factorial
+        for n in range(1, 13):
+            assert plan_terms(complete_plan(n)) == expected_terms([set(range(n))], n, n)
+        for n in range(13, 41):
             for s in range(n):
-                oracle = Fraction(math.factorial(s) * math.factorial(n - s - 1),
-                                  math.factorial(n))
-                assert kdepth_penalty(s, n, n) == float(oracle)
+                assert _weight(s, n, f(n)) == float(Fraction(f(s) * f(n - s - 1), f(n)))
 
     def test_shapley_normalizes_over_subsets(self):
-        # brute-force sum over all subsets of the other n-1 attributes
+        # each attribute's terms are the 2^(n-1) subsets of the others, with weights summing to 1
         for n in range(1, 11):
-            total = sum(kdepth_penalty(len(sub), n, n)
-                        for sub in nonempty_and_empty_subsets(range(n - 1)))
-            assert total == pytest.approx(1.0, abs=1e-12)
+            for plus, minus, weights in complete_plan(n).terms:
+                assert len(set(minus.tolist())) == len(weights) == 1 << (n - 1)
+                assert sum(map(Fraction, weights.tolist())) == pytest.approx(1, abs=1e-12)
 
     def test_shapley_range_errors(self):
-        for bad in ((-1, 3), (3, 3), (0, 0)):
-            with pytest.raises(ValueError):
-                kdepth_penalty(*bad, bad[1])
+        with pytest.raises(ValueError, match=r"k must be in \[1, 0\], got 0"):
+            complete_plan(0)
 
     def test_kdepth_closed_forms(self):
         for n in (1, 2, 5, 9):
-            assert kdepth_penalty(0, n, 1) == 1.0
-        assert kdepth_penalty(1, 4, 2) == pytest.approx(1 / 6, abs=0)
+            assert [t[2].tolist() for t in kdepth_plan(n, 1).terms] == [[1.0]] * n
+        assert kdepth_plan(4, 2).terms[0][2].tolist() == [1 / 2, 1 / 6, 1 / 6, 1 / 6]
 
     def test_kdepth_range_errors(self):
-        for bad in ((2, 4, 2), (0, 4, 5), (0, 4, 0)):
-            with pytest.raises(ValueError):
-                kdepth_penalty(*bad)
+        for k in (-1, 0, 5):
+            with pytest.raises(ValueError, match=rf"k must be in \[1, 4\], got {k}"):
+                kdepth_plan(4, k)
 
     def test_coalition_closed_forms(self):
-        assert coalition_penalty(0, 1, [1]) == 1.0
-        assert coalition_penalty(1, 3, [3, 2]) == pytest.approx(1 / 8, abs=0)
+        assert coalitional_plan(singletons(1)).terms[0][2].tolist() == [1.0]
+        # attribute 2 sits in a group of 3 and one of 2: D = 3! + 2! = 8
+        G = coalition_from([[0, 1, 2], [2, 3]], 4)
+        assert coalitional_plan(G).terms[2][2].tolist() == [2 / 8, 1 / 8, 1 / 8, 2 / 8,
+                                                            1 / 8, 1 / 8]
 
     def test_coalition_reduces_to_shapley_for_full_group(self):
-        for n in range(1, 41):
-            for s in range(n):
-                assert coalition_penalty(s, n, [n]) == kdepth_penalty(s, n, n)
+        for n in range(1, 11):
+            assert (plan_terms(coalitional_plan(full_group(n)))
+                    == expected_terms([set(range(n))], n, n))
 
     def test_coalition_range_errors(self):
-        with pytest.raises(ValueError):
-            coalition_penalty(3, 3, [3])
-        with pytest.raises(ValueError):
-            coalition_penalty(0, 3, [])
-        with pytest.raises(ValueError):
-            coalition_penalty(0, 3, [2, 4])  # group_size missing
+        for sets, n, missing in (([[0, 1]], 3, [2]), ([[0], [2]], 4, [1, 3])):
+            with pytest.raises(ValueError, match=rf"does not cover attributes \{missing}"):
+                coalitional_plan(coalition_from(sets, n))
 
     def test_large_n_log_space_close_to_exact(self):
         # past the complete-influence cap the weight is still the exact ratio, rounded once
-        got = kdepth_penalty(10, 25, 25)
+        got = _weight(10, 25, math.factorial(25))
         oracle = Fraction(math.factorial(10) * math.factorial(14), math.factorial(25))
         assert got == float(oracle)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_kdepth_plans_match_fraction_oracle(self, n):
+        for k in range(1, n + 1):
+            assert plan_terms(kdepth_plan(n, k)) == expected_terms([set(range(n))], n, k)
+
+    def test_overlapping_coalitions_match_fraction_oracle(self):
+        # D_i = sum of |h|! over the groups h holding i; nested groups are kept apart
+        for sets, n in (([[0, 1, 2], [2, 3]], 4), ([[0, 1], [1, 2], [0, 2]], 3),
+                        ([[0, 1, 2], [2, 3], [3, 4, 5], [1, 5]], 6),
+                        ([[0, 1, 2, 3], [1, 2], [4]], 5),
+                        ([[0, 1, 2, 3, 4, 5, 6], [5, 6, 7, 8], [0, 8, 9], [9, 10, 11]], 12)):
+            G = coalition_from(sets, n)
+            assert (plan_terms(coalitional_plan(G))
+                    == expected_terms([set(g.indices()) for g in G.groups], n, n))
+
     def test_kdepth_and_coalition_match_fraction_oracle(self):
+        # the weight expression _plan calls, at sizes past any plan that can be built
         f = math.factorial
         for n in range(1, 41):
             for s in range(n):
                 rest = f(s) * f(n - s - 1)
                 for k in range(s + 1, n + 1):
-                    assert kdepth_penalty(s, n, k) == float(Fraction(rest, k * f(n - 1)))
+                    D = k * f(n - 1)
+                    assert _weight(s, n, D) == float(Fraction(rest, D))
                 for groups in ([n], [n, 1], [n, n - 1, 3], [n, 40], [n, 7, 21, 33]):
-                    assert (coalition_penalty(s, n, groups)
-                            == float(Fraction(rest, sum(f(g) for g in groups))))
+                    D = sum(f(g) for g in groups)
+                    assert _weight(s, n, D) == float(Fraction(rest, D))
 
 
 def value(cache, s, i, target):
@@ -172,6 +213,11 @@ class TestSubsetEval:
         d = blob_dataset
         cache = SubsetModelCache(SPEC, d)
         s = AttributeSubset.full(3)
+        # -1 would read the last class; 2 would raise numpy's bare IndexError
+        for target_idx, bad in (([-1, 0, 1], -1), ([0, 1, 2], 2), ([5, -1, 0], 5)):
+            with pytest.raises(ValueError, match=rf"class index {bad} outside \[0, 2\)"):
+                subset_eval(cache, s, d.features[:3], target_idx)
+        assert cache.training_count == 0  # refused before any training
         for target_idx in ([0], [0, 1, 0]):  # one class would broadcast over both rows
             with pytest.raises(ValueError, match="target classes for 2 rows"):
                 subset_eval(cache, s, d.features[:2], target_idx)
@@ -277,12 +323,13 @@ class TestKdepthInfluence:
         def ev(idx):
             return value(cache, AttributeSubset.from_indices(idx, 3), 4, target)
 
-        n = 3
+        f, n, k = math.factorial, 3, 2
+        w0, w1 = (f(s) * f(n - s - 1) / (k * f(n - 1)) for s in range(k))  # 1/2, 1/4
         for i in range(3):
             others = [j for j in range(3) if j != i]
-            expected = kdepth_penalty(0, n, 2) * (ev([i]) - ev([]))
+            expected = w0 * (ev([i]) - ev([]))
             for j in others:
-                expected += kdepth_penalty(1, n, 2) * (ev([i, j]) - ev([j]))
+                expected += w1 * (ev([i, j]) - ev([j]))
             assert got.values[i] == pytest.approx(expected, abs=1e-15)
 
     def test_k_range_validated(self, xor4):
@@ -343,14 +390,14 @@ class TestCoalitionalInfluence:
         def ev(idx):
             return value(cache, AttributeSubset.from_indices(idx, 3), 7, target)
 
-        w0 = coalition_penalty(0, 2, [2, 2])
-        w1 = coalition_penalty(1, 2, [2, 2])
+        f = math.factorial
+        w0 = w1 = f(0) * f(1) / (f(2) + f(2))  # |s| = 0 and 1 in a group of 2, D = 2! + 2!
         expected_1 = (w0 * (ev([1]) - ev([])) + w1 * (ev([0, 1]) - ev([0]))
                       + w0 * (ev([1]) - ev([])) + w1 * (ev([1, 2]) - ev([2])))
         assert got.values[1] == pytest.approx(expected_1, abs=1e-15)
         # attribute 0 sits in one group of size 2
-        expected_0 = (coalition_penalty(0, 2, [2]) * (ev([0]) - ev([]))
-                      + coalition_penalty(1, 2, [2]) * (ev([0, 1]) - ev([1])))
+        w = f(0) * f(1) / f(2)
+        expected_0 = w * (ev([0]) - ev([])) + w * (ev([0, 1]) - ev([1]))
         assert got.values[0] == pytest.approx(expected_0, abs=1e-15)
 
     def test_coverage_enforced(self, blob_dataset):
@@ -458,11 +505,14 @@ def assert_same_plan(a, b):
 class TestPlans:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_full_depth_is_complete(self, n):
-        # complete_plan is kdepth_plan(n, n); the plan of the Shapley weights must be the same
-        others = [[j for j in range(n) if j != i] for i in range(n)]
-        shapley = [kdepth_penalty(s, n, n) for s in range(n)]
-        assert_same_plan(coalex.influence._plan([[(others[i], shapley)] for i in range(n)]),
-                         complete_plan(n))
+        # depth n sums every subset of the others with the Shapley weight, as n (n-1)! = n!
+        f = math.factorial
+        plan = kdepth_plan(n, n)
+        assert_same_plan(plan, complete_plan(n))
+        assert plan.masks == list(range(1 << n))
+        for plus, minus, weights in plan.terms:
+            sizes = [plan.masks[r].bit_count() for r in minus.tolist()]
+            assert weights.tolist() == [f(s) * f(n - s - 1) / f(n) for s in sizes]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_full_group_is_complete(self, n):
@@ -614,7 +664,14 @@ class TestBatching:
             complete_influence(cache, [0, 1, 2], [blob_dataset.class_target("hi")] * 2)
         with pytest.raises(IndexError):
             complete_influence(cache, [0, blob_dataset.n_instances])
+        # an empty call checks its targets too, and trains no full model for none
+        t = blob_dataset.class_target("hi")
+        with pytest.raises(ValueError, match="1 targets for 0 instances"):
+            complete_influence(cache, [], [t])
+        with pytest.raises(ValueError, match="2 targets for 0 instances"):
+            kdepth_influence(cache, [], 2, [t, t])
         assert complete_influence(cache, []) == []
+        assert cache.training_count == 0
 
 
 class CpuSet:
