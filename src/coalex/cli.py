@@ -137,7 +137,8 @@ def _typed(key: str, kind, value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return int(number)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
+        what = "a string or an integer" if kind == (str, int) else "a string"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
     return value
 
 

@@ -10,6 +10,7 @@ inclusion-exclusion over the maximal groups; it never lists the subsets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .dataset import Dataset
@@ -49,7 +50,11 @@ class _Closure:
         return self._len
 
     def __contains__(self, mask) -> bool:
-        return isinstance(mask, int) and mask > 0 and any(mask & ~g == 0 for g in self._gens)
+        try:
+            mask = operator.index(mask)  # any integer, numpy's too, as an unbounded int
+        except TypeError:
+            return False
+        return mask > 0 and any(mask & ~g == 0 for g in self._gens)
 
 
 def closure(G: Coalition) -> _Closure:

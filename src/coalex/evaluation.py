@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,13 +37,6 @@ from .influence import (
 from .model import ModelSpec, SubsetModelCache
 
 logger = logging.getLogger(__name__)
-
-CSV_COLUMNS = (
-    "dataset", "method", "param", "mean_error", "time_per_instance_s",
-    "time_ratio_vs_complete", "complexity_proportion", "group_count_mean",
-    "group_size_mean", "seed",
-)
-
 
 def influence_distance(i, j) -> float:
     """Scaled L1 distance between two influence vectors of equal length."""
@@ -260,6 +253,9 @@ class BenchmarkRecord:
         return asdict(self)
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(BenchmarkRecord) if f.name != "model")
+
+
 def _kdepth_proportion(n: int, k: int) -> float:
     touched = sum(comb(n, s) for s in range(1, k + 1))
     return touched / float((1 << n) - 1)
@@ -317,26 +313,29 @@ def method_influence(cache: SubsetModelCache, instances: Sequence[int], mc: Meth
 def _run_cell(d: Dataset, mc: MethodConfig, spec: ModelSpec, seed: int, jobs: int,
               oracle_vectors: list[InfluenceVector], oracle_tpi: float) -> BenchmarkRecord:
     """Time one (dataset, method) cell against the oracle vectors and their targets;
-    ``oracle_tpi`` is the exact baseline's time per instance."""
-    m = d.n_instances
-    cache = SubsetModelCache(spec, d)
-    started = time.perf_counter()
-    vectors, G, extra = method_influence(cache, range(m), mc, [o.target for o in oracle_vectors],
-                                         seed, jobs=jobs)
-    report = None if G is None else ComplexityReport.from_coalition(G)
-    elapsed = time.perf_counter() - started
-    if extra.get("converged") is False:
-        logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
-                    d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
-    mean_err = float(np.mean([error_score(v, o) for v, o in zip(vectors, oracle_vectors)]))
+    ``oracle_tpi`` is the exact baseline's time per instance.  The ``complete`` cell is
+    that baseline: it reuses its time and is not scored against itself."""
+    m, n = d.n_instances, d.n_attributes
+    tpi, mean_err, report = oracle_tpi, 0.0, None
+    if mc.kind != "complete":
+        cache = SubsetModelCache(spec, d)
+        started = time.perf_counter()
+        vectors, G, extra = method_influence(cache, range(m), mc,
+                                             [o.target for o in oracle_vectors], seed, jobs=jobs)
+        report = None if G is None else ComplexityReport.from_coalition(G)
+        tpi = (time.perf_counter() - started) / m
+        if extra.get("converged") is False:
+            logger.info("bisection on %s/%s hit closest-achievable %.4f for target %.4f",
+                        d.name, mc.grouping, extra["achieved_proportion"], mc.proportion)
+        mean_err = float(np.mean([error_score(v, o) for v, o in zip(vectors, oracle_vectors)]))
     return BenchmarkRecord(
         dataset=d.name,
         method=mc.method_id,
         param=mc.param_label,
         mean_error=mean_err,
-        time_per_instance_s=elapsed / m,
-        time_ratio_vs_complete=elapsed / m / oracle_tpi,
-        complexity_proportion=(_kdepth_proportion(d.n_attributes, mc.k) if report is None
+        time_per_instance_s=tpi,
+        time_ratio_vs_complete=tpi / oracle_tpi,
+        complexity_proportion=(_kdepth_proportion(n, mc.k or n) if report is None
                                else report.proportion),
         group_count_mean=None if report is None else float(report.group_count),
         group_size_mean=None if report is None else report.mean_group_size,
@@ -377,18 +376,8 @@ def run_benchmark(datasets: Sequence[Dataset], methods: Sequence[MethodConfig],
         oracle_vectors = complete_influence(SubsetModelCache(spec, d), range(m), cap=cap,
                                             jobs=jobs)
         oracle_tpi = (time.perf_counter() - started) / m
-
-        for mc in runnable:
-            if mc.kind == "complete":
-                records.append(BenchmarkRecord(
-                    dataset=d.name, method="complete", param="",
-                    mean_error=0.0, time_per_instance_s=oracle_tpi,
-                    time_ratio_vs_complete=1.0, complexity_proportion=1.0,
-                    group_count_mean=None, group_size_mean=None, seed=seed,
-                    model=_spec_id(spec),
-                ))
-            else:
-                records.append(_run_cell(d, mc, spec, seed, jobs, oracle_vectors, oracle_tpi))
+        records += [_run_cell(d, mc, spec, seed, jobs, oracle_vectors, oracle_tpi)
+                    for mc in runnable]
     return records
 
 
@@ -410,6 +399,5 @@ def write_benchmark_csv(records: Iterable[BenchmarkRecord], path: str | Path,
 
 def write_benchmark_json(records: Iterable[BenchmarkRecord], path: str | Path,
                          config: dict) -> None:
-    path = Path(path)
     payload = {"records": [r.to_dict() for r in records], "config": config}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -159,13 +159,13 @@ def subset_eval(cache: SubsetModelCache, s: AttributeSubset, X: np.ndarray,
     """One value-table row: at each row r of X, the confidence for class index
     ``target_idx[r]`` of the model trained on s (the class prior when s is empty)."""
     idx, n_classes = np.asarray(target_idx), cache.dataset.n_classes
+    if idx.shape != (len(X),):
+        got = len(idx) if idx.ndim == 1 else f"an array of shape {idx.shape} of"
+        raise ValueError(f"{got} target classes for {len(X)} rows")
     outside = (idx < 0) | (idx >= n_classes)
     if outside.any():
         raise ValueError(f"class index {idx[outside][0]} outside [0, {n_classes})")
-    conf = cache.get_or_train(s).confidences(X)
-    if len(target_idx) != len(conf):
-        raise ValueError(f"{len(target_idx)} target classes for {len(conf)} rows")
-    return conf[np.arange(len(conf)), target_idx]
+    return cache.get_or_train(s).confidences(X)[np.arange(len(X)), idx]
 
 
 def predicted_classes(cache: SubsetModelCache, instances: Sequence[int]) -> list[ClassTarget]:

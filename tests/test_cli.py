@@ -617,10 +617,11 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("values, message", [
         ({"instances": 0}, "instances must be a string, got 0"),
         ({"method": 5}, "method must be a string, got 5"),
+        ({"target": 2.5}, "target must be a string or an integer, got 2.5"),
         ({"format": "xml"}, "format must be one of json, csv, got 'xml'"),
         ({"model": {"kind": "dt", "tree_count": "x"}},
          "model.tree_count must be a number, got 'x'"),
-    ], ids=["instances", "method", "format", "model.tree_count"])
+    ], ids=["instances", "method", "target", "format", "model.tree_count"])
     def test_config_file_value_of_the_wrong_type_exits_2(self, runner, small_csv, tmp_path,
                                                          values, message):
         cfg = tmp_path / "run.json"

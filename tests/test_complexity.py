@@ -92,6 +92,13 @@ class TestClosure:
         c = closure(G)
         assert AttributeSubset.from_indices([0, 1], 2).mask in c
         assert len(c) == 3 and members(c, 2) == {0b01, 0b10, 0b11}
+        c = closure(coalition_from([[0, 1], [2]], 3))
+        for mask in (3, np.int64(3), np.uint8(3), np.int64(4), np.array(2)):
+            assert mask in c  # any integer, numpy's too
+        for mask in (np.int64(5), np.uint8(0), 3.0, np.float64(3), "3", np.array([3])):
+            assert mask not in c
+        assert np.int64(1) in closure(coalition_from([[0, 70]], 71))
+        assert (1 << 70) | 1 in closure(coalition_from([[0, 70]], 71))  # past bit 63
 
     @pytest.mark.parametrize("n", [10, 14])
     def test_all_but_one_attribute_groups(self, n):

@@ -245,7 +245,10 @@ class TestRunBenchmark:
         write_benchmark_csv(records, csv_path, config={"seed": 1})
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("# config: ")
-        assert lines[1] == ",".join(CSV_COLUMNS)
+        columns = ("dataset", "method", "param", "mean_error", "time_per_instance_s",
+                   "time_ratio_vs_complete", "complexity_proportion", "group_count_mean",
+                   "group_size_mean", "seed")
+        assert lines[1] == ",".join(columns) and CSV_COLUMNS == columns
         assert len(lines) == 2 + 6
         json_path = tmp_path / "bench.json"
         write_benchmark_json(records, json_path, config={"seed": 1})

@@ -219,8 +219,12 @@ class TestSubsetEval:
                 subset_eval(cache, s, d.features[:3], target_idx)
         assert cache.training_count == 0  # refused before any training
         for target_idx in ([0], [0, 1, 0]):  # one class would broadcast over both rows
-            with pytest.raises(ValueError, match="target classes for 2 rows"):
+            with pytest.raises(ValueError, match=rf"{len(target_idx)} target classes for 2 rows"):
                 subset_eval(cache, s, d.features[:2], target_idx)
+        for target_idx in (0, [[0, 1]]):  # not one class index per row
+            with pytest.raises(ValueError, match=r"shape \(.*\) of target classes for 2 rows"):
+                subset_eval(cache, s, d.features[:2], target_idx)
+        assert cache.training_count == 0  # the lengths are refused before training too
 
 
 class TestCompleteInfluence:
