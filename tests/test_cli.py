@@ -1,4 +1,6 @@
+import ast
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -9,9 +11,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import coalex
 from coalex import (AttributeSubset, DataError, ModelSpec, SubsetModelCache, load_csv,
                     subset_eval)
 from coalex.cli import main
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: pytest brings tomli there
+    import tomli as tomllib
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -773,13 +783,17 @@ class TestConfigPrecedence:
         assert json.loads(a.output)["influences"] == json.loads(b.output)["influences"]
 
 
-# Runs the CLI in a fresh interpreter and reports, at exit, which of the modules no run
-# needs were imported.
-_LAZY_IMPORT_PROBE = ("import atexit, runpy, sys\n"
-                      "atexit.register(lambda: print([m for m in ('numpy.ma', 'fractions')\n"
-                      "                               if m in sys.modules], file=sys.stderr))\n"
-                      "sys.argv[0] = 'coalex'\n"
-                      "runpy.run_module('coalex.cli', run_name='__main__')\n")
+def _entry(*args: str, report: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m coalex.cli ARGS`` in a fresh interpreter.  With ``report``, that
+    expression is printed to stderr at exit, after the program has finished."""
+    command = ["-m", "coalex.cli"]
+    if report is not None:
+        command = ["-c", "import atexit, gc, runpy, sys\n"
+                         f"atexit.register(lambda: print({report}, file=sys.stderr))\n"
+                         "sys.argv[0] = 'coalex'\n"
+                         "runpy.run_module('coalex.cli', run_name='__main__')\n"]
+    return subprocess.run([sys.executable, *command, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
 
 
 @pytest.mark.parametrize("args", [
@@ -790,10 +804,50 @@ def test_a_run_does_not_import_numpy_ma(small_csv, tmp_path, args):
     """``np.unique`` on integers imports numpy.ma on its first call, some milliseconds of
     every fresh process: the tree pass finds distinct values by sorting instead.  The
     weights divide exact integers, so ``fractions`` (and the ``decimal`` it loads) stay out."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE, args[0], str(small_csv),
-                             "--target", "y", *args[1:], "--out", str(tmp_path / "out.csv")],
-                            env=env, capture_output=True, text=True, timeout=120)
+    result = _entry(args[0], str(small_csv), "--target", "y", *args[1:],
+                    "--out", str(tmp_path / "out.csv"),
+                    report="[m for m in ('numpy.ma', 'fractions') if m in sys.modules]")
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-1] == "[]"
+
+
+class TestProgramEntry:
+    """The ``coalex`` program and ``python -m coalex.cli`` run ``cli.run``, which freezes
+    the start-up heap and then runs ``main``."""
+
+    def test_the_entry_freezes_the_heap_and_main_does_not(self, runner, small_csv):
+        args = ["groups", str(small_csv), "--target", "y", "--method", "spearman", "--t", "0.3"]
+        result = _entry(*args, report="gc.get_freeze_count() > 0")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "True"
+        in_process = runner.invoke(main, args)
+        assert gc.get_freeze_count() == 0
+        assert result.stdout == in_process.stdout
+
+    @pytest.mark.parametrize("args, code", [
+        (["--target", "y", "--method", "spearman", "--t", "0.3", "--min-leaf", "0"], 2),
+        (["--target", "nope", "--method", "spearman", "--t", "0.3"], 3),
+    ], ids=["config-error", "data-error"])
+    def test_an_error_exits_with_its_code_and_message(self, runner, small_csv, args, code):
+        result = _entry("groups", str(small_csv), *args)
+        expected = runner.invoke(main, ["groups", str(small_csv), *args])
+        assert (result.returncode, expected.exit_code) == (code, code)
+        assert result.stderr == expected.stderr and result.stderr.startswith("error: ")
+        assert result.stdout == ""
+
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0 and result.stdout.endswith(" version 0.1.0\n")
+        result = _entry("--version")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith(" version 0.1.0\n")
+
+    def test_pyproject_names_the_version_and_the_entry(self):
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        assert project["version"] == coalex.__version__
+        tree = ast.parse((ROOT / "src" / "coalex" / "cli.py").read_text(encoding="utf-8"))
+        entry = next(node.body for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        (statement,) = entry
+        assert ast.unparse(statement) == "run()"
+        assert project["scripts"] == {"coalex": f"coalex.cli:{statement.value.func.id}"}
