@@ -76,13 +76,15 @@ class RunConfig:
 
 
 # Flag names that are also config-file keys but name a RunConfig field differently,
-# and the type of each field's resolved value: numbers are converted to it, text
-# must already have it (a target may also be a column index).
+# and the type of each option's resolved value, keyed by its config-file name: numbers
+# are converted to it, text must already have it (a target may also be a column index)
+# and the model kind must be one of its aliases.
 _FIELD_OF = {"format": "output_format", "methods": "method"}
 _FIELD_TYPES = {"k": int, "repetitions": int, "seed": int, "jobs": int, "cap": int,
                 "synthetic": int, "threshold": float, "proportion": float, "delta": float,
-                "target": (str, int), "method": str, "instances": str, "delimiter": str,
-                "output_format": str}
+                "target": (str, int), "method": str, "methods": str, "instances": str,
+                "delimiter": str, "format": str, "kind": _MODEL_ALIASES, "tree_count": int,
+                "max_depth": int, "min_leaf": int}
 _OUTPUT_FORMATS = ("json", "csv")
 
 _METHOD_REQUIRED = (f"--method is required; choose from "
@@ -103,20 +105,16 @@ def _load_config_file(path: str | None) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        data = json.loads(p.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc.strerror or exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
     return data
-
-
-def _pick(flag, file_cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
 
 
 def _typed(key: str, kind, value):
@@ -124,6 +122,10 @@ def _typed(key: str, kind, value):
     takes an integral number or numeric string: ``2.0`` and ``"2.0"`` are 2."""
     if value is None:
         return None
+    if isinstance(kind, dict):
+        if str(value).lower() not in kind:
+            raise ConfigError(f"unknown model {value!r}; choose from {sorted(kind)}")
+        return kind[str(value).lower()]
     if kind in (int, float):
         try:
             if isinstance(value, bool):
@@ -144,30 +146,17 @@ def _typed(key: str, kind, value):
     return value
 
 
-def _check_keys(command: str, cfg: dict, options, prefix: str = "") -> None:
-    """A ConfigError naming the first config-file key in ``cfg`` that is not in ``options``."""
-    key = next((key for key in cfg if key not in options), None)
+def _options(command: str, scope: dict, flags: dict, defaults, prefix: str = "") -> dict:
+    """Each of ``flags`` as flag > ``scope`` > its attribute of ``defaults``, converted
+    to its type.  ``scope`` is the config file or its ``model`` object; a null in it
+    is no value, and a key of it that names no flag is an error."""
+    key = next((key for key in scope if key not in flags), None)
     if key is not None:
         raise ConfigError(f"config file key {prefix + key!r} is not an option of {command}")
-
-
-def _model_spec(command: str, model_flags: dict, file_cfg: dict, seed: int) -> ModelSpec:
-    """Each of ``model_flags``, keyed by its field, as flag > config ``model`` > default."""
-    model_cfg = {} if file_cfg.get("model") is None else file_cfg["model"]
-    if not isinstance(model_cfg, dict):
-        raise ConfigError(f"model must be an object, got {model_cfg!r}")
-    _check_keys(command, model_cfg, model_flags, "model.")
-    values = {key: _pick(flag, model_cfg, key, getattr(ModelSpec, key))
-              for key, flag in model_flags.items()}
-    kind = _MODEL_ALIASES.get(str(values["kind"]).lower())
-    if kind is None:
-        raise ConfigError(f"unknown model {values['kind']!r}; choose from {sorted(_MODEL_ALIASES)}")
-    for key in ("tree_count", "max_depth", "min_leaf"):
-        values[key] = _typed(f"model.{key}", int, values[key])
-    try:
-        return ModelSpec(**values | {"kind": kind, "seed": seed})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return {key: _typed(prefix + key, _FIELD_TYPES[key],
+                        next((value for value in (flag, scope.get(key)) if value is not None),
+                             getattr(defaults, _FIELD_OF.get(key, key))))
+            for key, flag in flags.items()}
 
 
 def _resolve(command: str, config_path: str | None, fixed: dict,
@@ -176,18 +165,16 @@ def _resolve(command: str, config_path: str | None, fixed: dict,
 
     Each of ``flags`` (keyed by its config-file name, or its ``ModelSpec`` field for a
     model flag; a flag's value includes its ``COALEX_*`` variable) resolves as flag >
-    ``--config`` file > default; a config-file key that names no flag is an error.
-    ``fixed`` sets fields no flag resolves and the command's own defaults; every other
-    field keeps its ``RunConfig`` default.
+    ``--config`` file (its ``model`` object for a model flag) > default.  ``fixed`` sets
+    fields no flag resolves and the command's own defaults; every other field keeps its
+    ``RunConfig`` default.
     """
     file_cfg = _load_config_file(config_path)
+    model_cfg = file_cfg.pop("model", None)
     model_flags = {key: flags.pop(key) for key in ("kind", "tree_count", "max_depth", "min_leaf")}
-    _check_keys(command, file_cfg, [*flags, "model"])
     cfg = RunConfig(command, **fixed)
-    for key, flag in flags.items():
-        name = _FIELD_OF.get(key, key)
-        value = _pick(flag, file_cfg, key, getattr(cfg, name))
-        setattr(cfg, name, _typed(key, _FIELD_TYPES[name], value))
+    for key, value in _options(command, file_cfg, flags, cfg).items():
+        setattr(cfg, _FIELD_OF.get(key, key), value)
     for key, message in _REQUIRED[command].items():
         if getattr(cfg, _FIELD_OF.get(key, key)) is None:
             raise ConfigError(message)
@@ -198,7 +185,10 @@ def _resolve(command: str, config_path: str | None, fixed: dict,
     if cfg.output_format not in _OUTPUT_FORMATS:
         raise ConfigError(f"format must be one of {', '.join(_OUTPUT_FORMATS)}, "
                           f"got {cfg.output_format!r}")
-    spec = _model_spec(command, model_flags, file_cfg, cfg.seed)
+    if not isinstance(model_cfg, (dict, type(None))):
+        raise ConfigError(f"model must be an object, got {model_cfg!r}")
+    spec = ModelSpec(**_options(command, model_cfg or {}, model_flags, ModelSpec, "model."),
+                     seed=cfg.seed)
     cfg.model = asdict(spec)
     return cfg, spec
 
@@ -267,7 +257,7 @@ def _guarded(fn):
             _fail(exc, EXIT_CAP)
         except DataError as exc:
             _fail(exc, EXIT_DATA)
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             _fail(exc, EXIT_CONFIG)
 
     return run

@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from .dataset import Dataset
+from .errors import ConfigError
 from .grouping import GROUPING_METHODS, Coalition, grouping_scores, maximal_masks
 
 BISECTION_EPS = 1e-6
@@ -104,7 +105,7 @@ class ThresholdSearchResult:
 
 def check_proportion(target: float) -> None:
     if not 0.0 < target <= 1.0:
-        raise ValueError(f"target proportion must lie in (0, 1], got {target}")
+        raise ConfigError(f"target proportion must lie in (0, 1], got {target}")
 
 
 def find_threshold(method: str, d: Dataset, target: float) -> ThresholdSearchResult:

@@ -181,12 +181,13 @@ def load_csv(
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise DataError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     if not records:
         raise DataError(f"{path}: file is empty")
     header = [h.strip() for h in records[0]]
     target_idx = _resolve_target(header, target_column, path)
-    feature_names = [h for k, h in enumerate(header) if k != target_idx]
-    if len(set(feature_names)) != len(feature_names):
+    if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
 
     rows: list[list[float]] = []
@@ -221,7 +222,7 @@ def load_csv(
     if len(header) < 2:
         raise DataError(f"{path}: need at least one feature column besides the target")
     return Dataset(
-        attribute_names=tuple(feature_names),
+        attribute_names=tuple(h for k, h in enumerate(header) if k != target_idx),
         features=np.array(rows, dtype=np.float64),
         labels=tuple(labels),
         name=path.stem,

@@ -5,7 +5,7 @@ class CoalexError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(CoalexError):
+class ConfigError(CoalexError, ValueError):
     """Invalid configuration: bad flag value, unknown method, conflicting options."""
 
 

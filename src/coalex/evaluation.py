@@ -157,13 +157,10 @@ class MethodConfig:
             raise ConfigError("kdepth needs k >= 1")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        try:
-            if self.threshold is not None:
-                check_threshold(self.threshold)
-            if self.proportion is not None:
-                check_proportion(self.proportion)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if self.threshold is not None:
+            check_threshold(self.threshold)
+        if self.proportion is not None:
+            check_proportion(self.proportion)
         if name == "model_based":
             if self.delta is None:
                 raise ConfigError("model_based grouping needs a delta > 0: "

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import AttributeSubset, Dataset
+from .errors import ConfigError
 from .model import ROUND_ROWS, SubsetModelCache, TrainedModelHandle
 
 VIF_CAP = 1e6
@@ -83,7 +84,7 @@ def normalize(groups: Iterable[AttributeSubset | Iterable[int]], n: int) -> Coal
 
 def check_threshold(t: float) -> None:
     if not 0.0 < t < 0.5:
-        raise ValueError(f"threshold must lie in (0, 0.5), got {t}")
+        raise ConfigError(f"threshold must lie in (0, 0.5), got {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +114,13 @@ def spearman_matrix(d: Dataset) -> np.ndarray:
         raise ValueError("Spearman correlation requires at least 2 instances")
     n = d.n_attributes
     ranks = np.empty((d.n_instances, n))
-    constant = np.zeros(n, dtype=bool)
     for j in range(n):
-        col = d.features[:, j]
-        constant[j] = col.min() == col.max()
-        ranks[:, j] = _average_ranks(col)
+        ranks[:, j] = _average_ranks(d.features[:, j])
     corr = np.ones((n, n))
     if n > 1:
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.abs(np.corrcoef(ranks, rowvar=False))
-        corr = np.nan_to_num(corr, nan=0.0)
-        corr[constant, :] = 0.0
-        corr[:, constant] = 0.0
+        corr = np.nan_to_num(corr, nan=0.0)  # a constant column's NaN correlations
         np.clip(corr, 0.0, 1.0, out=corr)
         np.fill_diagonal(corr, 1.0)
     return corr

@@ -668,6 +668,33 @@ class TestConfigPrecedence:
         assert result.exit_code == 2
         assert f"error: model must be an object, got {model!r}" in result.output
 
+    @pytest.mark.parametrize("values, message", [
+        ({"target": "y", "seed": "x", "model": "dt"}, "seed must be a number, got 'x'"),
+        ({"target": "y", "model": {"kind": "xgb", "tree_count": 2.5}},
+         "unknown model 'xgb'; choose from "),
+        ({"model": {"kind": "dt", "max_dept": 2}}, "--target is required"),
+        ({"target": "y", "jobs": 0, "model": [1]}, "--jobs must be >= 1, got 0"),
+        ({"target": "y", "format": "xml", "model": {"trees": 3}},
+         "format must be one of json, csv, got 'xml'"),
+        ({"target": "y", "model": {"kind": "dt", "max_dept": 2, "min_leaf": 0}},
+         "config file key 'model.max_dept' is not an option of explain"),
+        ({"target": "y", "model": {"kind": "dt", "min_leaf": 0.5}},
+         "model.min_leaf must be an integer, got 0.5"),
+    ], ids=["top-level-type-before-model-object", "model-kind-before-its-integers",
+            "required-before-model-keys", "jobs-before-model-object",
+            "format-before-model-keys", "model-keys-before-their-values",
+            "model-integer-before-its-range"])
+    def test_config_file_with_several_faults_reports_the_first(self, runner, small_csv,
+                                                               tmp_path, values, message):
+        # Top-level keys, their types, required options, ``>= 1`` checks and the format
+        # come first; then the model object, its keys, its kind and its integer fields.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {message}")
+        assert result.output.count("error:") == 1
+
     @pytest.mark.parametrize("values, key", [
         ({"method": "kdepth", "k": True}, "k"),
         ({"seed": False}, "seed"),
@@ -735,6 +762,60 @@ class TestConfigPrecedence:
         result = runner.invoke(main, ["explain", str(data), "--target", "y", "--model", "dt"])
         assert result.exit_code == 3
         assert "utf16.csv: not UTF-8 text" in result.output
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs /proc/self/mem")
+    @pytest.mark.parametrize("config, code, message", [
+        (False, 3, "cannot read /proc/self/mem: "),
+        (True, 2, "cannot read config file /proc/self/mem: "),
+    ], ids=["data", "config"])
+    def test_file_that_cannot_be_read_exits_with_its_code(self, runner, small_csv, config,
+                                                          code, message):
+        # Reading /proc/self/mem from offset 0 fails with EIO once the file is open.
+        args = [str(small_csv), "--config", "/proc/self/mem"] if config else ["/proc/self/mem"]
+        result = runner.invoke(main, ["explain", *args, "--target", "y", "--model", "dt"])
+        assert result.exit_code == code
+        assert result.output.startswith(f"error: {message}")
+
+    def test_config_file_that_cannot_be_read_names_it(self, runner, small_csv, tmp_path,
+                                                      monkeypatch):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("{}")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(cfg), "read_text", refuse)
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.output == f"error: cannot read config file {cfg}: Permission denied\n"
+
+    def test_config_file_that_is_not_utf8_names_it(self, runner, small_csv, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"target": "\xff"}')
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: config file {cfg} is not UTF-8 text (")
+
+    def test_config_file_may_start_with_a_bom(self, runner, small_csv, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"target": "y", "seed": 5}).encode())
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg),
+                                      "--model", "dt", "--instances", "0"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["config"]["seed"] == 5
+
+    def test_config_file_null_is_no_value(self, runner, small_csv, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"target": "y", "seed": None, "jobs": None, "method": None,
+                                   "cap": None, "format": None, "instances": None,
+                                   "model": {"kind": None, "tree_count": None}}))
+        result = runner.invoke(main, ["explain", str(small_csv), "--config", str(cfg),
+                                      "--trees", "3", "--instances", "0"])
+        assert result.exit_code == 0, result.output
+        echoed = json.loads(result.output)["config"]
+        assert {key: echoed[key] for key in ("seed", "jobs", "method", "cap", "output_format")} \
+            == {"seed": 0, "jobs": 1, "method": "complete", "cap": 20, "output_format": "json"}
+        assert echoed["model"]["kind"] == "random_forest"
 
     def test_bad_config_file_exits_2(self, runner, small_csv, tmp_path):
         cfg = tmp_path / "broken.json"

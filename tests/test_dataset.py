@@ -92,6 +92,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(p, "y")
 
+    @pytest.mark.parametrize("target", ["y", 0, 2, "2"])
+    def test_repeated_target_name_is_a_duplicate(self, tmp_path, target):
+        p = write(tmp_path, "y,x,y\np,1,q\nq,2,p\n")
+        with pytest.raises(DataError, match="duplicate column names"):
+            load_csv(p, target)
+
+    def test_unreadable_file_names_the_path(self, tmp_path, monkeypatch):
+        p = write(tmp_path, "a,y\n1,p\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(p), "open", refuse)
+        with pytest.raises(DataError, match=f"cannot read {p}: Permission denied"):
+            load_csv(p, "y")
+
     def test_ragged_row(self, tmp_path):
         p = write(tmp_path, "a,b,y\n1,2,p\n1,q\n")
         with pytest.raises(DataError, match="line 3 has 2 fields"):

@@ -37,7 +37,7 @@ def test_source_budget():
     # Raise this bound only together with the change that needs the lines.
     lines = sum(len(p.read_text(encoding="utf-8").splitlines())
                 for p in (ROOT / "src" / "coalex").glob("*.py"))
-    assert lines <= 2528
+    assert lines <= 2513
 
 
 @pytest.mark.parametrize("module, attr",
