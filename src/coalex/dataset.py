@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -126,6 +127,10 @@ class Dataset:
         unknown = set(self.labels) - set(self.class_set)
         if unknown:
             raise DataError(f"labels {sorted(map(str, unknown))} not in class_set")
+        lookup = {c: k for k, c in enumerate(self.class_set)}
+        y = np.array([lookup[v] for v in self.labels], dtype=np.intp)
+        y.setflags(write=False)
+        object.__setattr__(self, "_label_indices", y)
 
     @property
     def n_attributes(self) -> int:
@@ -152,9 +157,22 @@ class Dataset:
                             f"classes are {list(self.class_set)}") from None
 
     def label_indices(self) -> np.ndarray:
-        """Labels recoded as positions in class_set."""
-        lookup = {c: k for k, c in enumerate(self.class_set)}
-        return np.array([lookup[y] for y in self.labels], dtype=np.intp)
+        """Labels recoded as positions in class_set (read-only)."""
+        return self._label_indices
+
+    @cached_property
+    def presorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_presort`` of the features and labels, computed once for every tree pass."""
+        return _presort(self.features, self._label_indices)
+
+
+def _presort(X: np.ndarray, y: np.ndarray):
+    """Per column c, ``rank[c, r]``: row r's position in a stable argsort of
+    ``X[:, c]``; and the column's values and labels in that order, flat."""
+    order = np.argsort(X, axis=0, kind="stable").T
+    rank = np.empty_like(order)
+    rank[np.arange(len(order))[:, None], order] = np.arange(len(X))
+    return rank, np.take_along_axis(X.T, order, 1).ravel(), y[order].ravel()
 
 
 def load_csv(

@@ -11,9 +11,12 @@ is computed once for all models.  A round advances every walk, one that draws
 features by one node and one that draws none over its whole frontier, and runs
 one split search for all trees and models (up to ``ROUND_ROWS`` rows).  The
 search sorts one integer key per row, segment x N + the dataset row's rank in
-its column, ranked once per pass.  A pass takes as many trees as its memo
-holds in about ``PASS_BYTES`` (``_passes``).  A trained model keeps its passes'
-node arrays as flat-array trees, and descends all of them at once.
+its column, ranked once per dataset (``Dataset.presorted``).  A pass takes as
+many trees as its memo holds in about ``PASS_BYTES`` (``_passes``).  Whatever
+its size, a round makes about 80 numpy calls and a pass about 70 more: on a
+2-vCPU host a small pass costs about 0.2 ms a round and 0.2 ms a pass, on top
+of the work proportional to its rows.  A trained model keeps its passes' node
+arrays as flat-array trees, and descends all of them at once, one level a step.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -60,45 +64,60 @@ class _Grown:
     needed; the first ``n`` rows are in use."""
 
     def __init__(self, **arrays):
-        self.n = 0
+        self.n = self.room = 0
+        self.names = tuple(arrays)
         self.__dict__.update(arrays)
 
-    def add(self, **values) -> int:
-        """Append rows: as many as the first of ``values`` has, each name's rows or
-        one scalar for all of them.  Returns the index of the first."""
-        lo = self.n
-        self.n = hi = lo + len(next(iter(values.values())))
-        for name, value in values.items():
-            a = getattr(self, name)
-            if hi > len(a):
-                grown = np.empty((2 * hi,) + a.shape[1:], a.dtype)
+    def add(self, *values) -> int:
+        """Append rows: as many as the first of ``values`` has, and for each array in
+        order its rows or one scalar for all of them.  Returns the index of the first."""
+        lo, arrays = self.n, self.__dict__
+        self.n = hi = lo + len(values[0])
+        if hi > self.room:
+            self.room = 2 * hi
+            for name in self.names:
+                a = arrays[name]
+                arrays[name] = grown = np.empty((2 * hi,) + a.shape[1:], a.dtype)
                 grown[:lo] = a[:lo]
-                setattr(self, name, a := grown)
-            a[lo:hi] = value
+        for name, value in zip(self.names, values):
+            arrays[name][lo:hi] = value
         return lo
 
 
 def _runs(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The runs ``flat[starts[i]:starts[i] + lens[i]]``, concatenated."""
-    return flat[np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+    ends = lens.cumsum()
+    return flat[(starts - ends + lens).repeat(lens) + np.arange(ends[-1] if len(ends) else 0)]
 
 
 def _firsts(key: np.ndarray) -> np.ndarray:
     """The index of the first occurrence of each distinct value of ``key``.  Sorting
     does what ``np.unique`` does, which imports ``numpy.ma`` on its first call."""
-    order = np.argsort(key, kind="stable")
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
+    order = key.argsort(kind="stable")
+    ordered, first = key[order], np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return order[first]
 
 
-def _presort(X: np.ndarray, y: np.ndarray):
-    """Per column c, ``rank[c, r]``: row r's position in a stable argsort of
-    ``X[:, c]``; and the column's values and labels in that order, flat."""
-    order = np.argsort(X, axis=0, kind="stable").T
-    rank = np.empty_like(order)
-    rank[np.arange(len(order))[:, None], order] = np.arange(len(X))
-    return rank, np.take_along_axis(X.T, order, 1).ravel(), y[order].ravel()
+def _taken(load: np.ndarray) -> int:
+    """How many of a round's nodes, in order, with these loads it takes: each while the
+    loads before it sum to less than ``ROUND_ROWS``."""
+    if load.sum() - load[-1] < ROUND_ROWS:
+        return len(load)
+    return int((load.cumsum() - load).searchsorted(ROUND_ROWS))
+
+
+def _partition(M, flat, starts, lens, thr, cols):
+    """Split each run ``flat[starts[i]:starts[i] + lens[i]]`` of rows of the C-ordered
+    matrix M into part 2i, its rows below ``thr[i]`` on column ``cols[i]``, then part
+    2i + 1, its others, each in order.  Returns the rows, each part's length, and each
+    row's part."""
+    rows = _runs(flat, starts, lens)
+    at = rows * np.intp(M.shape[1]) + cols.repeat(lens)
+    side = np.arange(0, 2 * len(lens), 2).repeat(lens) + (M.ravel()[at] >= thr.repeat(lens))
+    order = side.argsort(kind="stable")
+    return rows[order], np.bincount(side, minlength=2 * len(lens)), side[order]
 
 
 def _split_search(cols: np.ndarray, lens: np.ndarray, rows: np.ndarray, presort,
@@ -113,30 +132,48 @@ def _split_search(cols: np.ndarray, lens: np.ndarray, rows: np.ndarray, presort,
     r^2/|r|) / m`` at each gap between distinct values, the first minimum, and its
     midpoint, or its right value if that rounds down to the left.  Repeated rows share
     a rank, and rows tied in value never change a split: only gaps between distinct
-    values are valid, and the counts there do not depend on the order of tied rows."""
+    values are valid, and the counts there do not depend on the order of tied rows.
+    The last class's counts are the sizes less the other classes' counts."""
     rank, sorted_x, sorted_y = presort
     n, size = len(cols), rank.shape[1]
-    seg = np.repeat(np.arange(n), lens)
-    key = np.sort(seg * size + rank[np.repeat(cols, lens), rows])  # a segment's rows in order
-    flat = key + np.repeat((cols - np.arange(n)) * size, lens)
-    xs, ys = sorted_x[flat], sorted_y[flat]
-    starts = np.cumsum(lens) - lens
-    g = np.flatnonzero(seg[1:] == seg[:-1])  # gap g lies between sorted values g and g + 1
-    gs = seg[g]
-    first, m = starts[gs], lens[gs]
-    sizes, left_sq, right_sq = g - first + 1, 0, 0
-    for k in range(n_classes):  # sum l^2 and sum r^2 in integers, one class at a time
-        cum = np.concatenate([[0], np.cumsum(ys == k)])
-        left = cum[g + 1] - cum[first]
-        left_sq, right_sq = left_sq + left * left, right_sq + (cum[first + m] - cum[g + 1]) ** 2
-    purity = left_sq / sizes + right_sq / (m - sizes)
-    valid = (xs[g] < xs[g + 1]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
+    base, at = (np.arange(n) * size).repeat(lens), (cols * size).repeat(lens)
+    key = base + rank.ravel()[at + rows]
+    key.sort()  # a segment's rows in order
+    key += at - base
+    xs, ys = sorted_x[key], sorted_y[key]
+    del base, at, key  # the search's largest round sets the pass's peak memory
+    ends = lens.cumsum()
+    starts = ends - lens
+    # gap i lies between sorted values i and i + 1; a segment's last gap has rest 0
+    first, end = starts.repeat(lens)[:-1], ends.repeat(lens)[:-1]
+    m = end - first
+    sizes = np.arange(1, len(ys)) - first
+    rest = m - sizes
+    cum = np.zeros(len(ys) + 1, dtype=np.intp)
+    for k in range(n_classes - 1):  # sum l^2 and sum r^2 in integers, one class at a time
+        (ys == k).cumsum(out=cum[1:])
+        left, right = cum[1:-1] - cum[first], cum[end] - cum[1:-1]
+        if k:
+            left_sq += left * left
+            right_sq += right * right
+            left_n += left
+            right_n += right
+        else:
+            left_sq, right_sq, left_n, right_n = left * left, right * right, left, right
+    del first, end, cum, left, right
+    left_n -= sizes  # minus the last class's counts
+    right_n -= rest
+    left_sq += left_n * left_n
+    right_sq += right_n * right_n
+    purity = left_sq / sizes + right_sq / np.maximum(rest, 1)  # not 0 / 0 at a last gap
+    valid = (xs[:-1] < xs[1:]) & (np.minimum(sizes, rest) >= min_leaf)
     cost = np.where(valid, 1.0 - purity / m, math.inf)
-    best = np.minimum.reduceat(cost, starts - np.arange(n))
-    hit = np.flatnonzero(cost == best[gs])
-    pos = g[hit[np.searchsorted(gs[hit], np.arange(n))]]  # first minima
-    thr = (xs[pos] + xs[pos + 1]) / 2.0
-    return best, np.where(thr <= xs[pos], xs[pos + 1], thr)
+    best = np.minimum.reduceat(cost, starts)
+    hit = (cost == best.repeat(lens)[:-1]).nonzero()[0]
+    pos = hit[hit.searchsorted(starts)]  # first minima
+    lo, hi = xs[pos], xs[pos + 1]
+    thr = (lo + hi) / 2.0
+    return best, np.where(thr <= lo, hi, thr)
 
 
 class _Memo:
@@ -149,13 +186,14 @@ class _Memo:
     trees of the pass start at nodes ``roots``."""
 
     def __init__(self, spec: ModelSpec, d: Dataset, X):
-        self.spec, self.F, self.y = spec, d.features, d.label_indices()
-        self.X = np.empty((0, d.n_attributes)) if X is None else X
-        self.presort = _presort(self.F, self.y)
+        self.spec, self.y, self.presort = spec, d.label_indices(), d.presorted
+        self.vote, self.depth_cap = spec.kind == "random_forest", spec.max_depth or -1
+        self.eye = np.eye(d.n_classes)  # a forest leaf's vote for class c: row c
+        self.F, self.X = d.features, None if X is None else np.ascontiguousarray(X)
         ints, width = np.empty(0, dtype=np.intp), d.n_attributes
         self.nodes = _Grown(leaf=np.empty((0, d.n_classes)), ex0=ints, exn=ints, tab=ints)
         self.tables = _Grown(start=ints, size=ints, depth=ints, cost=np.empty((0, width)),
-                             thr=np.empty((0, width)), kid=np.empty((0, width), dtype=np.intp))
+                             kid=np.empty((0, width), dtype=np.intp), thr=np.empty((0, width)))
         self.rows, self.exs = (_Grown(v=np.empty(0, dtype=np.int32)) for _ in "re")
 
     @property
@@ -163,42 +201,44 @@ class _Memo:
         return sum(a.nbytes for part in (self.nodes, self.tables, self.rows, self.exs)
                    for a in vars(part).values() if isinstance(a, np.ndarray))
 
-    def add(self, rows, lens, ex, ex_lens, depth) -> np.ndarray:
+    def add(self, rows, lens, ex, ex_lens, depth, seg) -> int:
         """Nodes with the training rows ``rows`` and rows ``ex`` of X, in runs of ``lens``
-        and ``ex_lens``, at ``depth``; returns their indices.  A forest leaf votes for
-        its lowest most frequent label.  Only nodes that can split keep their rows."""
-        spec, n, C = self.spec, len(lens), self.nodes.leaf.shape[1]
-        counts = np.bincount(np.repeat(np.arange(n) * C, lens) + self.y[rows],
-                             minlength=n * C).reshape(n, C)
-        leaf = (np.eye(C)[counts.argmax(axis=1)] if spec.kind == "random_forest"
-                else counts / counts.sum(axis=1)[:, None])
-        split = ((counts.max(axis=1) < lens) & (lens >= 2 * spec.min_leaf)
-                 & (depth != (spec.max_depth or -1)))
-        sizes, tab = lens[split], np.full(n, -1)
-        start = self.rows.add(v=rows[np.repeat(split, lens)]) + np.cumsum(sizes) - sizes
-        tab[split] = self.tables.add(start=start, size=sizes, depth=depth[split], cost=np.nan,
-                                     thr=0.0, kid=-1) + np.arange(len(sizes))
-        ex0 = self.exs.add(v=ex) + np.cumsum(ex_lens) - ex_lens
-        return self.nodes.add(leaf=leaf, ex0=ex0, exn=ex_lens, tab=tab) + np.arange(n)
+        and ``ex_lens`` (``seg``: the run of each training row), at ``depth``; returns
+        the index of the first.  A forest leaf votes for its lowest most frequent label.
+        Only nodes that can split keep their rows."""
+        n, C = len(lens), self.nodes.leaf.shape[1]
+        counts = np.bincount(seg * C + self.y[rows], minlength=n * C).reshape(n, C)
+        split = ((counts.max(axis=1) < lens) & (lens >= 2 * self.spec.min_leaf)
+                 & (depth != self.depth_cap))
+        sizes = lens[split]
+        start = self.rows.add(rows[split[seg]]) - sizes + sizes.cumsum()
+        first = self.tables.add(start, sizes, depth[split], np.nan, -1)
+        tab = np.where(split, split.cumsum() + (first - 1), -1)
+        leaf = self.eye[counts.argmax(axis=1)] if self.vote else counts / lens[:, None]
+        return self.nodes.add(leaf, self.exs.add(ex) - ex_lens + ex_lens.cumsum(), ex_lens, tab)
 
-    def cut(self, nodes, cols, thr) -> None:
-        """Cut node ``nodes[i]`` on column ``cols[i]`` at ``thr[i]``: its rows below the
-        threshold, then its others, each in order, make its two children."""
-        t, n, parts, tables = self.nodes.tab[nodes], len(nodes), [], self.tables
-        for M, flat, starts, lens in ((self.F, self.rows.v, tables.start[t], tables.size[t]),
-                                      (self.X, self.exs.v, self.nodes.ex0[nodes],
-                                       self.nodes.exn[nodes])):
-            rows, seg = _runs(flat, starts, lens), np.repeat(np.arange(n), lens)
-            side = 2 * seg + (M[rows, cols[seg]] >= thr[seg])
-            parts += [rows[np.argsort(side, kind="stable")], np.bincount(side, minlength=2 * n)]
-        tables.kid[t, cols] = self.add(*parts, np.repeat(tables.depth[t] + 1, 2))[::2]
+    def cut(self, nodes, pairs) -> None:
+        """Cut node ``nodes[i]`` at its (table, column) pair ``pairs[i]`` (flat): its rows
+        below the pair's threshold, then its others, each in order, make its two
+        children."""
+        tables, n = self.tables, len(nodes)
+        t, cols = np.divmod(pairs, tables.cost.shape[1])
+        split = tables.thr.ravel()[pairs], cols
+        rows, lens, seg = _partition(self.F, self.rows.v, tables.start[t], tables.size[t],
+                                     *split)
+        ex, ex_lens, _ = (_partition(self.X, self.exs.v, self.nodes.ex0[nodes],
+                                     self.nodes.exn[nodes], *split) if self.X is not None
+                          else (rows[:0], np.zeros(2 * n, dtype=np.intp), None))
+        first = self.add(rows, lens, ex, ex_lens, (tables.depth[t] + 1).repeat(2), seg)
+        tables.kid.ravel()[pairs] = np.arange(first, first + 2 * n, 2)
 
 
 def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, write=None):
     """Trees ``trees`` of the model over each of ``cols_list``, grown in one lockstep
     pass from one memo, which it returns.  With X, it calls ``write(subsets, rows,
-    leaves)`` once per round with the subset index, row of X and leaf value of each row
-    of X that reached a leaf.
+    leaf, nodes)`` with each row of X that reached a leaf, its subset index, and its
+    leaf ``nodes`` of the memo's leaf values ``leaf``: once it holds ``ROUND_ROWS``
+    such rows, and once at the end.
 
     Tree t's rows (all rows, or a bootstrap drawn before any subset-dependent draw)
     and its j-th feature sample for q-column subsets do not depend on the subset,
@@ -217,52 +257,79 @@ def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, wri
     grow those, as their draws shift its later samples."""
     memo, vote = _Memo(spec, d, X), spec.kind == "random_forest"
     N, width, T, S = d.n_instances, d.n_attributes, len(trees), len(cols_list)
-    q = np.array([len(cols) for cols in cols_list])
-    k = np.array([max(1, math.isqrt(n)) if vote else 0 for n in q.tolist()])
+    q = np.fromiter(map(len, cols_list), np.intp, S)
+    k = np.array([max(1, math.isqrt(n)) if vote else 0 for n in range(width + 1)])[q]
     k[k >= q] = 0  # a sample of every column draws nothing
-    colmat = np.zeros((S, q.max()), dtype=np.intp)  # row i: the columns of cols_list[i]
-    colmat[np.repeat(np.arange(S), q), np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)] = \
-        np.concatenate(cols_list)
+    kmax, qmax = int(k.max()), int(q.max())
+    colmat = np.zeros((S, qmax), dtype=np.intp)  # row i: the columns of cols_list[i], then 0
+    colmat[np.arange(qmax) < q[:, None]] = np.fromiter(chain.from_iterable(cols_list), np.intp)
+    asks = np.where(k > 0, k, q)  # the positions a node of each model asks for
+    asked = np.arange(qmax) < asks[:, None]
     gens = [np.random.default_rng([spec.seed, t]) if vote else None for t in trees]
     boots = [rng.integers(0, N, size=N) if vote else np.arange(N) for rng in gens]
     nx = 0 if X is None else len(X)
-    memo.roots = memo.add(np.concatenate(boots), np.full(T, N), np.tile(np.arange(nx), T),
-                          np.full(T, nx), np.zeros(T, dtype=np.intp))
-    sub, tree = np.tile(np.arange(S), T), np.repeat(np.arange(T), S)  # walk i's model and tree
-    wk, wq, drawn = k[sub], q[sub], np.zeros(T * S, dtype=np.intp)
-    pending = np.full(T * S, -1 if X is None else nx)  # rows of X not yet in a leaf
-    group = tree * (width + 1) + wq  # walks of one tree and subset size share their samples
-    samples = np.zeros((0, T * (width + 1), k.max()), dtype=np.intp)  # [j, group]: j-th sample
+    first = memo.add(np.concatenate(boots), np.full(T, N),
+                     np.arange(nx)[None].repeat(T, axis=0).ravel(), np.full(T, nx),
+                     np.zeros(T, dtype=np.intp), np.arange(T).repeat(N))
+    memo.roots = np.arange(first, first + T)
+    walks = np.arange(T * S)
+    sub, tree = walks % S, walks // S  # walk i's model and tree
+    draws, ask, drawn = k[sub] > 0, asks[sub], np.zeros(T * S, dtype=np.intp)
+    # rows of X not yet in a leaf, counted down if some walk draws
+    pending = np.full(T * S + 1, -1 if X is None else nx)
+    pending[-1] = 0  # walk T * S: none, so its stack entries drop
+    group = tree * (width + 1) + q[sub]  # walks of one tree and subset size share their samples
+    samples = np.zeros((0, T * (width + 1), kmax), dtype=np.intp)  # [j, group]: j-th sample
     made, gen_of = np.zeros(T * (width + 1), dtype=np.intp), {}
-    pw = pr = taken = np.empty(0, dtype=np.intp)  # the walks' stacks, grouped by walk
-    w, r, leaf = np.arange(T * S), memo.roots[tree], np.zeros(T * S, dtype=bool)
-    while True:  # place the leaves (w, r) and push the other nodes onto the stacks
-        grow = (memo.nodes.tab[r] >= 0) & ~leaf
+    right_left = np.array([1, 0])
+    placed, held = [], 0  # the (walk, leaf) pairs not yet written, and their rows of X
+    pw = pr = np.empty(0, dtype=np.intp)  # the walks' stacks, grouped by walk
+    taken = None  # the stack entries a round took, if not all
+    w, r, nl = walks, memo.roots[tree], 0  # arriving nodes; the first nl have no split
+    while True:  # place the leaves among (w, r) and push the other nodes onto the stacks
+        grow = memo.nodes.tab[r] >= 0
+        grow[:nl] = False
         if X is not None:
-            grow &= (wk[w] > 0) | (memo.nodes.exn[r] > 0)
-            lw, lr = w[~grow], r[~grow]
+            n = memo.nodes.exn[r]
+            grow &= (draws[w] | (n > 0)) if kmax else n > 0
+            stop = ~grow
+            lw, n = w[stop], n[stop]
+            if kmax:  # at 0, the rest of the tree changes no value
+                np.subtract.at(pending, lw, n)
+            placed.append((lw, r[stop]))
+            held += int(n.sum())
+        if taken is None:  # every node on the stacks was taken
+            pw, pr = w[grow], r[grow]
+        else:  # the new nodes go on top; the taken ones go, as walk T * S has no rows pending
+            pw[taken] = T * S
+            order = (pw := np.concatenate([pw, w[grow]])).argsort(kind="stable")
+            pw, pr = pw[order], np.concatenate([pr, r[grow]])[order]
+        if kmax or taken is not None:  # a walk that draws stops once its rows are placed
+            live = pending[pw] != 0
+            pw, pr = pw[live], pr[live]
+        if placed and (held >= ROUND_ROWS or not len(pw)):
+            lw, lr = (np.concatenate(a) for a in zip(*placed))
             n = memo.nodes.exn[lr]
-            which = np.repeat(np.arange(len(lr)), n)
-            write(sub[lw[which]], _runs(memo.exs.v, memo.nodes.ex0[lr], n),
-                  memo.nodes.leaf[lr[which]])
-            np.subtract.at(pending, lw, n)  # at 0, the rest of the tree changes no value
-        keep = np.ones(len(pw), dtype=bool)
-        keep[taken] = False
-        pw, pr = (np.concatenate([a[keep], b[grow]]) for a, b in ((pw, w), (pr, r)))
-        order = np.argsort(pw, kind="stable")
-        order = order[pending[pw[order]] != 0]
-        pw, pr = pw[order], pr[order]
+            which = np.arange(len(lr)).repeat(n)
+            write(sub[lw][which], _runs(memo.exs.v, memo.nodes.ex0[lr], n), memo.nodes.leaf,
+                  lr[which])
+            placed, held = [], 0
         if not len(pw):
             return memo
-        top = np.ones(len(pw), dtype=bool)
-        top[:-1] = pw[1:] != pw[:-1]
-        taken = np.flatnonzero(top | (wk[pw] == 0))
-        npos = np.where(wk[pw[taken]] > 0, wk[pw[taken]], wq[pw[taken]])
-        load = npos + memo.nodes.exn[pr[taken]]
-        taken = taken[np.cumsum(load) - load < ROUND_ROWS]
-        w, r, npos = pw[taken], pr[taken], npos[:len(taken)]
-        pos = np.tile(np.arange(max(npos.max(), k.max())), (len(taken), 1))  # positions asked for
-        dr = np.flatnonzero(wk[w] > 0)
+        w, r, taken = pw, pr, None
+        if kmax and (drawing := draws[pw]).any():  # of a walk that draws, its top node only
+            top = np.empty(len(pw), dtype=bool)
+            top[-1] = True
+            np.not_equal(pw[1:], pw[:-1], out=top[:-1])
+            taken = (top | ~drawing).nonzero()[0]
+            w, r = pw[taken], pr[taken]
+        load = ask[w] + memo.nodes.exn[r]
+        if (m := _taken(load)) < len(w):  # the others wait
+            taken = np.arange(m) if taken is None else taken[:m]
+            w, r, load = w[:m], r[:m], load[:m]
+        s = sub[w]
+        valid, cols = asked[s], colmat[s]  # a walk that draws nothing asks for all its columns
+        dr = draws[w].nonzero()[0] if kmax else ()
         if len(dr):  # the drawn positions, drawing more samples where none is there yet
             g, j = group[w[dr]], drawn[w[dr]]
             need = np.zeros_like(made)
@@ -270,7 +337,7 @@ def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, wri
             if need.max() > len(samples):
                 samples = np.concatenate([samples, np.zeros_like(samples, shape=(
                     max(need.max(), len(samples)),) + samples.shape[1:])])
-            for gi in np.flatnonzero(need > made).tolist():
+            for gi in (need > made).nonzero()[0].tolist():
                 if gi not in gen_of:  # a copy of the tree's generator, as its bootstrap left it
                     gen_of[gi] = np.random.Generator(copy.copy(gens[gi // (width + 1)]
                                                                .bit_generator))
@@ -278,40 +345,39 @@ def _grow(spec: ModelSpec, d: Dataset, trees: list, cols_list: list, X=None, wri
                 for jj in range(made[gi], need[gi]):
                     samples[jj, gi, :kq] = np.sort(gen_of[gi].choice(n, kq, replace=False))
                 made[gi] = need[gi]
-            pos[dr, :k.max()] = samples[j, g]
-        valid = np.arange(pos.shape[1]) < npos[:, None]
-        cols = colmat[sub[w][:, None], np.where(valid, pos, 0)]
-        t = memo.nodes.tab[r]
-        ce, ck = np.nonzero(valid)
-        ct, cc = t[ce], cols[ce, ck]
-        new = np.flatnonzero(np.isnan(memo.tables.cost[ct, cc]))
-        pairs = new[_firsts(ct[new] * width + cc[new])]  # each pair at the first walk asking
-        load = load[:len(taken)] + np.bincount(ce[pairs], memo.tables.size[ct[pairs]],
-                                               minlength=len(taken))
-        m = np.count_nonzero(np.cumsum(load) - load < ROUND_ROWS)
-        taken, w, r, t, valid, cols = (a[:m] for a in (taken, w, r, t, valid, cols))
-        drawn[w[wk[w] > 0]] += 1
-        pairs, c = pairs[ce[pairs] < m], np.searchsorted(ce, m)
+            cols[dr, :kmax] = colmat[s[dr][:, None], samples[j, g]]
+        at = memo.nodes.tab[r][:, None] * width + cols  # the (table, column) pairs, flat
+        new = valid & np.isnan(memo.tables.cost.ravel()[at])
+        keys = at[new]
+        first = _firsts(keys)  # each new pair at the first walk asking
+        pairs = keys[first]
+        pt, pc = np.divmod(pairs, width)
+        lens = memo.tables.size[pt]
+        if load.sum() + lens.sum() >= ROUND_ROWS:  # with the searches, perhaps fewer
+            asker = new.nonzero()[0][first]
+            m = _taken(load + np.bincount(asker, lens, minlength=len(w)))
+            taken = np.arange(m) if taken is None else taken[:m]
+            w, r, valid, at = w[:m], r[:m], valid[:m], at[:m]
+            pairs, pt, pc, lens = (a[asker < m] for a in (pairs, pt, pc, lens))
+        if len(dr):
+            drawn[w] += draws[w]  # one entry per walk that draws
         if len(pairs):
-            pt, pc = ct[pairs], cc[pairs]
-            lens = memo.tables.size[pt]
-            memo.tables.cost[pt, pc], memo.tables.thr[pt, pc] = _split_search(
-                pc, lens, _runs(memo.rows.v, memo.tables.start[pt], lens), memo.presort,
+            tables = memo.tables
+            tables.cost.ravel()[pairs], tables.thr.ravel()[pairs] = _split_search(
+                pc, lens, _runs(memo.rows.v, tables.start[pt], lens), memo.presort,
                 d.n_classes, spec.min_leaf)
-        costs = np.full(valid.shape, math.inf)
-        costs[valid] = memo.tables.cost[ct[:c], cc[:c]]
-        best = costs.argmin(axis=1)  # the lowest cost; on ties the lowest column
-        leaf = ~np.isfinite(costs[np.arange(m), best])
-        e = np.flatnonzero(~leaf)
-        st, sc = t[e], cols[e, best[e]]
-        fresh = np.flatnonzero(memo.tables.kid[st, sc] < 0)
-        fresh = fresh[_firsts(st[fresh] * width + sc[fresh])]
+        costs = np.where(valid, memo.tables.cost.ravel()[at], math.inf)
+        best = costs.argmin(axis=1) + np.arange(0, costs.size, costs.shape[1])
+        leaf = costs.ravel()[best] == math.inf
+        e = (~leaf).nonzero()[0]  # the lowest cost; on ties the lowest column
+        chosen = at.ravel()[best[e]]
+        fresh = (memo.tables.kid.ravel()[chosen] < 0).nonzero()[0]
         if len(fresh):
-            memo.cut(r[e[fresh]], sc[fresh], memo.tables.thr[st[fresh], sc[fresh]])
-        kid = memo.tables.kid[st, sc]
-        w = np.concatenate([w[leaf], np.repeat(w[e], 2)])  # right child under left, per walk
-        r = np.concatenate([r[leaf], np.stack([kid + 1, kid], axis=1).ravel()])
-        leaf = np.concatenate([np.ones(m - len(e), dtype=bool), np.zeros(2 * len(e), dtype=bool)])
+            fresh = fresh[_firsts(chosen[fresh])]
+            memo.cut(r[e[fresh]], chosen[fresh])
+        kid, nl = memo.tables.kid.ravel()[chosen], len(w) - len(e)
+        w = np.concatenate([w[leaf], w[e].repeat(2)])  # right child under left, per walk
+        r = np.concatenate([r[leaf], (kid[:, None] + right_left).ravel()])
 
 
 def _passes(spec: ModelSpec, d: Dataset, trees, cols_list: list, X=None, write=None):
@@ -333,22 +399,25 @@ def _passes(spec: ModelSpec, d: Dataset, trees, cols_list: list, X=None, write=N
 
 
 class TrainedModelHandle:
-    """A fitted classifier for one attribute subset: flat-array trees, as its passes'
-    memos grew them.  Node i splits on dataset column ``feature[i]`` (-1 for a leaf)
-    at ``thr[i]``; a row below it goes to node ``left[i]``, any other to
-    ``left[i] + 1``.  ``leaf[i]`` is its class frequencies, or a forest tree's vote
-    one-hot, and the trees start at ``roots``.  The prior baseline is one leaf.
+    """A fitted classifier for one attribute subset: flat-array trees ``depth`` levels
+    deep at most, as its passes' memos grew them.  Node i splits on dataset column
+    ``feature[i]`` at ``thr[i]``; a row below it goes to node ``left[i]``, any other
+    to ``left[i] + 1``.  A leaf has feature -1, threshold -inf and ``left[i] = i - 1``,
+    so every row stays there.  ``leaf[i]`` is its class frequencies, or a forest
+    tree's vote one-hot, and the trees start at ``roots``.  The prior baseline is one
+    leaf.
 
     ``confidences`` reads the subset's columns of full dataset rows and gives the
     mean over the trees of the leaves the rows reach: entries in [0, 1] summing to 1.
     """
 
     def __init__(self, subset: AttributeSubset, class_set: tuple, feature, thr, left, leaf,
-                 roots):
+                 roots, depth: int):
         self.subset = subset
         self.class_set = class_set
-        self._feature, self._thr, self._left, self._leaf, self._roots = (
-            feature, thr, left, leaf, roots)
+        self._feature, self._thr, self._left, self._leaf, self._roots, self._depth = (
+            feature, thr, left, leaf, roots, depth)
+        self._right = left + 1
 
     def confidences(self, X) -> np.ndarray:
         """Rows x classes confidences for a rows x n matrix, columns ordered by class_set."""
@@ -356,17 +425,17 @@ class TrainedModelHandle:
         if X.ndim != 2 or X.shape[1] != self.subset.n:
             raise ValueError(f"instances of shape {X.shape}; expected rows of "
                              f"{self.subset.n} values")
-        T, feature, out = len(self._roots), self._feature, np.empty((len(X), len(self.class_set)))
+        T, C, blocks = len(self._roots), len(self.class_set), []
         step = max(1, ROUND_ROWS // T)
-        for lo in range(0, len(X), step):  # blocks of about ROUND_ROWS (tree, row) pairs
+        for lo in range(0, len(X) or 1, step):  # blocks of about ROUND_ROWS (tree, row) pairs
             x = X[lo:lo + step]
-            node = np.repeat(self._roots, len(x))  # pair p: tree p // len(x) at row p % len(x)
-            at = np.arange(len(node))
-            while len(at := at[feature[node[at]] >= 0]):  # the pairs not at a leaf go down
-                n = node[at]
-                node[at] = self._left[n] + ~(x[at % len(x), feature[n]] < self._thr[n])
-            out[lo:lo + step] = self._leaf[node].reshape(T, len(x), -1).sum(axis=0) / T
-        return out
+            node = self._roots.repeat(len(x))  # pair p: tree p // len(x) at row p % len(x)
+            at = np.arange(0, x.size, x.shape[1])[None].repeat(T, 0).ravel()  # its row's start
+            x = x.ravel()
+            for _ in range(self._depth):  # every pair one level down, or staying at its leaf
+                node = self._right[node] - (x[at + self._feature[node]] < self._thr[node])
+            blocks.append(self._leaf.take(node, 0).reshape(T, -1, C).sum(axis=0) / T)
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     def predict_classes(self, X) -> np.ndarray:
         """Index of each row's most-confident class; ties go to the lowest index."""
@@ -387,18 +456,20 @@ def train(spec: ModelSpec, d: Dataset, s: AttributeSubset) -> TrainedModelHandle
     if s.size == 0 or spec.kind == "prior_baseline":
         prior = np.bincount(d.label_indices(), minlength=d.n_classes) / d.n_instances
         zero = np.zeros(1, dtype=np.intp)  # one tree: a leaf at node 0
-        return TrainedModelHandle(s, d.class_set, zero - 1, np.zeros(1), zero, prior[None], zero)
-    trees, at = [], 0
+        return TrainedModelHandle(s, d.class_set, zero - 1, np.full(1, -math.inf), zero - 1,
+                                  prior[None], zero, 0)
+    trees, at, depth = [], 0, 0
     for memo in _passes(spec, d, range(spec.tree_count if spec.kind == "random_forest" else 1),
                         [s.indices()]):
         n, tables = memo.nodes.n, memo.tables
-        feature, thr, left = np.full(n, -1), np.zeros(n), np.zeros(n, dtype=np.intp)
+        feature, thr, left = np.full(n, -1), np.full(n, -math.inf), np.arange(at - 1, at + n - 1)
         t, c = np.nonzero(tables.kid[:tables.n] >= 0)  # one walk per tree: one cut at most
         node = np.flatnonzero(memo.nodes.tab[:n] >= 0)[t]  # tables are added in node order
         feature[node], thr[node], left[node] = c, tables.thr[t, c], tables.kid[t, c] + at
         trees.append((feature, thr, left, memo.nodes.leaf[:n], memo.roots + at))
-        at += n
-    return TrainedModelHandle(s, d.class_set, *(np.concatenate(a) for a in zip(*trees)))
+        at, depth = at + n, max(depth, tables.depth[t].max(initial=-1) + 1)
+    return TrainedModelHandle(s, d.class_set, *(np.concatenate(a) for a in zip(*trees)),
+                              int(depth))
 
 
 def tree_values(spec: ModelSpec, d: Dataset, trees, subsets: list[AttributeSubset],
@@ -412,8 +483,8 @@ def tree_values(spec: ModelSpec, d: Dataset, trees, subsets: list[AttributeSubse
     passes (``_passes``), one memo at a time."""
     tidx, rows = np.asarray(target_idx), np.asarray(rows)
 
-    def write(subs, ex, leaves):  # np.add.at: two trees may reach one (subset, row) in a round
-        np.add.at(out, (rows[subs], ex), leaves[np.arange(len(ex)), tidx[ex]])
+    def write(subs, ex, leaf, nodes):  # np.add.at: two trees may reach one (subset, row)
+        np.add.at(out, (rows[subs], ex), leaf[nodes, tidx[ex]])
 
     for _ in _passes(spec, d, trees, [s.indices() for s in subsets], X, write):
         pass

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coalex import AttributeSubset, Coalition, Dataset
+
+# The CI workflow sets HYPOTHESIS_PROFILE=ci: a property test that leaves its example
+# count to the profile runs 300 examples there, against hypothesis's default of 100.
+settings.register_profile("ci", max_examples=300, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def dataset_from(features, labels, names=None, class_set=(), name="test"):

@@ -374,7 +374,8 @@ class TestSplitSearch:
         whose midpoint rounds down to the lower one.  A bootstrap of the rows, as a
         forest tree trains on, repeats rows: equal values and labels at distinct
         positions."""
-        from coalex.model import _presort, _split_search
+        from coalex.dataset import _presort
+        from coalex.model import _split_search
 
         rng = np.random.default_rng(100 * min_leaf + n_classes)
         X = np.round(rng.normal(size=(60, 6)), 1)
