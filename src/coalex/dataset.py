@@ -12,9 +12,8 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -61,19 +60,6 @@ class AttributeSubset:
 
     def without_index(self, index: int) -> "AttributeSubset":
         return AttributeSubset(self.mask & ~(1 << index), self.n)
-
-
-def subsets_by_size(indices: Sequence[int], max_size: int | None = None) -> Iterator[int]:
-    """Yield the bit mask of every subset of ``indices`` in size-then-lexicographic order.
-
-    The fixed order makes floating-point accumulations over subsets
-    reproducible.  ``max_size`` bounds the largest subset yielded (inclusive).
-    """
-    indices = sorted(indices)
-    top = len(indices) if max_size is None else min(max_size, len(indices))
-    for r in range(top + 1):
-        for combo in combinations(indices, r):
-            yield sum(1 << i for i in combo)
 
 
 @dataclass(frozen=True)

@@ -36,19 +36,20 @@ import threading
 import traceback
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import factorial
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import AttributeSubset, ClassTarget, Dataset, subsets_by_size
+from .dataset import AttributeSubset, ClassTarget, Dataset
 from .errors import ComplexityCapError, DataError
 from .grouping import Coalition
-from .model import ModelSpec, SubsetModelCache, tree_values
+from .model import ModelSpec, SubsetModelCache, _firsts, tree_values
 
 COMPLETE_ATTRIBUTE_CAP = 20
 
-# Values per instance block of Plan.sums: its temporaries hold at most 32 MB of float64.
+# Values per instance block of Plan.sums: each of its temporaries holds at most 32 MB of float64.
 VALUE_TABLE_CELLS = 1 << 22
 
 
@@ -92,9 +93,10 @@ class Plan:
 
     def sums(self, V: np.ndarray) -> np.ndarray:
         """W . V as attributes x instances, for V with one row per mask, in blocks of
-        instances whose temporaries hold at most ``VALUE_TABLE_CELLS`` values."""
+        instances whose temporaries, one attribute's terms each, hold at most
+        ``VALUE_TABLE_CELLS`` values."""
         out = np.zeros((len(self.terms), V.shape[1]))
-        block = max(1, VALUE_TABLE_CELLS // len(self.masks))
+        block = max(1, VALUE_TABLE_CELLS // max(len(w) for _, _, w in self.terms))
         for lo in range(0, V.shape[1], block):
             Vb = V[:, lo:lo + block]
             for i, (plus, minus, weights) in enumerate(self.terms):
@@ -113,24 +115,29 @@ def _weight(sub_size: int, group_size: int, denominator: int) -> float:
 
 def _plan(groups: Sequence[int], n: int, depth: int) -> Plan:
     """The plan of ``groups``, masks over n attributes, at ``depth``, by the one rule of the
-    module docstring; each attribute's terms run over its groups in order, by subset size."""
-    def without(i):  # (mask of s, weight) in term order
+    module docstring; each attribute's terms run over its groups in order, by subset size,
+    then in lexicographic order of index tuples (``combinations``).  Past bit 62 the masks
+    are built in object arrays of Python ints."""
+    bit = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 64 else object)
+    terms = []  # per attribute: the masks with it and without it, and their weights
+    for i in range(n):
         mine = [(g, g.bit_count()) for g in groups if g >> i & 1]
         D = sum(min(depth, size) * factorial(size - 1) for _, size in mine)
+        s, w = [], []  # per group and size r: the masks, and their weight
         for g, size in mine:
-            w = [_weight(s, size, D) for s in range(min(depth, size))]
-            for mask in subsets_by_size([j for j in range(n) if j != i and g >> j & 1], depth - 1):
-                yield mask, w[mask.bit_count()]
-
-    masks = sorted({m for i in range(n) for s, _ in without(i) for m in (s, s | 1 << i)})
-    row = {m: r for r, m in enumerate(masks)}
-    plan_terms = []
-    for i in range(n):
-        subs, weights = zip(*without(i))
-        plan_terms.append((np.array([row[s | 1 << i] for s in subs], dtype=np.int32),
-                           np.array([row[s] for s in subs], dtype=np.int32),
-                           np.array(weights)))
-    return Plan(masks, tuple(plan_terms))
+            others = [j for j in range(n) if j != i and g >> j & 1]
+            for r in range(min(depth, size)):
+                count = math.comb(size - 1, r)
+                s.append(bit[np.fromiter(chain.from_iterable(combinations(others, r)), np.intp,
+                                         count * r).reshape(count, r)].sum(axis=1))
+                w.append(_weight(r, size, D))
+        minus = np.concatenate(s)
+        terms.append((minus | bit[i], minus, np.repeat(w, [len(a) for a in s])))
+    touched = np.concatenate([m for plus, minus, _ in terms for m in (plus, minus)])
+    masks = touched[_firsts(touched)]  # sorted, each once
+    return Plan(masks.tolist(), tuple((masks.searchsorted(plus).astype(np.int32),
+                                       masks.searchsorted(minus).astype(np.int32), w)
+                                      for plus, minus, w in terms))
 
 
 def complete_plan(n: int) -> Plan:

@@ -220,12 +220,15 @@ class _Memo:
     def cut(self, nodes, pairs) -> None:
         """Cut node ``nodes[i]`` at its (table, column) pair ``pairs[i]`` (flat): its rows
         below the pair's threshold, then its others, each in order, make its two
-        children."""
+        children.  A child of fewer than ``min_leaf`` rows, which no searched split
+        makes, raises ``RuntimeError``: the pass would grow its sibling forever."""
         tables, n = self.tables, len(nodes)
         t, cols = np.divmod(pairs, tables.cost.shape[1])
         split = tables.thr.ravel()[pairs], cols
         rows, lens, seg = _partition(self.F, self.rows.v, tables.start[t], tables.size[t],
                                      *split)
+        if lens.min() < self.spec.min_leaf:
+            raise RuntimeError(f"a cut left a child of {lens.min()} training rows")
         ex, ex_lens, _ = (_partition(self.X, self.exs.v, self.nodes.ex0[nodes],
                                      self.nodes.exn[nodes], *split) if self.X is not None
                           else (rows[:0], np.zeros(2 * n, dtype=np.intp), None))
@@ -476,15 +479,18 @@ def tree_values(spec: ModelSpec, d: Dataset, trees, subsets: list[AttributeSubse
                 X: np.ndarray, target_idx: list[int], out: np.ndarray, rows) -> None:
     """Add each tree t of ``trees`` (a sequence of tree indices) of the model on each
     of ``subsets`` (none empty, ``spec`` not the prior baseline) at the rows of X to
-    ``out``: subset i adds its confidence for class ``target_idx[r]`` at row r, a
-    forest tree's vote (1 or 0) or a decision tree's class frequency, to ``out[rows[i],
-    r]``.  Summed over a forest's trees and divided by their count, these are
+    the C-contiguous ``out``: subset i adds its confidence for class ``target_idx[r]``
+    at row r, a forest tree's vote (1 or 0) or a decision tree's class frequency, to
+    ``out[rows[i], r]``.  Summed over a forest's trees and divided by their count, these are
     ``train``'s confidences bit for bit.  All the trees of all subsets grow in lockstep
     passes (``_passes``), one memo at a time."""
-    tidx, rows = np.asarray(target_idx), np.asarray(rows)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    tidx, flat = np.asarray(target_idx), out.reshape(-1)
+    base = np.asarray(rows) * out.shape[1]  # the index in ``flat`` of each row's start
 
     def write(subs, ex, leaf, nodes):  # np.add.at: two trees may reach one (subset, row)
-        np.add.at(out, (rows[subs], ex), leaf[nodes, tidx[ex]])
+        np.add.at(flat, base[subs] + ex, leaf[nodes, tidx[ex]])
 
     for _ in _passes(spec, d, trees, [s.indices() for s in subsets], X, write):
         pass

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalex import AttributeSubset, ConfigError, DataError, Dataset, load_csv
-from coalex.dataset import subsets_by_size
 
 from conftest import class_prior, dataset_from
 
@@ -228,15 +227,3 @@ class TestAttributeSubset:
         s = AttributeSubset.from_indices(idx, 8)
         assert set(s.indices()) == idx
         assert s.size == len(idx)
-
-    def test_subsets_by_size_order_and_count(self):
-        subs = [AttributeSubset(mask, 4) for mask in subsets_by_size([0, 2, 3])]
-        assert len(subs) == 8
-        sizes = [s.size for s in subs]
-        assert sizes == sorted(sizes)
-        # lexicographic within each size
-        assert [s.indices() for s in subs[1:4]] == [(0,), (2,), (3,)]
-        assert [s.indices() for s in subs[4:7]] == [(0, 2), (0, 3), (2, 3)]
-
-    def test_subsets_by_size_max_size(self):
-        assert list(subsets_by_size([0, 1, 2], max_size=1)) == [0b000, 0b001, 0b010, 0b100]

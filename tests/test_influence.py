@@ -8,6 +8,8 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from coalex import (
 import coalex.influence
 from coalex.dataset import ClassTarget
 from coalex.evaluation import method_influence, run_benchmark
-from coalex.influence import _weight, coalitional_plan, complete_plan, kdepth_plan
+from coalex.influence import Plan, _plan, _weight, coalitional_plan, complete_plan, kdepth_plan
 
 from conftest import class_prior, coalition_from, dataset_from, full_group, singletons
 
@@ -56,6 +58,59 @@ def expected_terms(groups, n, depth):
                     terms.append((mask | 1 << i, mask, weight))
         out.append(terms)
     return out
+
+
+# The generator-based plan builder that the array-based ``_plan`` replaced, kept verbatim
+# as its reference: it lists each attribute's terms twice, through ``without(i)``, and
+# finds each mask's row in a dict.
+
+
+def subsets_by_size(indices: Sequence[int], max_size: int | None = None) -> Iterator[int]:
+    """Yield the bit mask of every subset of ``indices`` in size-then-lexicographic order.
+
+    The fixed order makes floating-point accumulations over subsets
+    reproducible.  ``max_size`` bounds the largest subset yielded (inclusive).
+    """
+    indices = sorted(indices)
+    top = len(indices) if max_size is None else min(max_size, len(indices))
+    for r in range(top + 1):
+        for combo in combinations(indices, r):
+            yield sum(1 << i for i in combo)
+
+
+def reference_plan(groups: Sequence[int], n: int, depth: int) -> Plan:
+    """The plan of ``groups``, masks over n attributes, at ``depth``, by the one rule of the
+    module docstring; each attribute's terms run over its groups in order, by subset size."""
+    def without(i):  # (mask of s, weight) in term order
+        mine = [(g, g.bit_count()) for g in groups if g >> i & 1]
+        D = sum(min(depth, size) * factorial(size - 1) for _, size in mine)
+        for g, size in mine:
+            w = [_weight(s, size, D) for s in range(min(depth, size))]
+            for mask in subsets_by_size([j for j in range(n) if j != i and g >> j & 1], depth - 1):
+                yield mask, w[mask.bit_count()]
+
+    masks = sorted({m for i in range(n) for s, _ in without(i) for m in (s, s | 1 << i)})
+    row = {m: r for r, m in enumerate(masks)}
+    plan_terms = []
+    for i in range(n):
+        subs, weights = zip(*without(i))
+        plan_terms.append((np.array([row[s | 1 << i] for s in subs], dtype=np.int32),
+                           np.array([row[s] for s in subs], dtype=np.int32),
+                           np.array(weights)))
+    return Plan(masks, tuple(plan_terms))
+
+
+@st.composite
+def group_families(draw):
+    """(groups, n, depth): up to six group masks over n <= 10 attributes, in any order,
+    repeated or nested, plus one group of the attributes they miss, if any."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    groups = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                           min_size=1, max_size=6))
+    missed = (1 << n) - 1
+    for g in groups:
+        missed &= ~g
+    return groups + [missed] * (missed > 0), n, draw(st.integers(min_value=1, max_value=n))
 
 
 def plan_terms(plan):
@@ -497,13 +552,14 @@ class TestAxiomsUnderRetraining:
 
 
 def assert_same_plan(a, b):
-    """Exact equality of two plans' masks and weight matrices."""
+    """Bitwise equality of two plans' masks, Python ints both, and weight matrices."""
     assert a.masks == b.masks
+    assert all(type(m) is int for m in a.masks + b.masks)
     assert len(a.terms) == len(b.terms)
     for ta, tb in zip(a.terms, b.terms):
         for xa, xb in zip(ta, tb):
             assert xa.dtype == xb.dtype and xa.shape == xb.shape
-            assert (xa == xb).all()
+            assert xa.tobytes() == xb.tobytes()
 
 
 class TestPlans:
@@ -546,6 +602,24 @@ class TestPlans:
         G = coalition_from([[i, i + 1] for i in range(0, 70, 2)], 70)
         assert coalitional_plan(G).masks[-1] == 3 << 68
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_complete_and_kdepth_plans_equal_the_reference_builder(self, n):
+        for k in range(1, n + 1):
+            assert_same_plan(kdepth_plan(n, k), reference_plan([(1 << n) - 1], n, k))
+        assert_same_plan(complete_plan(n), reference_plan([(1 << n) - 1], n, n))
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_wide_plans_equal_the_reference_builder(self, n):
+        full, pairs = (1 << n) - 1, [3 << i for i in range(0, n, 2)]
+        for groups, depth in [([full], 1), ([full], 2), (pairs, n), (pairs + [full >> 1], 2)]:
+            assert_same_plan(_plan(groups, n, depth), reference_plan(groups, n, depth))
+
+    @settings(deadline=None)
+    @given(group_families())
+    def test_plans_equal_the_reference_builder(self, family):
+        # overlapping, repeated and nested groups, at every depth
+        assert_same_plan(_plan(*family), reference_plan(*family))
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_complete_plan_matches_permutation_shapley(self, n):
         # independent oracle on a fixed random value function over all 2^n subsets
@@ -576,6 +650,24 @@ class TestPlans:
                 for a, b, w in zip(with_i.tolist(), without_i.tolist(), weights.tolist()):
                     total += w * (float(v[a, col]) - float(v[b, col]))
                 assert got[i, col] == total
+
+    def test_sums_blocks_bound_each_attributes_terms(self, monkeypatch):
+        """Blocks of instances are sized from the longest term list, which overlapping
+        groups make longer than the mask list: here 448 terms against 255 masks."""
+        n = 8
+        plan = coalitional_plan(coalition_from([[j for j in range(n) if j != i]
+                                                for i in range(n)], n))
+        longest = max(len(w) for _, _, w in plan.terms)
+        assert (longest, len(plan.masks)) == (448, 255)
+        v = np.random.default_rng(8).random((len(plan.masks), 10))
+        whole, cells, sizes, cumsum = plan.sums(v), 3 * longest, [], np.cumsum
+        monkeypatch.setattr(coalex.influence, "VALUE_TABLE_CELLS", cells)
+        monkeypatch.setattr(np, "cumsum", lambda steps, *args, **kwargs:
+                            sizes.append(steps.size) or cumsum(steps, *args, **kwargs))
+        blocked = plan.sums(v)
+        monkeypatch.undo()
+        assert len(sizes) == 4 * n and max(sizes) == cells  # blocks of 3, 3, 3 and 1
+        assert (blocked == whole).all()
 
 
 class TestBatching:

@@ -344,6 +344,32 @@ class TestSplitMemo:
             assert sorted(np.concatenate([cut, cut + 1]).tolist()) == list(range(1, builds))
             assert np.isfinite(cost[kid >= 0]).all()
 
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    def test_a_cut_that_moves_no_row_raises(self, five_attributes, monkeypatch, kind):
+        """A threshold that sends every row to one side leaves the other child the
+        parent's rows, to be cut the same way again: with no depth cap the pass would
+        never stop, so the cut refuses it at once."""
+        import signal
+
+        import coalex.model
+
+        search = coalex.model._split_search
+        monkeypatch.setattr(coalex.model, "_split_search", lambda *args: (
+            search(*args)[0], np.full(len(args[0]), -np.inf)))
+
+        def hang(signum, frame):
+            raise TimeoutError("the tree pass did not stop")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(RuntimeError, match="a cut left a child of 0 training rows"):
+                train(ModelSpec(kind=kind, tree_count=3), five_attributes,
+                      AttributeSubset.full(5))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 def one_column_split(col, y, n_classes, min_leaf):
     """The per-column split search the segmented one replaced, kept as its reference:
@@ -620,3 +646,24 @@ class TestTreeValues:
         together = table([range(6)])
         assert (together == table([t] for t in range(6))).all()
         assert together.max() > 1
+
+    def test_out_must_be_c_contiguous(self, five_attributes):
+        """``out`` is written through one flat index: a C-contiguous view, as a tree
+        worker's row of the shared map is, takes the same values; any other is refused."""
+        d = five_attributes
+        spec = ModelSpec(kind="random_forest", tree_count=4, max_depth=3, seed=2)
+        subsets = [AttributeSubset(mask, 5) for mask in (1, 6, 31)]
+        idx = [r % 3 for r in range(d.n_instances)]
+
+        def fill(out):
+            tree_values(spec, d, range(4), subsets, d.features, idx, out, [2, 0, 1])
+            return out
+
+        whole = fill(np.zeros((3, d.n_instances)))
+        shared = np.zeros((2, 3 * d.n_instances + 1))
+        assert (fill(shared[1, :-1].reshape(3, -1)) == whole).all()
+        assert not shared[0].any() and shared[1, -1] == 0
+        for strided in (np.zeros((d.n_instances, 3)).T, np.zeros((3, 2 * d.n_instances))[:, ::2]):
+            with pytest.raises(ValueError, match="out must be C-contiguous"):
+                fill(strided)
+            assert not strided.any()
